@@ -7,10 +7,9 @@ isolates what the pair term contributes during training.
 """
 
 import argparse
-import dataclasses
 import statistics
 
-from ucowod import LossWeights, RunConfig, detect, evaluate, generate_dataset, train
+from ucowod import LossWeights, RunConfig, train_and_score
 
 
 def parse_args() -> argparse.Namespace:
@@ -21,14 +20,7 @@ def parse_args() -> argparse.Namespace:
 
 
 def uc_map_for(weight: float, seed: int) -> float:
-    config = RunConfig(seed=seed, weights=LossWeights(alpha_sim=weight))
-    dataset = generate_dataset(config)
-    trained = train(config, dataset)
-    report = evaluate(
-        dataset.test_ground_truth(),
-        detect(trained.head, dataset.test, config),
-        config.eval_config(),
-    )
+    _, _, report = train_and_score(RunConfig(seed=seed, weights=LossWeights(alpha_sim=weight)))
     return report.uc_map
 
 

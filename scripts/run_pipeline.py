@@ -8,11 +8,10 @@ change end to end.
 """
 
 import argparse
-import json
-from pathlib import Path
+import dataclasses
 
-from ucowod import RunConfig, detect, evaluate, generate_dataset, refine_pipeline, train
-from ucowod.io import config_from_dict, report_to_dict
+from ucowod import RunConfig, evaluate, refine_pipeline, train_and_score
+from ucowod.io import load_config, save_report
 
 
 def parse_args() -> argparse.Namespace:
@@ -32,31 +31,23 @@ def describe(tag: str, report) -> None:
 
 def main() -> None:
     args = parse_args()
-    overrides = {}
-    if args.config is not None:
-        overrides = json.loads(Path(args.config).read_text())
-    config = config_from_dict({**overrides, "seed": args.seed})
+    config = load_config(args.config) if args.config is not None else RunConfig()
+    config = dataclasses.replace(config, seed=args.seed)
 
-    dataset = generate_dataset(config)
+    dataset, trained, raw = train_and_score(config)
     print(
         f"dataset: {len(dataset.train)} train / {len(dataset.test)} test scenes, "
         f"{config.known_classes} known classes, {config.unknown_gt_classes} hidden classes"
     )
-
-    trained = train(config, dataset)
     first, last = trained.history[0].total, trained.history[-1].total
     print(
         f"trained {len(trained.history)} epochs, loss {first:.4f} -> {last:.4f}, "
         f"{trained.rows.n_pseudo} pseudo-labels, final lambda {trained.final_lambda:.3f}"
     )
-
-    gts = dataset.test_ground_truth()
-    eval_config = config.eval_config()
-    raw = evaluate(gts, detect(trained.head, dataset.test, config), eval_config)
     describe("raw", raw)
 
     outcome = refine_pipeline(trained.head, dataset, config)
-    refined = evaluate(gts, outcome.detections, eval_config)
+    refined = evaluate(dataset.test_ground_truth(), outcome.detections, config.eval_config())
     describe("refined", refined)
     print(
         f"refinement relabeled {len(outcome.refined_indices)} unknown detections "
@@ -64,8 +55,7 @@ def main() -> None:
     )
 
     if args.report is not None:
-        payload = report_to_dict(refined, {"seed": config.seed, "stage": "refined"})
-        Path(args.report).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        save_report(args.report, refined, {"seed": config.seed, "stage": "refined"})
         print(f"wrote {args.report}")
 
 

@@ -10,7 +10,7 @@ unknown-class metrics on raw test detections.
 import argparse
 import dataclasses
 
-from ucowod import RunConfig, UlpConfig, detect, evaluate, generate_dataset, train
+from ucowod import RunConfig, train_and_score
 
 
 def parse_args() -> argparse.Namespace:
@@ -27,13 +27,7 @@ def main() -> None:
     print("-------------------------------------------")
     for floor in args.floors:
         config = dataclasses.replace(base, ulp=dataclasses.replace(base.ulp, delta=floor))
-        dataset = generate_dataset(config)
-        trained = train(config, dataset)
-        report = evaluate(
-            dataset.test_ground_truth(),
-            detect(trained.head, dataset.test, config),
-            config.eval_config(),
-        )
+        _, trained, report = train_and_score(config)
         print(
             f"{floor:5.2f}  {trained.rows.n_pseudo:6d}  {report.uc_map:6.3f}  "
             f"{report.uc_recall:9.3f}  {report.map_known:9.3f}"

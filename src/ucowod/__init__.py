@@ -15,12 +15,10 @@ from .core import (
     GroundTruthObject,
     LabelKind,
     Proposal,
-    TaskConfig,
     from_corners,
     iou,
     label_for_class_id,
     to_corners,
-    validate_task_sequence,
 )
 from .harness import (
     RefineOutcome,
@@ -36,6 +34,7 @@ from .harness import (
     generate_dataset,
     refine_pipeline,
     train,
+    train_and_score,
 )
 from .losses import (
     LossWeights,
@@ -70,7 +69,6 @@ from .metrics import (
 )
 from .pseudo_label import UlpConfig, select_pseudo_labels
 from .refinement import (
-    ClusterState,
     RefineResult,
     kl_divergence,
     kl_loss,

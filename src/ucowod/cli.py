@@ -20,11 +20,12 @@ from .harness import RunConfig, detect, generate_dataset, refine_pipeline, train
 from .metrics import EvalConfig, evaluate
 
 
-def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    if getattr(args, "config", None):
+def _load_run_config(args: argparse.Namespace, base: RunConfig) -> RunConfig:
+    """``base`` overlaid with the ``--config`` file, then with ``--seed``."""
+    config = base
+    if args.config:
         config = io.load_config(args.config, config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     return config
 
@@ -53,7 +54,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_run_config(args)
+    config = _load_run_config(args, RunConfig())
     dataset = generate_dataset(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -74,11 +75,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     dataset = io.load_dataset(args.dataset)
-    config = dataset.config
-    if args.config:
-        config = io.load_config(args.config, config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    config = _load_run_config(args, dataset.config)
     result = train(config, dataset)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -95,11 +92,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_refine(args: argparse.Namespace) -> int:
     dataset = io.load_dataset(args.dataset)
-    config = dataset.config
-    if args.config:
-        config = io.load_config(args.config, config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    config = _load_run_config(args, dataset.config)
     head = io.load_head(args.model)
     outcome = refine_pipeline(head, dataset, config)
     out_dir = Path(args.out_dir)

@@ -9,9 +9,9 @@ collide; background carries no integer id at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 Corners = tuple[float, float, float, float]
 
@@ -166,37 +166,3 @@ class Proposal:
     def __post_init__(self) -> None:
         if not (0.0 <= self.objectness <= 1.0):
             raise ValueError(f"objectness must lie in [0, 1], got {self.objectness}")
-
-
-@dataclass(frozen=True)
-class TaskConfig:
-    """Incremental-task schema: at task ``t`` the first ``known_count`` class
-    ids are known and ``unknown_slots`` prediction slots are reserved for
-    unknowns. The combined budget ``known_count + unknown_slots`` is fixed per
-    deployment (80 at full scale; much smaller on synthetic data)."""
-
-    task_index: int
-    known_count: int
-    unknown_slots: int
-
-    def __post_init__(self) -> None:
-        if self.task_index < 1:
-            raise ValueError("task index starts at 1")
-        if self.known_count < 0 or self.unknown_slots < 0:
-            raise ValueError("class counts must be non-negative")
-
-    @property
-    def total_classes(self) -> int:
-        return self.known_count + self.unknown_slots
-
-
-def validate_task_sequence(tasks: Sequence[TaskConfig]) -> None:
-    """Check that known classes only ever grow across tasks and the total
-    class budget stays fixed."""
-    for prev, cur in zip(tasks, tasks[1:]):
-        if cur.task_index != prev.task_index + 1:
-            raise ValueError(f"task indices must be consecutive, got {prev.task_index} -> {cur.task_index}")
-        if cur.known_count < prev.known_count:
-            raise ValueError(f"known classes shrank between tasks {prev.task_index} and {cur.task_index}")
-        if cur.total_classes != prev.total_classes:
-            raise ValueError("total class budget must stay fixed across tasks")

@@ -11,7 +11,8 @@ them through pseudo-labeling.
 descent on the combined objective, switching from label-supervised to
 self-supervised pair similarity after a warm-up. ``refine_pipeline`` then
 clusters the embeddings of unknown-slot detections and relabels them by
-cluster.
+cluster. ``train_and_score`` is the generate, train, detect and evaluate
+chain in one call.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .losses import (
     softmax,
     total_training_loss,
 )
-from .metrics import EvalConfig, nms
+from .metrics import EvalConfig, EvalReport, evaluate, nms
 from .pseudo_label import UlpConfig, select_pseudo_labels
 from .refinement import RefineResult, refine, select_cluster_count
 
@@ -553,6 +554,15 @@ def detect_with_embeddings(
 
 def detect(head: ToyHead, scenes: Sequence[SyntheticScene], config: RunConfig) -> list[Detection]:
     return detect_with_embeddings(head, scenes, config)[0]
+
+
+def train_and_score(config: RunConfig) -> tuple[SyntheticDataset, TrainResult, EvalReport]:
+    """Generate a dataset, train on its train split and score the raw
+    detections on its test split: the chain every driver script runs."""
+    dataset = generate_dataset(config)
+    trained = train(config, dataset)
+    detections = detect(trained.head, dataset.test, config)
+    return dataset, trained, evaluate(dataset.test_ground_truth(), detections, config.eval_config())
 
 
 @dataclass

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Box, ClassLabel, Detection, GroundTruthObject, Proposal, label_for_class_id
+from .core import Box, Detection, GroundTruthObject, Proposal, label_for_class_id
 from .harness import RunConfig, SyntheticDataset, SyntheticScene, ToyHead
 from .losses import LossWeights
 from .metrics import EvalReport
@@ -46,10 +47,14 @@ def _require(condition: bool, where: str, message: str) -> None:
 
 def _parse_bbox(raw: object, where: str) -> Box:
     _require(
-        isinstance(raw, list) and len(raw) == 4 and all(isinstance(v, (int, float)) for v in raw),
+        isinstance(raw, list)
+        and len(raw) == 4
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw),
         where,
         f"bbox must be a list of 4 numbers, got {raw!r}",
     )
+    # NaN, infinities and integers past the float range all fail this bound
+    _require(all(abs(v) <= sys.float_info.max for v in raw), where, f"bbox values must be finite, got {raw!r}")
     cx, cy, w, h = (float(v) for v in raw)
     _require(w > 0 and h > 0, where, f"bbox sides must be positive, got w={w}, h={h}")
     return Box(cx, cy, w, h)
@@ -187,12 +192,15 @@ def config_from_dict(payload: dict, base: Optional[RunConfig] = None) -> RunConf
     payload = dict(payload)
     known_fields = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = sorted(set(payload) - known_fields)
+    nested = {key: cls for key, cls in (("ulp", UlpConfig), ("weights", LossWeights)) if key in payload}
+    for key, cls in nested.items():
+        _require(isinstance(payload[key], dict), "config", f"{key} must be an object, got {payload[key]!r}")
+        names = {f.name for f in dataclasses.fields(cls)}
+        unknown += sorted(f"{key}.{name}" for name in set(payload[key]) - names)
     if unknown:
         raise SchemaError(f"unknown config keys: {unknown}")
-    if "ulp" in payload:
-        payload["ulp"] = UlpConfig(**payload["ulp"])
-    if "weights" in payload:
-        payload["weights"] = LossWeights(**payload["weights"])
+    for key, cls in nested.items():
+        payload[key] = cls(**payload[key])
     return dataclasses.replace(base, **payload)
 
 

@@ -368,17 +368,14 @@ def l1_regression_loss(
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Term weights for the total objective. ``alpha_rpn`` is kept for
-    config parity with full detectors but the synthetic harness has no
-    proposal network to train."""
+    """Term weights for the total objective."""
 
-    alpha_rpn: float = 1.0
     alpha_cls: float = 1.0
     alpha_reg: float = 1.0
     alpha_sim: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("alpha_rpn", "alpha_cls", "alpha_reg", "alpha_sim"):
+        for name in ("alpha_cls", "alpha_reg", "alpha_sim"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 

@@ -22,8 +22,6 @@ Metrics:
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -31,23 +29,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .core import Box, Detection, GroundTruthObject, iou
-
-THREADS_ENV_VAR = "UCOWOD_THREADS"
-
-
-def thread_cap() -> int:
-    """Worker cap for data-parallel evaluation, from the environment."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {value}")
-    return value
-
 
 def nms(scored_boxes: Sequence[tuple[Box, float]], iou_threshold: float) -> list[int]:
     """Greedy non-maximum suppression.
@@ -355,11 +336,6 @@ class EvalReport:
     warnings: tuple[str, ...] = ()
 
 
-def _known_ap(args: tuple[list[Detection], list[GroundTruthObject], float]) -> float:
-    class_dets, class_gts, threshold = args
-    return average_precision(class_dets, class_gts, threshold)
-
-
 def evaluate(
     gts: Sequence[GroundTruthObject],
     dets: Sequence[Detection],
@@ -376,20 +352,14 @@ def evaluate(
 
     known_classes = sorted({g.label.class_id for g in gts if g.label.is_known})
     if known_classes:
-        jobs = [
-            (
+        aps = [
+            average_precision(
                 [d for d in kept if d.label.is_known and d.label.class_id == c],
                 [g for g in gts if g.label.is_known and g.label.class_id == c],
                 config.iou_threshold,
             )
             for c in known_classes
         ]
-        workers = min(thread_cap(), len(jobs))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                aps = list(pool.map(_known_ap, jobs))
-        else:
-            aps = [_known_ap(job) for job in jobs]
         map_known = float(np.mean(aps))
     else:
         map_known = 0.0

@@ -16,7 +16,6 @@ rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -191,32 +190,6 @@ def kl_loss(
     grad_centroids = 2.0 * np.einsum("ij,ijd->jd", coeff, diff)
     grad_embeddings = -2.0 * np.einsum("ij,ijd->id", coeff, diff)
     return value, grad_embeddings, grad_centroids
-
-
-@dataclass(frozen=True)
-class ClusterState:
-    """One refinement snapshot: centroids with the matching soft assignment
-    and sharpened target."""
-
-    centroids: np.ndarray
-    assignment: np.ndarray
-    target: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.assignment.shape != self.target.shape:
-            raise ValueError("assignment and target shapes differ")
-        if self.assignment.shape[1] != len(self.centroids):
-            raise ValueError("assignment width must equal the centroid count")
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        """Per-cluster soft population."""
-        return self.assignment.sum(axis=0)
-
-    @classmethod
-    def from_embeddings(cls, embeddings: np.ndarray, centroids: np.ndarray) -> "ClusterState":
-        P = soft_assignment(embeddings, centroids)
-        return cls(centroids=np.asarray(centroids, dtype=float), assignment=P, target=target_distribution(P))
 
 
 @dataclass(frozen=True)

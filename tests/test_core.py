@@ -7,12 +7,10 @@ from ucowod import (
     ClassLabel,
     GroundTruthObject,
     LabelKind,
-    TaskConfig,
     from_corners,
     iou,
     label_for_class_id,
     to_corners,
-    validate_task_sequence,
 )
 
 from reference import iou_ref
@@ -99,29 +97,3 @@ def test_ground_truth_rejects_background_and_pseudo_known():
         GroundTruthObject(
             image_id=0, label=ClassLabel.known(0), box=Box(0, 0, 1, 1), is_pseudo=True
         )
-
-
-def test_task_sequence_accepts_growing_known_set():
-    tasks = [
-        TaskConfig(task_index=1, known_count=3, unknown_slots=5),
-        TaskConfig(task_index=2, known_count=5, unknown_slots=3),
-    ]
-    validate_task_sequence(tasks)
-
-
-def test_task_sequence_rejects_shrinking_known_set():
-    tasks = [
-        TaskConfig(task_index=1, known_count=5, unknown_slots=3),
-        TaskConfig(task_index=2, known_count=4, unknown_slots=4),
-    ]
-    with pytest.raises(ValueError):
-        validate_task_sequence(tasks)
-
-
-def test_task_sequence_rejects_budget_change():
-    tasks = [
-        TaskConfig(task_index=1, known_count=3, unknown_slots=5),
-        TaskConfig(task_index=2, known_count=5, unknown_slots=5),
-    ]
-    with pytest.raises(ValueError):
-        validate_task_sequence(tasks)

@@ -72,6 +72,11 @@ def test_detection_schema_violations(tmp_path):
         {**good, "score": True},
         {**good, "bbox": [1.0, 1.0, 2.0]},
         {**good, "bbox": [1.0, 1.0, -2.0, 2.0]},
+        {**good, "bbox": [float("nan"), 1.0, 2.0, 2.0]},
+        {**good, "bbox": [1.0, float("inf"), 2.0, 2.0]},
+        {**good, "bbox": [1.0, 1.0, 2.0, float("nan")]},
+        {**good, "bbox": [10**400, 1.0, 2.0, 2.0]},
+        {**good, "bbox": [True, 1.0, 2.0, 2.0]},
         {k: v for k, v in good.items() if k != "score"},
         {**good, "image_id": "zero"},
     ):
@@ -100,6 +105,11 @@ def test_ground_truth_schema_violations(tmp_path):
     path.write_text(json.dumps(payload) + "\n")
     with pytest.raises(SchemaError, match=r"annotations\[0\]"):
         load_ground_truth(path)
+    for bbox in ([float("nan"), 0, 2, 2], [0, float("-inf"), 2, 2], [0, 0, float("inf"), 2]):
+        payload["annotations"][0]["bbox"] = bbox
+        path.write_text(json.dumps(payload) + "\n")
+        with pytest.raises(SchemaError, match="finite"):
+            load_ground_truth(path)
 
 
 def test_missing_files_raise_file_not_found(tmp_path):
@@ -140,6 +150,8 @@ def test_config_from_dict_overrides_and_rejects_unknown_keys():
     assert config.epochs == RunConfig().epochs  # untouched default
     with pytest.raises(SchemaError, match="momentum"):
         config_from_dict({"momentum": 0.9})
+    with pytest.raises(SchemaError, match=r"ulp\.bogus"):
+        config_from_dict({"ulp": {"delta": 0.7, "bogus": 1}})
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +253,25 @@ def test_simulate_writes_dataset_and_ground_truth(tmp_path):
 
 def test_invalid_config_key_via_cli_exits_two(tmp_path, capsys):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"not_a_field": 1}))
-    assert run_cli("simulate", "--out-dir", tmp_path / "run", "--config", config_path) == 2
-    assert "not_a_field" in capsys.readouterr().err
+    for overrides, named in (
+        ({"not_a_field": 1}, "not_a_field"),
+        ({"ulp": {"bogus": 1}}, "ulp.bogus"),
+        ({"weights": {"alpha_rpn": 1.0}}, "weights.alpha_rpn"),
+        ({"ulp": 0.5}, "ulp must be an object"),
+        ({"weights": [1.0]}, "weights must be an object"),
+    ):
+        config_path.write_text(json.dumps(overrides))
+        assert run_cli("simulate", "--out-dir", tmp_path / "run", "--config", config_path) == 2
+        assert named in capsys.readouterr().err
+
+    # a dataset.json written before alpha_rpn was removed names the stale key
+    out_dir = tmp_path / "old"
+    config_path.write_text(json.dumps({"train_scenes": 2, "test_scenes": 1}))
+    assert run_cli("simulate", "--out-dir", out_dir, "--config", config_path) == 0
+    dataset_path = out_dir / "dataset.json"
+    payload = json.loads(dataset_path.read_text())
+    payload["config"]["weights"]["alpha_rpn"] = 1.0
+    dataset_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli("train", "--dataset", dataset_path, "--out-dir", out_dir) == 2
+    assert "weights.alpha_rpn" in capsys.readouterr().err

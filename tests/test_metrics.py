@@ -434,15 +434,3 @@ def test_evaluate_raises_without_unknown_ground_truth():
     gts = [known_gt(0, 0, Box(0, 0, 2, 2))]
     with pytest.raises(ValueError):
         evaluate(gts, [], EvalConfig())
-
-
-def test_thread_cap_env_var(monkeypatch):
-    from ucowod.metrics import thread_cap
-
-    monkeypatch.setenv("UCOWOD_THREADS", "2")
-    assert thread_cap() == 2
-    monkeypatch.setenv("UCOWOD_THREADS", "0")
-    with pytest.raises(ValueError):
-        thread_cap()
-    monkeypatch.delenv("UCOWOD_THREADS")
-    assert thread_cap() >= 1

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ucowod import (
-    ClusterState,
     kl_divergence,
     kl_loss,
     kmeans_init,
@@ -18,6 +17,7 @@ from reference import (
     best_permutation_accuracy,
     central_difference,
     kl_ref,
+    kl_soft_assignment_longdouble,
     relative_error,
     soft_assignment_ref,
     target_distribution_ref,
@@ -212,7 +212,13 @@ def test_kl_matches_reference_and_is_nonnegative(seed):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 100_000))
+@example(seed=10834)
+@example(seed=9157)
 def test_kl_loss_gradients_match_finite_differences(seed):
+    # Draws with Q close to P have gradients near 1e-7, below the rounding
+    # error of float64 central differences; the finite-difference objective
+    # is therefore evaluated in longdouble, which relies on it being 80-bit
+    # extended precision (x86-64 Linux).
     g = np.random.default_rng(seed)
     n, k, d = int(g.integers(2, 6)), int(g.integers(2, 4)), int(g.integers(1, 4))
     E = g.normal(0, 1, size=(n, d))
@@ -220,22 +226,10 @@ def test_kl_loss_gradients_match_finite_differences(seed):
     Q = target_distribution(soft_assignment(E, C))
     value, grad_e, grad_c = kl_loss(Q, soft_assignment(E, C), E, C)
     assert value == pytest.approx(kl_divergence(Q, soft_assignment(E, C)), abs=1e-12)
-    fd_c = central_difference(lambda c: kl_divergence(Q, soft_assignment(E, c)), C.copy())
-    fd_e = central_difference(lambda e: kl_divergence(Q, soft_assignment(e, C)), E.copy())
+    fd_c = central_difference(lambda c: kl_soft_assignment_longdouble(Q, E, c), C.copy())
+    fd_e = central_difference(lambda e: kl_soft_assignment_longdouble(Q, e, C), E.copy())
     assert relative_error(grad_c, fd_c) < 1e-4
     assert relative_error(grad_e, fd_e) < 1e-4
-
-
-def test_cluster_state_snapshot():
-    g = np.random.default_rng(0)
-    E = g.normal(0, 1, size=(10, 3))
-    C = g.normal(0, 1, size=(3, 3))
-    state = ClusterState.from_embeddings(E, C)
-    assert np.allclose(state.assignment.sum(axis=1), 1.0, atol=1e-9)
-    assert np.allclose(state.target.sum(axis=1), 1.0, atol=1e-9)
-    assert (state.frequencies > 0).all()
-    with pytest.raises(ValueError):
-        ClusterState(centroids=C, assignment=state.assignment, target=state.target[:, :2])
 
 
 # ---------------------------------------------------------------------------
