@@ -40,11 +40,11 @@ from .losses import (
     LossWeights,
     PairLabelMatrix,
     PairSelectionSchedule,
-    SimilarityState,
     classification_loss,
-    combined_label_matrix,
     cosine_similarity_grad,
     l1_regression_loss,
+    label_codes,
+    pair_similarity_loss,
     self_label_matrix,
     self_similarity_loss,
     similarity_loss,

@@ -45,6 +45,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "score_threshold": config.score_threshold,
         "unknown_slots": unknown_slots,
     }
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     io.save_report(args.out, report, config_echo)
     print(
         f"map_known={report.map_known:.6f} wi={report.wi:.6f} a_ose={report.a_ose} "

@@ -25,15 +25,15 @@ import numpy as np
 
 from .core import Box, ClassLabel, Detection, GroundTruthObject, Proposal, iou, label_for_class_id
 from .losses import (
+    DEFAULT_SCHEDULE,
     LossWeights,
-    SimilarityState,
     classification_loss,
-    cosine_similarity_grad,
     l1_regression_loss,
-    self_similarity_loss,
-    similarity_loss,
+    label_codes,
+    pair_similarity_loss,
     softmax,
     total_training_loss,
+    update_lambda,
 )
 from .metrics import EvalConfig, EvalReport, evaluate, nms
 from .pseudo_label import UlpConfig, select_pseudo_labels
@@ -352,13 +352,16 @@ class ToyHead:
 @dataclass(frozen=True)
 class TrainingRows:
     """Flattened training batch: proposal features with assigned labels and
-    box-delta targets (valid only where ``has_box_target``)."""
+    box-delta targets (valid only where ``has_box_target``). ``codes`` and
+    ``unknown`` are the labels as ``losses.label_codes`` arrays."""
 
     features: np.ndarray
     labels: tuple[ClassLabel, ...]
     delta_targets: np.ndarray
     has_box_target: np.ndarray
     n_pseudo: int
+    codes: np.ndarray
+    unknown: np.ndarray
 
 
 def build_training_rows(dataset: SyntheticDataset, config: RunConfig) -> TrainingRows:
@@ -403,17 +406,23 @@ def build_training_rows(dataset: SyntheticDataset, config: RunConfig) -> Trainin
                     )
                 )
                 mask.append(True)
+    codes, unknown = label_codes(labels)
     return TrainingRows(
         features=np.array(features),
         labels=tuple(labels),
         delta_targets=np.array(deltas),
         has_box_target=np.array(mask, dtype=bool),
         n_pseudo=n_pseudo,
+        codes=codes,
+        unknown=unknown,
     )
 
 
 @dataclass(frozen=True)
 class EpochStats:
+    """One training epoch. ``positive`` and ``negative`` count pair verdicts over
+    all N x N ordered pairs, diagonal included; the rest are undecided."""
+
     epoch: int
     phase: str
     classification: float
@@ -423,6 +432,8 @@ class EpochStats:
     model_loss: float
     total: float
     lam: float
+    positive: int
+    negative: int
 
 
 @dataclass
@@ -439,7 +450,8 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
     The pair-similarity term runs label-supervised for the warm-up epochs,
     then self-supervised with one lambda update per epoch until the
     threshold schedule terminates, after which it falls back to the
-    label-supervised pairs. The recorded ``model_loss`` excludes the
+    label-supervised pairs. The pair term and its gradient come from the
+    tiled ``pair_similarity_loss``. The recorded ``model_loss`` excludes the
     lambda penalty (which carries no parameter gradient); divergence to a
     non-finite loss raises with the epoch index.
     """
@@ -453,7 +465,7 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
         weight_decay=config.weight_decay,
         init_scale=config.init_scale,
     )
-    state = SimilarityState(labels=list(rows.labels), lam=config.lambda0, eta=config.eta)
+    lam = config.lambda0
     warmup = config.resolved_warmup()
     history: list[EpochStats] = []
 
@@ -467,16 +479,14 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
         grad_deltas = np.zeros_like(acts.deltas)
         grad_deltas[rows.has_box_target] = grad_selected
 
-        state.update_embeddings(acts.logits)
-        self_supervised = epoch >= warmup and state.active
+        self_supervised = epoch >= warmup and not DEFAULT_SCHEDULE.terminated(lam)
+        sim_value, grad_sim, positive, negative = pair_similarity_loss(
+            acts.logits, rows.codes, rows.unknown, lam if self_supervised else None
+        )
         if self_supervised:
-            pair = state.pair_labels(self_supervised=True)
-            sim_value, grad_sim = self_similarity_loss(pair, state.similarity, state.lam, state.schedule)
-            penalty = state.schedule.penalty(state.lam)
+            penalty = DEFAULT_SCHEDULE.penalty(lam)
             phase = "self"
         else:
-            pair = state.pair_labels(self_supervised=False)
-            sim_value, grad_sim = similarity_loss(pair, state.similarity)
             penalty = 0.0
             phase = "supervised" if epoch < warmup else "post"
 
@@ -486,19 +496,19 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
         if not np.isfinite(total):
             raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}")
         history.append(
-            EpochStats(epoch, phase, cls_value, reg_value, pair_value, penalty, model_loss, total, state.lam)
+            EpochStats(
+                epoch, phase, cls_value, reg_value, pair_value, penalty, model_loss, total, lam, positive, negative
+            )
         )
 
         grad_logits_total = config.weights.alpha_cls * grad_logits
         if config.weights.alpha_sim > 0:
-            grad_logits_total = grad_logits_total + config.weights.alpha_sim * cosine_similarity_grad(
-                acts.logits, grad_sim
-            )
+            grad_logits_total = grad_logits_total + config.weights.alpha_sim * grad_sim
         head.apply_gradients(head.gradients(rows.features, acts, grad_logits_total, config.weights.alpha_reg * grad_deltas))
         if self_supervised:
-            state.step_lambda()
+            lam = update_lambda(lam, config.eta)
 
-    return TrainResult(head=head, history=tuple(history), rows=rows, final_lambda=state.lam)
+    return TrainResult(head=head, history=tuple(history), rows=rows, final_lambda=lam)
 
 
 def detect_with_embeddings(

@@ -19,11 +19,13 @@ byte-identical files; report floats are rounded to 6 decimal places.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,38 +47,61 @@ def _require(condition: bool, where: str, message: str) -> None:
         raise SchemaError(f"{where}: {message}")
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    # NaN, infinities and integers past the float range all fail the bound
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _read_json_object(path: PathLike) -> dict:
+    with open(path) as handle:
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    _require(isinstance(payload, dict), str(path), "top level must be a JSON object")
+    return payload
+
+
+@contextlib.contextmanager
+def _rejected_as_schema(where: str) -> Iterator[None]:
+    """Report a missing key, wrong type or bad value as a schema violation."""
+    try:
+        yield
+    except SchemaError:
+        raise
+    except KeyError as exc:
+        raise SchemaError(f"{where}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+def _field(record: dict, key: str, where: str) -> object:
+    _require(key in record, where, f"missing key {key!r}")
+    return record[key]
+
+
 def _parse_bbox(raw: object, where: str) -> Box:
-    _require(
-        isinstance(raw, list)
-        and len(raw) == 4
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw),
-        where,
-        f"bbox must be a list of 4 numbers, got {raw!r}",
-    )
-    # NaN, infinities and integers past the float range all fail this bound
-    _require(all(abs(v) <= sys.float_info.max for v in raw), where, f"bbox values must be finite, got {raw!r}")
+    _require(isinstance(raw, list) and len(raw) == 4, where, f"bbox must be a list of 4 numbers, got {raw!r}")
+    _require(all(_is_number(v) for v in raw), where, f"bbox values must be finite numbers, got {raw!r}")
     cx, cy, w, h = (float(v) for v in raw)
     _require(w > 0 and h > 0, where, f"bbox sides must be positive, got w={w}, h={h}")
     return Box(cx, cy, w, h)
 
 
 def _parse_int(record: dict, key: str, where: str) -> int:
-    _require(key in record, where, f"missing key {key!r}")
-    value = record[key]
-    _require(isinstance(value, int) and not isinstance(value, bool), where, f"{key} must be an integer, got {value!r}")
+    value = _field(record, key, where)
+    _require(_is_int(value), where, f"{key} must be an integer, got {value!r}")
     return value
 
 
 def load_ground_truth(path: PathLike) -> tuple[list[GroundTruthObject], int, int]:
     """Read a ground-truth file; returns (objects, known_count, unknown_slots)."""
-    path = Path(path)
-    with open(path) as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    payload = _read_json_object(path)
     where = str(path)
-    _require(isinstance(payload, dict), where, "top level must be a JSON object")
     known_count = _parse_int(payload, "known_count", where)
     unknown_slots = _parse_int(payload, "unknown_slots", where)
     _require(known_count >= 0 and unknown_slots >= 0, where, "class counts must be non-negative")
@@ -135,10 +160,8 @@ def load_detections(path: PathLike, known_count: int, unknown_slots: int) -> lis
                 f"class_id must lie in [0, {known_count + unknown_slots}), got {class_id}",
             )
             box = _parse_bbox(record.get("bbox"), where)
-            _require("score" in record, where, "missing key 'score'")
-            score = record["score"]
-            _require(isinstance(score, (int, float)) and not isinstance(score, bool), where, f"score must be a number, got {score!r}")
-            _require(0.0 <= score <= 1.0, where, f"score must lie in [0, 1], got {score}")
+            score = _field(record, "score", where)
+            _require(_is_number(score) and 0.0 <= score <= 1.0, where, f"score must be a number in [0, 1], got {score!r}")
             detections.append(
                 Detection(image_id, label_for_class_id(class_id, known_count), box, float(score))
             )
@@ -182,13 +205,26 @@ def _dump_json(path: PathLike, payload: dict) -> None:
         handle.write("\n")
 
 
-def _config_to_dict(config: RunConfig) -> dict:
-    return dataclasses.asdict(config)
+_VALUE_CHECKS = {
+    int: ("an integer", _is_int),
+    float: ("a finite number", _is_number),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    Optional[int]: ("an integer or null", lambda v: v is None or _is_int(v)),
+}
+
+
+def _check_values(cls: type, values: dict, prefix: str = "") -> None:
+    """Each value must have its field's type; the message names the dotted key."""
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        kind, ok = _VALUE_CHECKS[hints[key]]
+        _require(ok(value), "config", f"{prefix}{key} must be {kind}, got {value!r}")
 
 
 def config_from_dict(payload: dict, base: Optional[RunConfig] = None) -> RunConfig:
     """Build a RunConfig from a (possibly partial) dictionary of overrides."""
     base = base or RunConfig()
+    _require(isinstance(payload, dict), "config", f"must be an object, got {payload!r}")
     payload = dict(payload)
     known_fields = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = sorted(set(payload) - known_fields)
@@ -199,20 +235,15 @@ def config_from_dict(payload: dict, base: Optional[RunConfig] = None) -> RunConf
         unknown += sorted(f"{key}.{name}" for name in set(payload[key]) - names)
     if unknown:
         raise SchemaError(f"unknown config keys: {unknown}")
+    _check_values(RunConfig, {k: v for k, v in payload.items() if k not in nested})
     for key, cls in nested.items():
+        _check_values(cls, payload[key], f"{key}.")
         payload[key] = cls(**payload[key])
     return dataclasses.replace(base, **payload)
 
 
 def load_config(path: PathLike, base: Optional[RunConfig] = None) -> RunConfig:
-    with open(path) as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{path}: config must be a JSON object")
-    return config_from_dict(payload, base)
+    return config_from_dict(_read_json_object(path), base)
 
 
 def _scene_to_dict(scene: SyntheticScene) -> dict:
@@ -238,25 +269,26 @@ def _scene_to_dict(scene: SyntheticScene) -> dict:
     }
 
 
-def _scene_from_dict(payload: dict, known_count: int) -> SyntheticScene:
-    image_id = payload["image_id"]
-    proposals = [
-        Proposal(image_id, Box(*record["bbox"]), record["objectness"])
-        for record in payload["proposals"]
-    ]
-    gts = []
-    for record in payload["gts"]:
-        label = label_for_class_id(record["class_id"], known_count)
-        gts.append(GroundTruthObject(record["image_id"], label, Box(*record["bbox"]), record["is_pseudo"]))
-    features = np.array(payload["features"], dtype=float)
-    if features.size == 0:
-        features = features.reshape(0, 0)
-    return SyntheticScene(image_id, proposals, gts, features)
+def _scene_from_dict(payload: dict, known_count: int, where: str) -> SyntheticScene:
+    with _rejected_as_schema(where):
+        image_id = payload["image_id"]
+        proposals = [
+            Proposal(image_id, Box(*record["bbox"]), record["objectness"])
+            for record in payload["proposals"]
+        ]
+        gts = []
+        for record in payload["gts"]:
+            label = label_for_class_id(record["class_id"], known_count)
+            gts.append(GroundTruthObject(record["image_id"], label, Box(*record["bbox"]), record["is_pseudo"]))
+        features = np.array(payload["features"], dtype=float)
+        if features.size == 0:
+            features = features.reshape(0, 0)
+        return SyntheticScene(image_id, proposals, gts, features)
 
 
 def save_dataset(path: PathLike, dataset: SyntheticDataset) -> None:
     payload = {
-        "config": _config_to_dict(dataset.config),
+        "config": dataclasses.asdict(dataset.config),
         "train": [_scene_to_dict(s) for s in dataset.train],
         "test": [_scene_to_dict(s) for s in dataset.test],
     }
@@ -264,14 +296,15 @@ def save_dataset(path: PathLike, dataset: SyntheticDataset) -> None:
 
 
 def load_dataset(path: PathLike) -> SyntheticDataset:
-    with open(path) as handle:
-        payload = json.load(handle)
-    config = config_from_dict(payload["config"])
-    return SyntheticDataset(
-        train=[_scene_from_dict(s, config.known_classes) for s in payload["train"]],
-        test=[_scene_from_dict(s, config.known_classes) for s in payload["test"]],
-        config=config,
-    )
+    payload = _read_json_object(path)
+    config = config_from_dict(_field(payload, "config", str(path)))
+    splits = {}
+    for split in ("train", "test"):
+        scenes = _field(payload, split, str(path))
+        _require(isinstance(scenes, list), str(path), f"{split} must be a list")
+        where = f"{path}: {split}"
+        splits[split] = [_scene_from_dict(s, config.known_classes, f"{where}[{i}]") for i, s in enumerate(scenes)]
+    return SyntheticDataset(config=config, **splits)
 
 
 def save_head(path: PathLike, head: ToyHead) -> None:
@@ -279,5 +312,6 @@ def save_head(path: PathLike, head: ToyHead) -> None:
 
 
 def load_head(path: PathLike) -> ToyHead:
-    with open(path) as handle:
-        return ToyHead.from_dict(json.load(handle))
+    payload = _read_json_object(path)
+    with _rejected_as_schema(str(path)):
+        return ToyHead.from_dict(payload)

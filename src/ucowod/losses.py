@@ -14,6 +14,7 @@ Three loss families live here:
 - pairwise similarity losses over an embedding cosine-similarity matrix,
   supervised by label agreement and, in the self-supervised phase, by
   thresholding the similarities themselves under a closing threshold pair.
+  Training runs ``pair_similarity_loss``, a tiled kernel these functions define.
 - an elementwise L1 regression penalty and the weighted total.
 
 Every loss returns ``(value, gradient)`` with analytic gradients.
@@ -22,15 +23,17 @@ Every loss returns ``(value, gradient)`` with analytic gradients.
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ClassLabel
+from .core import ClassLabel, LabelKind
 
 CLAMP_EPS = 1e-6
 MASK_LOGIT = -1e4
+# rows per tile of pair_similarity_loss, whose memory is O(N * PAIR_TILE_ROWS)
+PAIR_TILE_ROWS = 64
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -63,24 +66,23 @@ def classification_loss(
     if unknown_slots < 0:
         raise ValueError(f"logit width {width} too small for {known_count} known classes")
     background = width - 1
+    codes, unknown = label_codes(labels)
+    # the first offending row names the error (background codes are -1)
+    bad = np.flatnonzero(np.where(unknown, unknown_slots == 0, codes >= known_count))
+    if bad.size and unknown[bad[0]]:
+        raise ValueError("unknown-labeled row but the head has no unknown slots")
+    if bad.size:
+        raise ValueError(f"known id {codes[bad[0]]} out of range [0, {known_count})")
 
     visible = np.zeros((n, width), dtype=bool)
     visible[:, :known_count] = True
     visible[:, background] = True
-    targets = np.empty(n, dtype=int)
-    for i, label in enumerate(labels):
-        if label.is_known:
-            if label.class_id >= known_count:
-                raise ValueError(f"known id {label.class_id} out of range [0, {known_count})")
-            targets[i] = label.class_id
-        elif label.is_background:
-            targets[i] = background
-        else:
-            if unknown_slots == 0:
-                raise ValueError("unknown-labeled row but the head has no unknown slots")
-            best = known_count + int(np.argmax(Z[i, known_count:background]))
-            visible[i, best] = True
-            targets[i] = best
+    targets = np.where(codes < 0, background, codes)
+    pseudo = np.flatnonzero(unknown)
+    if pseudo.size:
+        best = known_count + Z[pseudo, known_count:background].argmax(axis=1)
+        visible[pseudo, best] = True
+        targets[pseudo] = best
 
     masked = np.where(visible, Z, MASK_LOGIT)
     row_max = masked.max(axis=1, keepdims=True)
@@ -93,12 +95,15 @@ def classification_loss(
     return loss, probs / n
 
 
-def similarity_matrix(embeddings: np.ndarray, eps: float = CLAMP_EPS) -> np.ndarray:
-    """Pairwise cosine similarity, clamped into ``[eps, 1 - eps]``.
+def label_codes(labels: Sequence[ClassLabel]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row int codes (the class id, -1 for background, the one kind
+    without an id) and the mask of unknown-labeled rows."""
+    codes = np.array([-1 if lab.class_id is None else lab.class_id for lab in labels], dtype=int)
+    return codes, np.array([lab.kind is LabelKind.UNKNOWN for lab in labels], dtype=bool)
 
-    The clamp keeps downstream log terms finite. Zero-norm rows have no
-    direction and are rejected.
-    """
+
+def _unit_rows(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-length rows and their norms; zero-norm rows have no direction."""
     E = np.asarray(embeddings, dtype=float)
     if E.ndim != 2:
         raise ValueError(f"embeddings must be 2-d, got shape {E.shape}")
@@ -106,7 +111,13 @@ def similarity_matrix(embeddings: np.ndarray, eps: float = CLAMP_EPS) -> np.ndar
     dead = np.flatnonzero(norms == 0.0)
     if dead.size:
         raise ValueError(f"zero-norm embedding rows: {dead.tolist()}")
-    unit = E / norms[:, None]
+    return E / norms[:, None], norms
+
+
+def similarity_matrix(embeddings: np.ndarray, eps: float = CLAMP_EPS) -> np.ndarray:
+    """Pairwise cosine similarity, clamped into ``[eps, 1 - eps]`` to keep
+    downstream log terms finite."""
+    unit, _ = _unit_rows(embeddings)
     raw = unit @ unit.T
     raw = (raw + raw.T) / 2.0
     return np.clip(raw, eps, 1.0 - eps)
@@ -117,10 +128,8 @@ def cosine_similarity_grad(
 ) -> np.ndarray:
     """Backpropagate a gradient wrt the clamped similarity matrix onto the
     embedding rows. Entries pinned at the clamp bounds pass no gradient."""
-    E = np.asarray(embeddings, dtype=float)
+    unit, norms = _unit_rows(embeddings)
     G_in = np.asarray(upstream, dtype=float)
-    norms = np.sqrt((E * E).sum(axis=1))
-    unit = E / norms[:, None]
     raw = unit @ unit.T
     raw = (raw + raw.T) / 2.0
     active = (raw > eps) & (raw < 1.0 - eps)
@@ -149,17 +158,6 @@ class PairLabelMatrix:
     def selected(self) -> np.ndarray:
         return self.positive | self.negative
 
-    def signed(self) -> np.ndarray:
-        """+1 positive, -1 negative, 0 not selected."""
-        return self.positive.astype(np.int8) - self.negative.astype(np.int8)
-
-    def merge(self, other: "PairLabelMatrix") -> "PairLabelMatrix":
-        """Union of two verdict sets; overlapping verdicts must not clash."""
-        return PairLabelMatrix(
-            positive=self.positive | other.positive,
-            negative=self.negative | other.negative,
-        )
-
 
 def supervised_label_matrix(labels: Sequence[ClassLabel]) -> PairLabelMatrix:
     """Pair supervision from labels alone.
@@ -168,16 +166,9 @@ def supervised_label_matrix(labels: Sequence[ClassLabel]) -> PairLabelMatrix:
     are negative, and unknown-unknown pairs carry no verdict because no true
     unknown identity is available at training time.
     """
-    codes = np.array(
-        [-1 if lab.is_background else lab.class_id for lab in labels], dtype=int
-    )
-    is_unknown = np.array([lab.is_unknown for lab in labels], dtype=bool)
-    equal = codes[:, None] == codes[None, :]
-    labeled = ~is_unknown
-    both_labeled = np.outer(labeled, labeled)
-    both_unknown = np.outer(is_unknown, is_unknown)
-    positive = equal & both_labeled
-    negative = ~both_unknown & ~positive
+    codes, is_unknown = label_codes(labels)
+    positive = (codes[:, None] == codes[None, :]) & np.outer(~is_unknown, ~is_unknown)
+    negative = ~np.outer(is_unknown, is_unknown) & ~positive
     return PairLabelMatrix(positive=positive, negative=negative)
 
 
@@ -231,6 +222,14 @@ class PairSelectionSchedule:
 DEFAULT_SCHEDULE = PairSelectionSchedule()
 
 
+def _require_active(schedule: PairSelectionSchedule, lam: float) -> None:
+    if schedule.terminated(lam):
+        raise RuntimeError(
+            f"self-supervision terminated: upper threshold {schedule.upper(lam):.4f} "
+            f"<= lower threshold {schedule.lower(lam):.4f} at lam={lam}"
+        )
+
+
 def update_lambda(
     lam: float, eta: float, schedule: PairSelectionSchedule = DEFAULT_SCHEDULE
 ) -> float:
@@ -252,25 +251,13 @@ def self_label_matrix(
     threshold negative; the band between stays unselected. Raises once the
     schedule has terminated.
     """
-    if schedule.terminated(lam):
-        raise RuntimeError(
-            f"self-supervision terminated: upper threshold {schedule.upper(lam):.4f} "
-            f"<= lower threshold {schedule.lower(lam):.4f} at lam={lam}"
-        )
+    _require_active(schedule, lam)
     S = np.asarray(similarity, dtype=float)
-    is_unknown = np.array([lab.is_unknown for lab in labels], dtype=bool)
+    is_unknown = label_codes(labels)[1]
     both_unknown = np.outer(is_unknown, is_unknown)
     positive = both_unknown & (S > schedule.upper(lam))
     negative = both_unknown & (S < schedule.lower(lam))
     return PairLabelMatrix(positive=positive, negative=negative)
-
-
-def combined_label_matrix(
-    self_labeled: PairLabelMatrix, labels: Sequence[ClassLabel]
-) -> PairLabelMatrix:
-    """Label-derived verdicts overlaid with self-supervised ones. The two
-    sources touch disjoint pair sets, so no verdict can clash."""
-    return supervised_label_matrix(labels).merge(self_labeled)
 
 
 def similarity_loss(
@@ -313,42 +300,53 @@ def self_similarity_loss(
     return base + schedule.penalty(lam), grad
 
 
-@dataclass
-class SimilarityState:
-    """Mutable bookkeeping for pairwise-similarity training: current
-    embeddings and their similarity matrix, per-row labels, and the
-    self-supervision parameters."""
-
-    labels: list[ClassLabel]
-    lam: float = 0.0
-    eta: float = 0.01
-    schedule: PairSelectionSchedule = field(default_factory=PairSelectionSchedule)
-    embeddings: Optional[np.ndarray] = None
-    similarity: Optional[np.ndarray] = None
-
-    @property
-    def active(self) -> bool:
-        """Whether self-supervision may still run."""
-        return not self.schedule.terminated(self.lam)
-
-    def update_embeddings(self, embeddings: np.ndarray) -> None:
-        self.embeddings = np.asarray(embeddings, dtype=float)
-        self.similarity = similarity_matrix(self.embeddings)
-
-    def pair_labels(self, self_supervised: bool) -> PairLabelMatrix:
-        """Current pair verdicts; self-supervised mode folds in similarity
-        thresholding and requires ``update_embeddings`` to have run."""
-        if not self_supervised:
-            return supervised_label_matrix(self.labels)
-        if self.similarity is None:
-            raise ValueError("no similarity matrix yet; call update_embeddings first")
-        return combined_label_matrix(
-            self_label_matrix(self.similarity, self.labels, self.lam, self.schedule),
-            self.labels,
-        )
-
-    def step_lambda(self) -> None:
-        self.lam = update_lambda(self.lam, self.eta, self.schedule)
+def pair_similarity_loss(
+    embeddings: np.ndarray,
+    codes: np.ndarray,
+    unknown: np.ndarray,
+    lam: Optional[float] = None,
+) -> tuple[float, np.ndarray, int, int]:
+    """Training's pair term in one pass over PAIR_TILE_ROWS-row tiles: the
+    ``similarity_loss`` (``self_similarity_loss`` given ``lam``) of
+    ``similarity_matrix(embeddings)`` under the label matrices of the
+    ``label_codes`` arrays, and its ``cosine_similarity_grad``. Returns (value,
+    gradient, positive and negative counts over all N x N ordered pairs)."""
+    schedule, eps = DEFAULT_SCHEDULE, CLAMP_EPS
+    if lam is not None:
+        _require_active(schedule, lam)
+    unit, norms = _unit_rows(embeddings)
+    codes, unknown = np.asarray(codes), np.asarray(unknown, dtype=bool)
+    grad = np.empty_like(unit)
+    total, positive, negative = 0.0, 0, 0
+    clamped, term = np.empty((2, min(PAIR_TILE_ROWS, len(unit)), len(unit)))
+    for start in range(0, len(unit), PAIR_TILE_ROWS):
+        tile = slice(start, start + PAIR_TILE_ROWS)
+        raw = unit[tile] @ unit.T
+        S = np.clip(raw, eps, 1.0 - eps, out=clamped[: len(raw)])
+        pos = (codes[tile, None] == codes) & ~unknown[tile, None] & ~unknown
+        both_unknown = unknown[tile, None] & unknown
+        neg = ~(pos | both_unknown)
+        if lam is not None:
+            pos |= both_unknown & (S > schedule.upper(lam))
+            neg |= both_unknown & (S < schedule.lower(lam))
+        # X is S for positive pairs and 1 - S for negative ones: the pair's
+        # cross-entropy is -log X, its derivative wrt S is -1/X or +1/X
+        X = np.abs(np.subtract(neg, S, out=term[: len(raw)]), out=term[: len(raw)])
+        sign = neg.view(np.int8) - pos.view(np.int8)
+        sign *= (raw > eps) & (raw < 1.0 - eps)  # pinned at the clamp: no gradient
+        upstream = np.divide(sign, X, out=S)
+        np.copyto(X, 1.0, where=~(pos | neg))
+        total -= np.log(X, out=X).sum()
+        positive += int(np.count_nonzero(pos))
+        negative += int(np.count_nonzero(neg))
+        grad[tile] = (upstream @ unit - np.einsum("ij,ij->i", upstream, raw)[:, None] * unit[tile]) / norms[tile, None]
+    penalty = 0.0 if lam is None else schedule.penalty(lam)
+    if positive + negative == 0:
+        _warnings.warn("similarity loss saw no selected pairs", RuntimeWarning)
+        return penalty, np.zeros_like(unit), 0, 0
+    # S_ij and S_ji carry the same verdict, so each pair's gradient counts twice
+    scale = 1.0 / (positive + negative)
+    return total * scale + penalty, grad * (2.0 * scale), positive, negative
 
 
 def l1_regression_loss(

@@ -18,6 +18,9 @@ from ucowod import (
     generate_dataset,
     refine_pipeline,
     select_pseudo_labels,
+    self_label_matrix,
+    similarity_matrix,
+    supervised_label_matrix,
     train,
 )
 
@@ -247,6 +250,25 @@ def test_lambda_schedule_runs_to_termination(default_run):
     assert phases[warmup : warmup + 41] == ["self"] * 41
     assert all(p == "post" for p in phases[warmup + 41 :])
     assert result.final_lambda == pytest.approx(41 * 0.011, abs=1e-12)
+
+
+def test_history_pair_counts_match_label_matrices():
+    # eta 0.1 closes the band in 5 updates: 3 supervised, 5 self, 2 post epochs
+    config = RunConfig(seed=0, train_scenes=3, test_scenes=1, epochs=10, warmup_epochs=3, eta=0.1)
+    dataset = generate_dataset(config)
+    result = train(config, dataset)
+    assert [h.phase for h in result.history] == ["supervised"] * 3 + ["self"] * 5 + ["post"] * 2
+    labels = result.rows.labels
+    supervised = supervised_label_matrix(labels)
+    for stats in result.history:
+        positive, negative = supervised.positive, supervised.negative
+        if stats.phase == "self":
+            # the same run stopped before this epoch holds the epoch's head
+            head = train(dataclasses.replace(config, epochs=stats.epoch), dataset).head
+            S = similarity_matrix(head.forward(result.rows.features).logits)
+            own = self_label_matrix(S, labels, stats.lam)
+            positive, negative = positive | own.positive, negative | own.negative
+        assert (stats.positive, stats.negative) == (positive.sum(), negative.sum())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -152,6 +152,17 @@ def test_config_from_dict_overrides_and_rejects_unknown_keys():
         config_from_dict({"momentum": 0.9})
     with pytest.raises(SchemaError, match=r"ulp\.bogus"):
         config_from_dict({"ulp": {"delta": 0.7, "bogus": 1}})
+    for overrides, named in (
+        ({"epochs": 2.0}, "epochs must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"eta": float("nan")}, "eta must be a finite number"),
+        ({"refine_update_embeddings": 1}, "refine_update_embeddings must be true or false"),
+        ({"warmup_epochs": "3"}, "warmup_epochs must be an integer or null"),
+        ({"weights": {"alpha_sim": None}}, "weights.alpha_sim must be a finite number"),
+    ):
+        with pytest.raises(SchemaError, match=named):
+            config_from_dict(overrides)
+    assert config_from_dict({"warmup_epochs": None, "learning_rate": 2}).learning_rate == 2
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +270,8 @@ def test_invalid_config_key_via_cli_exits_two(tmp_path, capsys):
         ({"weights": {"alpha_rpn": 1.0}}, "weights.alpha_rpn"),
         ({"ulp": 0.5}, "ulp must be an object"),
         ({"weights": [1.0]}, "weights must be an object"),
+        ({"epochs": "x"}, "epochs must be an integer"),
+        ({"ulp": {"delta": "x"}}, "ulp.delta must be a finite number"),
     ):
         config_path.write_text(json.dumps(overrides))
         assert run_cli("simulate", "--out-dir", tmp_path / "run", "--config", config_path) == 2
@@ -275,3 +288,45 @@ def test_invalid_config_key_via_cli_exits_two(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("train", "--dataset", dataset_path, "--out-dir", out_dir) == 2
     assert "weights.alpha_rpn" in capsys.readouterr().err
+
+
+def small_run(tmp_path):
+    """simulate + train on a tiny dataset; returns the run directory."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"train_scenes": 2, "test_scenes": 1, "epochs": 2}))
+    out_dir = tmp_path / "run"
+    assert run_cli("simulate", "--out-dir", out_dir, "--config", config_path) == 0
+    assert run_cli("train", "--dataset", out_dir / "dataset.json", "--out-dir", out_dir) == 0
+    return out_dir
+
+
+def test_train_on_scene_without_proposals_exits_two(tmp_path, capsys):
+    out_dir = small_run(tmp_path)
+    dataset_path = out_dir / "dataset.json"
+    payload = json.loads(dataset_path.read_text())
+    del payload["train"][1]["proposals"]
+    dataset_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli("train", "--dataset", dataset_path, "--out-dir", out_dir) == 2
+    assert "train[1]: missing key 'proposals'" in capsys.readouterr().err
+
+
+def test_refine_with_model_without_learning_rate_exits_two(tmp_path, capsys):
+    out_dir = small_run(tmp_path)
+    model_path = out_dir / "model.json"
+    payload = json.loads(model_path.read_text())
+    del payload["learning_rate"]
+    model_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = run_cli("refine", "--dataset", out_dir / "dataset.json", "--model", model_path, "--out-dir", out_dir)
+    assert code == 2
+    assert "missing key 'learning_rate'" in capsys.readouterr().err
+
+
+def test_eval_out_creates_missing_parent_directories(tmp_path):
+    gt_path, det_path = tmp_path / "gt.json", tmp_path / "det.jsonl"
+    save_ground_truth(gt_path, sample_gts(), 3, 8)
+    save_detections(det_path, oracle_detections(sample_gts()))
+    out_path = tmp_path / "nodir" / "sub" / "report.json"
+    assert run_cli("eval", "--gt", gt_path, "--det", det_path, "--out", out_path) == 0
+    assert json.loads(out_path.read_text())["uc_map"] == 1.0

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,11 +12,11 @@ from ucowod import (
     LossWeights,
     PairLabelMatrix,
     PairSelectionSchedule,
-    SimilarityState,
     classification_loss,
-    combined_label_matrix,
     cosine_similarity_grad,
     l1_regression_loss,
+    label_codes,
+    pair_similarity_loss,
     self_label_matrix,
     self_similarity_loss,
     similarity_loss,
@@ -23,7 +25,8 @@ from ucowod import (
     total_training_loss,
     update_lambda,
 )
-from ucowod.losses import CLAMP_EPS
+from ucowod import losses
+from ucowod.losses import CLAMP_EPS, PAIR_TILE_ROWS
 
 from reference import (
     central_difference,
@@ -94,15 +97,21 @@ def test_known_rows_never_see_unknown_slots():
 
 def test_classification_loss_input_validation():
     logits = np.array([[0.0, 0.0, 0.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty batch"):
         classification_loss(np.zeros((0, 3)), [], known_count=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="1 logit rows but 2 labels"):
         classification_loss(logits, [K(0), K(1)], known_count=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"known id 5 out of range \[0, 1\)"):
         classification_loss(logits, [K(5)], known_count=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no unknown slots"):
         # width 3 with 2 known classes leaves no unknown slot for a pseudo row
         classification_loss(logits, [U(2)], known_count=2)
+    # the first offending row names the error
+    pair = np.zeros((2, 3))
+    with pytest.raises(ValueError, match="no unknown slots"):
+        classification_loss(pair, [U(2), K(7)], known_count=2)
+    with pytest.raises(ValueError, match="known id 7"):
+        classification_loss(pair, [K(7), U(2)], known_count=2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -240,10 +249,9 @@ def test_self_labels_at_lambda_zero():
     S[0, 1] = S[1, 0] = 0.99  # above TH(0) = 0.95
     S[0, 2] = S[2, 0] = 0.40  # below TL(0) = 0.455
     M = self_label_matrix(S, labels, lam=0.0)
-    signed = M.signed()
-    assert signed[0, 1] == 1
-    assert signed[0, 2] == -1
-    assert signed[1, 2] == 0  # 0.7 sits inside the undecided band
+    assert M.positive[0, 1] and not M.negative[0, 1]
+    assert M.negative[0, 2] and not M.positive[0, 2]
+    assert not M.selected[1, 2]  # 0.7 sits inside the undecided band
 
 
 def test_self_labels_only_touch_unknown_pairs():
@@ -260,17 +268,6 @@ def test_self_labeling_raises_after_termination():
     S = np.full((2, 2), 0.7)
     with pytest.raises(RuntimeError, match="terminated"):
         self_label_matrix(S, [U(3), U(4)], lam=0.45)
-
-
-def test_combined_matrix_overlays_self_verdicts():
-    labels = [K(0), U(3), U(4)]
-    S = np.full((3, 3), 0.99)
-    combined = combined_label_matrix(self_label_matrix(S, labels, 0.0), labels)
-    assert combined.negative[0, 1]  # supervised known-vs-unknown
-    assert combined.positive[1, 2]  # self-labeled high-similarity pair
-    low = np.full((3, 3), 0.7)
-    combined = combined_label_matrix(self_label_matrix(low, labels, 0.0), labels)
-    assert not combined.selected[1, 2]  # band pair stays unselected
 
 
 @settings(max_examples=100, deadline=None)
@@ -492,25 +489,133 @@ def test_loss_weights_reject_negative():
 
 
 # ---------------------------------------------------------------------------
-# similarity state wrapper
+# tiled pair kernel
 
 
-def test_similarity_state_lifecycle():
-    g = np.random.default_rng(3)
-    labels = [K(0), K(1), U(2), U(3)]
-    state = SimilarityState(labels=labels)
-    assert state.active
-    with pytest.raises(ValueError):
-        state.pair_labels(self_supervised=True)
-    supervised = state.pair_labels(self_supervised=False)
-    assert supervised.negative[0, 1]
-    state.update_embeddings(g.normal(0, 1, size=(4, 6)))
-    assert state.similarity is not None
-    combined = state.pair_labels(self_supervised=True)
-    assert combined.negative[0, 1]
-    before = state.lam
-    state.step_lambda()
-    assert state.lam == pytest.approx(before + 0.011, abs=1e-15)
+def matrix_pair_loss(E, labels, lam=None):
+    """The pair kernel's result spelled out with the small-matrix functions."""
+    S = similarity_matrix(E)
+    M = supervised_label_matrix(labels)
+    if lam is not None:
+        own = self_label_matrix(S, labels, lam)
+        M = PairLabelMatrix(positive=M.positive | own.positive, negative=M.negative | own.negative)
+        value, grad_S = self_similarity_loss(M, S, lam)
+    else:
+        value, grad_S = similarity_loss(M, S)
+    return value, cosine_similarity_grad(E, grad_S), int(M.positive.sum()), int(M.negative.sum())
+
+
+def assert_kernel_matches(E, labels, lam=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        value, grad, positive, negative = pair_similarity_loss(E, *label_codes(labels), lam)
+        want_value, want_grad, want_positive, want_negative = matrix_pair_loss(E, labels, lam)
+    assert (positive, negative) == (want_positive, want_negative)
+    assert value == pytest.approx(want_value, rel=1e-12, abs=1e-12)
+    assert np.allclose(grad, want_grad, rtol=1e-9, atol=1e-12 * max(1.0, np.abs(want_grad).max()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 100_000),
+    st.integers(1, 40),
+    st.sampled_from([1, 3, 8, PAIR_TILE_ROWS]),
+    st.one_of(st.none(), st.floats(0.0, 0.44)),
+    st.booleans(),
+)
+def test_pair_kernel_matches_matrix_definitions(seed, n, tile_rows, lam, with_unknowns):
+    # tile sizes above, below and dividing n; supervised (lam None) and
+    # self-supervised modes; pinned pairs from duplicated and negated rows
+    g = np.random.default_rng(seed)
+    E = g.normal(0, 1, size=(n, int(g.integers(2, 6))))
+    for i in range(1, n):
+        if g.random() < 0.2:
+            E[i] = E[int(g.integers(0, i))] * g.uniform(0.5, 2.0)
+        elif g.random() < 0.1:
+            E[i] = -E[int(g.integers(0, i))]
+    labels = random_labels(g, n)
+    if not with_unknowns:
+        labels = [BG if lab.is_unknown else lab for lab in labels]
+    with mock.patch.object(losses, "PAIR_TILE_ROWS", tile_rows):
+        assert_kernel_matches(E, labels, lam)
+
+
+@pytest.mark.parametrize("lam", [None, 0.2])
+def test_pair_kernel_matches_across_real_tile_boundary(lam):
+    g = np.random.default_rng(5)
+    n = 2 * PAIR_TILE_ROWS + 37
+    assert_kernel_matches(g.normal(0, 1, size=(n, 12)), random_labels(g, n, 3, 8), lam)
+
+
+def test_pair_kernel_pinned_pairs_pass_no_gradient():
+    # rows 0 and 1 are identical (cosine pinned at 1 - eps), row 2 is
+    # orthogonal to both (pinned at eps): every pair sits on the clamp
+    E = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
+    value, grad, positive, negative = pair_similarity_loss(E, *label_codes([K(0), K(0), K(1)]))
+    assert not grad.any()
+    assert (positive, negative) == (5, 4)
+    assert value == pytest.approx(-(5 * math.log(1.0 - CLAMP_EPS) + 4 * math.log(1.0 - CLAMP_EPS)) / 9)
+
+
+def test_pair_kernel_overlays_self_verdicts():
+    # known row 0, unknown rows 1 and 2 whose cosine is set per case
+    def counts(cosine, lam):
+        E = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, cosine, math.sqrt(1.0 - cosine**2)]])
+        return pair_similarity_loss(E, *label_codes([K(0), U(3), U(4)]), lam)[2:]
+
+    # supervised: the known diagonal is positive, the four known-vs-unknown
+    # pairs negative, unknown-unknown pairs undecided
+    assert counts(0.99, None) == (1, 4)
+    # self-labelled: the unknown diagonal and the 0.99 pair turn positive
+    assert counts(0.99, 0.0) == (5, 4)
+    # a pair inside the band stays undecided
+    assert counts(0.7, 0.0) == (3, 4)
+    # below the lower threshold it turns negative
+    assert counts(0.3, 0.0) == (3, 6)
+
+
+def test_pair_kernel_without_selected_pairs_warns():
+    E = np.array([[1.0, 0.2], [0.3, 1.0]])
+    codes, unknown = label_codes([U(3), U(4)])
+    with pytest.warns(RuntimeWarning, match="no selected pairs"):
+        value, grad, positive, negative = pair_similarity_loss(E, codes, unknown)
+    assert value == 0.0 and not grad.any() and (positive, negative) == (0, 0)
+    # self-supervised: diagonal pairs are pinned positives, so the loss is
+    # the clamp cost plus the band width
+    value, grad, positive, negative = pair_similarity_loss(E, codes, unknown, lam=0.0)
+    assert (positive, negative) == (2, 0)
+    assert value == pytest.approx(-math.log(1.0 - CLAMP_EPS) + 0.495, abs=1e-12)
+    assert not grad.any()
+
+
+def test_pair_kernel_rejects_zero_norm_rows_and_terminated_schedule():
+    codes, unknown = label_codes([K(0), K(1)])
+    with pytest.raises(ValueError, match="zero-norm embedding rows: \\[1\\]"):
+        pair_similarity_loss(np.array([[1.0, 0.0], [0.0, 0.0]]), codes, unknown)
+    with pytest.raises(RuntimeError, match="terminated"):
+        pair_similarity_loss(np.eye(2), codes, unknown, lam=0.45)
+
+
+def test_pair_kernel_memory_is_tiled():
+    n = 4096
+    g = np.random.default_rng(0)
+    E = g.normal(0, 1, size=(n, 12))
+    codes, unknown = label_codes(random_labels(g, n, 3, 8))
+    tracemalloc.start()
+    try:
+        pair_similarity_loss(E, codes, unknown, lam=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one n x n float64 array alone would take 8 * n * n bytes (134 MB)
+    assert peak < 8 * n * n
+
+
+def test_update_lambda_steps_until_schedule_terminates():
+    schedule = PairSelectionSchedule()
+    lam = update_lambda(0.0, 0.01, schedule)
+    assert lam == pytest.approx(0.011, abs=1e-15)
+    assert not schedule.terminated(lam)
     for _ in range(50):
-        state.step_lambda()
-    assert not state.active
+        lam = update_lambda(lam, 0.01, schedule)
+    assert schedule.terminated(lam)
