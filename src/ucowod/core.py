@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import isfinite
 from typing import Optional
 
 Corners = tuple[float, float, float, float]
@@ -24,7 +25,8 @@ class LabelKind(Enum):
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box: center coordinates plus positive width and height."""
+    """Axis-aligned box: finite center coordinates plus positive, finite
+    width and height."""
 
     cx: float
     cy: float
@@ -32,6 +34,8 @@ class Box:
     h: float
 
     def __post_init__(self) -> None:
+        if not (isfinite(self.cx) and isfinite(self.cy) and isfinite(self.w) and isfinite(self.h)):
+            raise ValueError(f"box values must be finite, got {self}")
         if not (self.w > 0 and self.h > 0):
             raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
 

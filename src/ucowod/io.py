@@ -238,8 +238,10 @@ def config_from_dict(payload: dict, base: Optional[RunConfig] = None) -> RunConf
     _check_values(RunConfig, {k: v for k, v in payload.items() if k not in nested})
     for key, cls in nested.items():
         _check_values(cls, payload[key], f"{key}.")
-        payload[key] = cls(**payload[key])
-    return dataclasses.replace(base, **payload)
+        with _rejected_as_schema(f"config.{key}"):
+            payload[key] = cls(**payload[key])
+    with _rejected_as_schema("config"):
+        return dataclasses.replace(base, **payload)
 
 
 def load_config(path: PathLike, base: Optional[RunConfig] = None) -> RunConfig:
@@ -273,13 +275,14 @@ def _scene_from_dict(payload: dict, known_count: int, where: str) -> SyntheticSc
     with _rejected_as_schema(where):
         image_id = payload["image_id"]
         proposals = [
-            Proposal(image_id, Box(*record["bbox"]), record["objectness"])
+            Proposal(image_id, _parse_bbox(record["bbox"], where), record["objectness"])
             for record in payload["proposals"]
         ]
         gts = []
         for record in payload["gts"]:
             label = label_for_class_id(record["class_id"], known_count)
-            gts.append(GroundTruthObject(record["image_id"], label, Box(*record["bbox"]), record["is_pseudo"]))
+            box = _parse_bbox(record["bbox"], where)
+            gts.append(GroundTruthObject(record["image_id"], label, box, record["is_pseudo"]))
         features = np.array(payload["features"], dtype=float)
         if features.size == 0:
             features = features.reshape(0, 0)

@@ -10,7 +10,9 @@ Metrics:
 
 - ``nms``: greedy non-maximum suppression over scored boxes.
 - ``average_precision``: all-point interpolated AP for one class.
-- ``match_known_detections``: pooled TP/FP/FN bookkeeping over known classes.
+- ``match_known_detections``: matches each known class once; its
+  ``MatchResult`` carries the TP flags and per-class AP that ``map_known``,
+  ``absolute_open_set_error`` and ``wilderness_impact`` all read.
 - ``absolute_open_set_error``: unknown ground-truth objects swallowed by
   known-labeled false positives.
 - ``wilderness_impact``: open-set error rate relative to known predictions.
@@ -23,7 +25,7 @@ Metrics:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -47,24 +49,33 @@ def nms(scored_boxes: Sequence[tuple[Box, float]], iou_threshold: float) -> list
     return kept
 
 
+def _by_class(items: Sequence, known: bool) -> dict[int, list]:
+    """Group known (or unknown) detections or ground truth by class id,
+    keeping input order within each class."""
+    groups: dict[int, list] = {}
+    for item in items:
+        if item.label.is_known == known:
+            groups.setdefault(item.label.class_id, []).append(item)
+    return groups
+
+
 def _greedy_match(
     dets: Sequence[Detection],
     gts: Sequence[GroundTruthObject],
     iou_threshold: float,
-) -> tuple[list[int], list[bool], list[Optional[int]]]:
+) -> tuple[list[Detection], list[bool]]:
     """Match one class's detections against one class's ground truth.
 
-    Returns (score-descending detection order, per-detection TP flag indexed
-    like ``dets``, matched gt index or None indexed like ``dets``).
+    Returns the detections in processing (descending score) order and their
+    true-positive flags in the same order.
     """
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    ranked = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     gt_by_image: dict[int, list[int]] = {}
     for j, gt in enumerate(gts):
         gt_by_image.setdefault(gt.image_id, []).append(j)
     taken = [False] * len(gts)
-    is_tp = [False] * len(dets)
-    matched: list[Optional[int]] = [None] * len(dets)
-    for i in order:
+    hits = []
+    for i in ranked:
         det = dets[i]
         best_j = None
         best_iou = 0.0
@@ -78,29 +89,16 @@ def _greedy_match(
                 best_j = j
         if best_j is not None:
             taken[best_j] = True
-            is_tp[i] = True
-            matched[i] = best_j
-    return order, is_tp, matched
+        hits.append(best_j is not None)
+    return [dets[i] for i in ranked], hits
 
 
-def average_precision(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruthObject],
-    iou_threshold: float = 0.5,
-) -> float:
-    """All-point interpolated average precision for a single class.
-
-    ``dets`` and ``gts`` must already be restricted to the class under
-    evaluation; matching happens per image. A class with no ground truth
-    scores 0 by convention.
-    """
-    npos = len(gts)
-    if npos == 0:
+def _interpolated_ap(hits: Sequence[bool], npos: int) -> float:
+    """All-point interpolated AP of score-ordered TP flags against ``npos``
+    ground-truth objects; 0 without ground truth or detections."""
+    if npos == 0 or not hits:
         return 0.0
-    if not dets:
-        return 0.0
-    order, is_tp, _ = _greedy_match(dets, gts, iou_threshold)
-    tp = np.array([1.0 if is_tp[i] else 0.0 for i in order])
+    tp = np.array(hits, dtype=float)
     cum_tp = np.cumsum(tp)
     cum_fp = np.cumsum(1.0 - tp)
     recall = cum_tp / npos
@@ -114,25 +112,35 @@ def average_precision(
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 
 
+def average_precision(
+    dets: Sequence[Detection],
+    gts: Sequence[GroundTruthObject],
+    iou_threshold: float = 0.5,
+) -> float:
+    """All-point interpolated average precision for a single class.
+
+    ``dets`` and ``gts`` must already be restricted to the class under
+    evaluation; matching happens per image. A class with no ground truth
+    scores 0 by convention.
+    """
+    return _interpolated_ap(_greedy_match(dets, gts, iou_threshold)[1], len(gts))
+
+
 @dataclass(frozen=True)
 class MatchResult:
-    """Pooled matching outcome over the known classes.
+    """Matching outcome over the known classes.
 
-    ``detections`` holds the known-labeled detections that entered matching,
-    with parallel ``is_tp`` flags and ``matched_gt`` indices into the full
-    ground-truth list (None for false positives).
+    ``detections`` holds the known-labeled detections, grouped by class in
+    ascending class order and score-ordered within a class, with parallel
+    ``is_tp`` flags. ``ap`` maps each known class present in the ground
+    truth to its average precision, in ascending class order.
     """
 
     detections: tuple[Detection, ...]
     is_tp: tuple[bool, ...]
-    matched_gt: tuple[Optional[int], ...]
     tp_known: int
     fp_known: int
-    fn_known: int
-
-    def __post_init__(self) -> None:
-        if self.tp_known + self.fp_known != len(self.detections):
-            raise ValueError("every known detection must be counted TP or FP")
+    ap: dict[int, float]
 
 
 def match_known_detections(
@@ -140,58 +148,41 @@ def match_known_detections(
     gts: Sequence[GroundTruthObject],
     iou_threshold: float = 0.5,
 ) -> MatchResult:
-    """Run per-class greedy matching over all known classes and pool counts."""
-    known_gt_idx: dict[int, list[int]] = {}
-    for j, gt in enumerate(gts):
-        if gt.label.is_known:
-            known_gt_idx.setdefault(gt.label.class_id, []).append(j)
-    known_dets = [d for d in dets if d.label.is_known]
-    det_idx_by_class: dict[int, list[int]] = {}
-    for i, det in enumerate(known_dets):
-        det_idx_by_class.setdefault(det.label.class_id, []).append(i)
-
-    is_tp = [False] * len(known_dets)
-    matched: list[Optional[int]] = [None] * len(known_dets)
-    total_gt = sum(len(v) for v in known_gt_idx.values())
-    for class_id, det_indices in det_idx_by_class.items():
-        class_dets = [known_dets[i] for i in det_indices]
-        gt_indices = known_gt_idx.get(class_id, [])
-        class_gts = [gts[j] for j in gt_indices]
-        _, flags, match_local = _greedy_match(class_dets, class_gts, iou_threshold)
-        for local, flag, mj in zip(det_indices, flags, match_local):
-            is_tp[local] = flag
-            matched[local] = gt_indices[mj] if mj is not None else None
+    """Greedy-match each known class once; pool the flags and record each
+    class's AP."""
+    dets_by_class = _by_class(dets, known=True)
+    gts_by_class = _by_class(gts, known=True)
+    detections: list[Detection] = []
+    is_tp: list[bool] = []
+    ap: dict[int, float] = {}
+    for class_id in sorted(dets_by_class.keys() | gts_by_class.keys()):
+        class_gts = gts_by_class.get(class_id, [])
+        ranked, hits = _greedy_match(dets_by_class.get(class_id, []), class_gts, iou_threshold)
+        detections += ranked
+        is_tp += hits
+        if class_gts:
+            ap[class_id] = _interpolated_ap(hits, len(class_gts))
     tp = sum(is_tp)
-    return MatchResult(
-        detections=tuple(known_dets),
-        is_tp=tuple(is_tp),
-        matched_gt=tuple(matched),
-        tp_known=tp,
-        fp_known=len(known_dets) - tp,
-        fn_known=total_gt - tp,
-    )
+    return MatchResult(tuple(detections), tuple(is_tp), tp, len(is_tp) - tp, ap)
 
 
 def absolute_open_set_error(
-    dets: Sequence[Detection],
+    match: MatchResult,
     gts: Sequence[GroundTruthObject],
     iou_threshold: float = 0.5,
 ) -> int:
     """Count unknown ground-truth objects covered by a known-labeled
     detection that is not a true positive for any known object. Each unknown
     ground truth is counted at most once."""
-    match = match_known_detections(dets, gts, iou_threshold)
-    false_known = [d for d, tp in zip(match.detections, match.is_tp) if not tp]
-    count = 0
-    for gt in gts:
-        if not gt.label.is_unknown:
-            continue
-        if any(
-            d.image_id == gt.image_id and iou(d.box, gt.box) >= iou_threshold
-            for d in false_known
-        ):
-            count += 1
-    return count
+    false_known: dict[int, list[Box]] = {}
+    for det, hit in zip(match.detections, match.is_tp):
+        if not hit:
+            false_known.setdefault(det.image_id, []).append(det.box)
+    return sum(
+        any(iou(box, gt.box) >= iou_threshold for box in false_known.get(gt.image_id, ()))
+        for gt in gts
+        if gt.label.is_unknown
+    )
 
 
 def wilderness_impact(match: MatchResult, open_set_errors: int) -> float:
@@ -230,20 +221,6 @@ def hungarian_assign(gain: np.ndarray) -> list[tuple[int, int]]:
     )
 
 
-def _unknown_class_sets(
-    dets: Sequence[Detection], gts: Sequence[GroundTruthObject]
-) -> tuple[list[int], list[int], dict[int, list[Detection]], dict[int, list[GroundTruthObject]]]:
-    dets_by_class: dict[int, list[Detection]] = {}
-    for d in dets:
-        if d.label.is_unknown:
-            dets_by_class.setdefault(d.label.class_id, []).append(d)
-    gts_by_class: dict[int, list[GroundTruthObject]] = {}
-    for g in gts:
-        if g.label.is_unknown:
-            gts_by_class.setdefault(g.label.class_id, []).append(g)
-    return sorted(dets_by_class), sorted(gts_by_class), dets_by_class, gts_by_class
-
-
 def uc_map(
     dets: Sequence[Detection],
     gts: Sequence[GroundTruthObject],
@@ -258,11 +235,13 @@ def uc_map(
     unknown classes. Returns ``(value, {predicted_id: true_class_id})``.
     Raises if the ground truth contains no unknown objects.
     """
-    pred_ids, gt_ids, dets_by_class, gts_by_class = _unknown_class_sets(dets, gts)
-    if not gt_ids:
+    dets_by_class = _by_class(dets, known=False)
+    gts_by_class = _by_class(gts, known=False)
+    if not gts_by_class:
         raise ValueError("uc_map undefined: ground truth contains no unknown objects")
-    if not pred_ids:
+    if not dets_by_class:
         return 0.0, {}
+    pred_ids, gt_ids = sorted(dets_by_class), sorted(gts_by_class)
     gain = np.array(
         [
             [
@@ -290,18 +269,17 @@ def uc_recall(
     permutation assigns it; unassigned true classes contribute misses. The
     denominator is the total number of unknown ground-truth objects.
     """
-    _, gt_ids, dets_by_class, gts_by_class = _unknown_class_sets(dets, gts)
-    npos = sum(len(gts_by_class[v]) for v in gt_ids)
+    dets_by_class = _by_class(dets, known=False)
+    gts_by_class = _by_class(gts, known=False)
+    npos = sum(len(v) for v in gts_by_class.values())
     if npos == 0:
         raise ValueError("uc_recall undefined: ground truth contains no unknown objects")
     tp = 0
     for pred_id, gt_id in permutation.items():
-        class_dets = dets_by_class.get(pred_id, [])
-        class_gts = gts_by_class.get(gt_id, [])
-        if not class_dets or not class_gts:
-            continue
-        _, flags, _ = _greedy_match(class_dets, class_gts, iou_threshold)
-        tp += sum(flags)
+        _, hits = _greedy_match(
+            dets_by_class.get(pred_id, []), gts_by_class.get(gt_id, []), iou_threshold
+        )
+        tp += sum(hits)
     return tp / npos
 
 
@@ -350,23 +328,13 @@ def evaluate(
     kept = [d for d in dets if d.score >= config.score_threshold]
     warnings: list[str] = []
 
-    known_classes = sorted({g.label.class_id for g in gts if g.label.is_known})
-    if known_classes:
-        aps = [
-            average_precision(
-                [d for d in kept if d.label.is_known and d.label.class_id == c],
-                [g for g in gts if g.label.is_known and g.label.class_id == c],
-                config.iou_threshold,
-            )
-            for c in known_classes
-        ]
-        map_known = float(np.mean(aps))
+    match = match_known_detections(kept, gts, config.iou_threshold)
+    if match.ap:
+        map_known = float(np.mean(list(match.ap.values())))
     else:
         map_known = 0.0
         warnings.append("map_known_degenerate_no_known_ground_truth")
-
-    match = match_known_detections(kept, gts, config.iou_threshold)
-    a_ose = absolute_open_set_error(kept, gts, config.iou_threshold)
+    a_ose = absolute_open_set_error(match, gts, config.iou_threshold)
     if match.tp_known + match.fp_known == 0:
         warnings.append("wi_degenerate_no_known_detections")
     wi = wilderness_impact(match, a_ose)

@@ -235,28 +235,28 @@ def refine(
     step_lr = lr
     steps_run = 0
 
+    # P is always the soft assignment of the current E and centroids
     for step in range(steps):
         if step > 0 and step % target_interval == 0:
-            P = soft_assignment(E, centroids)
             new_hard = P.argmax(axis=1)
             changed = float(np.mean(new_hard != hard))
             hard = new_hard
             Q = target_distribution(P)
             if changed < min_change_fraction:
                 break
-        P = soft_assignment(E, centroids)
         value, grad_e, grad_c = kl_loss(Q, P, E, centroids)
         for _ in range(30):
             new_e = E - step_lr * grad_e if update_embeddings else E
             new_c = centroids - step_lr * grad_c
-            if kl_divergence(Q, soft_assignment(new_e, new_c)) <= value + 1e-12:
+            P = soft_assignment(new_e, new_c)
+            trial_kl = kl_divergence(Q, P)
+            if trial_kl <= value + 1e-12:
                 break
             step_lr /= 2.0
         E, centroids = new_e, new_c
-        kl_history.append(kl_divergence(Q, soft_assignment(E, centroids)))
+        kl_history.append(trial_kl)
         steps_run = step + 1
 
-    P = soft_assignment(E, centroids)
     return RefineResult(
         centroids=centroids,
         assignments=P.argmax(axis=1),

@@ -73,6 +73,13 @@ def test_box_rejects_nonpositive_size():
         Box(0, 0, 1, -2)
 
 
+def test_box_rejects_non_finite_values():
+    nan, inf = float("nan"), float("inf")
+    for values in ((nan, 0, 1, 1), (0, -inf, 1, 1), (0, 0, inf, 1), (0, 0, 1, nan)):
+        with pytest.raises(ValueError, match="finite"):
+            Box(*values)
+
+
 def test_label_kinds_partition():
     k = ClassLabel.known(2)
     u = ClassLabel.unknown(5)

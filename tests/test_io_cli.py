@@ -272,6 +272,8 @@ def test_invalid_config_key_via_cli_exits_two(tmp_path, capsys):
         ({"weights": [1.0]}, "weights must be an object"),
         ({"epochs": "x"}, "epochs must be an integer"),
         ({"ulp": {"delta": "x"}}, "ulp.delta must be a finite number"),
+        ({"epochs": 0}, "config: need at least one epoch"),
+        ({"ulp": {"delta": 1.5}}, "config.ulp: delta must lie in [0, 1], got 1.5"),
     ):
         config_path.write_text(json.dumps(overrides))
         assert run_cli("simulate", "--out-dir", tmp_path / "run", "--config", config_path) == 2
@@ -309,6 +311,40 @@ def test_train_on_scene_without_proposals_exits_two(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("train", "--dataset", dataset_path, "--out-dir", out_dir) == 2
     assert "train[1]: missing key 'proposals'" in capsys.readouterr().err
+
+
+def test_train_on_non_finite_or_boolean_dataset_box_exits_two(tmp_path, capsys):
+    out_dir = small_run(tmp_path)
+    dataset_path = out_dir / "dataset.json"
+    original = json.loads(dataset_path.read_text())
+    for split, key, bad in (("train", "proposals", float("nan")), ("test", "gts", True)):
+        payload = json.loads(json.dumps(original))
+        payload[split][0][key][0]["bbox"][0] = bad
+        dataset_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("train", "--dataset", dataset_path, "--out-dir", out_dir) == 2
+        err = capsys.readouterr().err
+        assert f"{dataset_path}: {split}[0]: bbox values must be finite numbers" in err
+
+
+def test_same_seed_chain_writes_byte_identical_artifacts(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"train_scenes": 6, "test_scenes": 4, "epochs": 20}))
+
+    def chain(out_dir):
+        assert run_cli("simulate", "--out-dir", out_dir, "--config", config_path, "--seed", 3) == 0
+        assert run_cli("train", "--dataset", out_dir / "dataset.json", "--out-dir", out_dir) == 0
+        assert run_cli("refine", "--dataset", out_dir / "dataset.json", "--model", out_dir / "model.json",
+                       "--out-dir", out_dir) == 0
+        assert run_cli("eval", "--gt", out_dir / "gt.json", "--det", out_dir / "detections_refined.jsonl",
+                       "--out", out_dir / "report.json") == 0
+        return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+    first, second = chain(tmp_path / "a"), chain(tmp_path / "b")
+    assert sorted(first) == [
+        "dataset.json", "detections.jsonl", "detections_refined.jsonl", "gt.json", "model.json", "report.json",
+    ]
+    assert first == second
 
 
 def test_refine_with_model_without_learning_rate_exits_two(tmp_path, capsys):

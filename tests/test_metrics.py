@@ -225,7 +225,7 @@ def test_a_ose_counts_each_unknown_object_once():
         known_det(0, 0, Box(0, 0, 4, 4), 0.9),
         known_det(0, 1, Box(0.2, 0, 4, 4), 0.8),
     ]
-    assert absolute_open_set_error(dets, [ugt], 0.5) == 1
+    assert absolute_open_set_error(match_known_detections(dets, [ugt], 0.5), [ugt], 0.5) == 1
 
 
 def test_a_ose_ignores_true_positive_known_detections():
@@ -233,12 +233,22 @@ def test_a_ose_ignores_true_positive_known_detections():
     ugt = unknown_gt(0, 5, Box(0.5, 0, 4, 4))
     dets = [known_det(0, 0, Box(0, 0, 4, 4), 0.9)]
     # the only known detection is a TP for the known object, so no error
-    assert absolute_open_set_error(dets, [kgt, ugt], 0.5) == 0
+    match = match_known_detections(dets, [kgt, ugt], 0.5)
+    assert absolute_open_set_error(match, [kgt, ugt], 0.5) == 0
 
 
 def test_a_ose_zero_without_known_detections():
     ugt = unknown_gt(0, 5, Box(0, 0, 4, 4))
-    assert absolute_open_set_error([unknown_det(0, 5, Box(0, 0, 4, 4), 0.9)], [ugt], 0.5) == 0
+    match = match_known_detections([unknown_det(0, 5, Box(0, 0, 4, 4), 0.9)], [ugt], 0.5)
+    assert absolute_open_set_error(match, [ugt], 0.5) == 0
+
+
+def test_a_ose_only_counts_false_known_detections_of_the_same_image():
+    ugt = unknown_gt(0, 5, Box(0, 0, 4, 4))
+    dets = [known_det(1, 0, Box(0, 0, 4, 4), 0.9)]
+    match = match_known_detections(dets, [ugt], 0.5)
+    assert match.is_tp == (False,)
+    assert absolute_open_set_error(match, [ugt], 0.5) == 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -246,9 +256,18 @@ def test_a_ose_zero_without_known_detections():
 def test_open_set_metrics_match_reference(seed):
     dets, gts = random_scene(seed)
     match = match_known_detections(dets, gts, 0.5)
-    ose = absolute_open_set_error(dets, gts, 0.5)
+    ose = absolute_open_set_error(match, gts, 0.5)
     assert ose == a_ose_ref(dets, gts, 0.5)
     assert wilderness_impact(match, ose) == pytest.approx(wi_ref(dets, gts, 0.5), abs=1e-12)
+    known_classes = sorted({g.label.class_id for g in gts if g.label.is_known})
+    assert list(match.ap) == known_classes
+    for c in known_classes:
+        want = ap_ref(
+            [d for d in dets if d.label.is_known and d.label.class_id == c],
+            [g for g in gts if g.label.is_known and g.label.class_id == c],
+            0.5,
+        )
+        assert match.ap[c] == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +447,32 @@ def test_evaluate_matches_scripted_reference_on_random_fixtures():
         assert report.wi == pytest.approx(wi_ref(visible, gts, 0.5), abs=1e-12)
         want_uc, _ = uc_map_ref(visible, gts, 0.5)
         assert report.uc_map == pytest.approx(want_uc, abs=1e-12)
+
+
+def test_evaluate_matches_each_known_class_once(monkeypatch):
+    import ucowod.metrics as metrics
+
+    dets, gts = random_scene(11, n_known=3)
+    gts = gts + [unknown_gt(0, 9, Box(70, 70, 4, 4))]
+    known_classes = {x.label.class_id for x in dets + gts if x.label.is_known}
+    assert len(known_classes) >= 2
+    entries, known_matches = [], []
+    match_known, greedy_match = metrics.match_known_detections, metrics._greedy_match
+
+    def counted_match_known(*args):
+        entries.append(args)
+        return match_known(*args)
+
+    def counted_greedy_match(class_dets, class_gts, iou_threshold):
+        if any(x.label.is_known for x in list(class_dets) + list(class_gts)):
+            known_matches.append(1)
+        return greedy_match(class_dets, class_gts, iou_threshold)
+
+    monkeypatch.setattr(metrics, "match_known_detections", counted_match_known)
+    monkeypatch.setattr(metrics, "_greedy_match", counted_greedy_match)
+    evaluate(gts, dets, EvalConfig(score_threshold=0.0))
+    assert len(entries) == 1
+    assert len(known_matches) == len(known_classes)
 
 
 def test_evaluate_raises_without_unknown_ground_truth():
