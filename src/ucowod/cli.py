@@ -119,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", required=True, help="report JSON to write")
     p_eval.add_argument("--iou-thresh", type=float, default=0.5)
     p_eval.add_argument("--score-thresh", type=float, default=0.05)
-    p_eval.add_argument("--seed", type=int, default=None, help="accepted for interface parity; unused")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic dataset")

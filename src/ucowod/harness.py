@@ -13,6 +13,12 @@ self-supervised pair similarity after a warm-up. ``refine_pipeline`` then
 clusters the embeddings of unknown-slot detections and relabels them by
 cluster. ``train_and_score`` is the generate, train, detect and evaluate
 chain in one call.
+
+Fixed for every run, so kept out of ``RunConfig``: ``IMAGE_SIZE``-pixel
+scenes, ``JITTER_PER_OBJECT`` jittered proposals per object and
+``BACKGROUND_PER_SCENE`` background proposals per scene, a ``HIDDEN_DIM``-unit
+head with standard-normal initial weights, lambda starting at 0, and
+detection NMS at IoU ``NMS_THRESHOLD``.
 """
 
 from __future__ import annotations
@@ -39,39 +45,34 @@ from .metrics import EvalConfig, EvalReport, evaluate, nms
 from .pseudo_label import UlpConfig, select_pseudo_labels
 from .refinement import RefineResult, refine, select_cluster_count
 
+HIDDEN_DIM = 128
+IMAGE_SIZE = 100.0
+JITTER_PER_OBJECT = 2
+BACKGROUND_PER_SCENE = 3
+NMS_THRESHOLD = 0.5
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a pipeline run depends on, seeds included."""
+    """What a pipeline run varies, seeds included."""
 
     seed: int = 0
     known_classes: int = 3
     unknown_slots: int = 8
     unknown_gt_classes: int = 3
     feature_dim: int = 16
-    hidden_dim: int = 128
     train_scenes: int = 24
     test_scenes: int = 12
     min_objects: int = 3
     max_objects: int = 6
-    image_size: float = 100.0
     feature_noise: float = 0.05
-    jitter_per_object: int = 2
-    background_per_scene: int = 3
     ulp: UlpConfig = field(default_factory=UlpConfig)
     weights: LossWeights = field(default_factory=LossWeights)
-    lambda0: float = 0.0
     eta: float = 0.01
     epochs: int = 160
     warmup_epochs: Optional[int] = None
     learning_rate: float = 1.0
     weight_decay: float = 1e-3
-    init_scale: float = 1.0
-    inference_nms_threshold: float = 0.5
-    refine_lr: float = 0.1
-    refine_steps: int = 200
-    target_update_interval: int = 10
-    refine_update_embeddings: bool = True
     refine_clusters: Optional[int] = None
     iou_threshold: float = 0.5
     score_threshold: float = 0.05
@@ -138,7 +139,7 @@ def class_prototypes(config: RunConfig) -> np.ndarray:
     return prototypes
 
 
-def _sample_box(rng: np.random.Generator, config: RunConfig, placed: list[Box]) -> Box:
+def _sample_box(rng: np.random.Generator, placed: list[Box]) -> Box:
     """Random box overlapping already-placed boxes by at most 0.1 IoU; after
     100 attempts the least-overlapping candidate wins."""
     best = None
@@ -146,8 +147,8 @@ def _sample_box(rng: np.random.Generator, config: RunConfig, placed: list[Box]) 
     for _ in range(100):
         w = rng.uniform(8.0, 16.0)
         h = rng.uniform(8.0, 16.0)
-        cx = rng.uniform(w / 2.0, config.image_size - w / 2.0)
-        cy = rng.uniform(h / 2.0, config.image_size - h / 2.0)
+        cx = rng.uniform(w / 2.0, IMAGE_SIZE - w / 2.0)
+        cy = rng.uniform(h / 2.0, IMAGE_SIZE - h / 2.0)
         box = Box(cx, cy, w, h)
         overlap = max((iou(box, other) for other in placed), default=0.0)
         if overlap <= 0.1:
@@ -167,7 +168,7 @@ def _build_scene(
 ) -> SyntheticScene:
     boxes: list[Box] = []
     for _ in object_classes:
-        boxes.append(_sample_box(rng, config, boxes))
+        boxes.append(_sample_box(rng, boxes))
 
     gts: list[GroundTruthObject] = []
     for class_id, box in zip(object_classes, boxes):
@@ -186,7 +187,7 @@ def _build_scene(
     for class_id, box in zip(object_classes, boxes):
         prototype = prototypes[class_id]
         add(box, 0.85 + 0.1 * rng.random(), prototype)
-        for _ in range(config.jitter_per_object):
+        for _ in range(JITTER_PER_OBJECT):
             jittered = Box(
                 box.cx + rng.uniform(-0.15, 0.15) * box.w,
                 box.cy + rng.uniform(-0.15, 0.15) * box.h,
@@ -196,8 +197,8 @@ def _build_scene(
             add(jittered, iou(jittered, box) * (0.8 + 0.2 * rng.random()), prototype)
 
     background_prototype = np.zeros(config.feature_dim)
-    for _ in range(config.background_per_scene):
-        box = _sample_box(rng, config, boxes)
+    for _ in range(BACKGROUND_PER_SCENE):
+        box = _sample_box(rng, boxes)
         add(box, 0.02 + 0.18 * rng.random(), background_prototype)
 
     return SyntheticScene(image_id, proposals, gts, np.array(features))
@@ -275,15 +276,14 @@ class ToyHead:
         seed: int = 0,
         learning_rate: float = 1.0,
         weight_decay: float = 0.0,
-        init_scale: float = 0.1,
     ) -> "ToyHead":
         rng = np.random.default_rng(seed)
         return cls(
-            w_hidden=init_scale * rng.standard_normal((feature_dim, hidden_dim)),
+            w_hidden=rng.standard_normal((feature_dim, hidden_dim)),
             b_hidden=np.zeros(hidden_dim),
-            w_cls=init_scale * rng.standard_normal((hidden_dim, n_logits)),
+            w_cls=rng.standard_normal((hidden_dim, n_logits)),
             b_cls=0.01 * rng.standard_normal(n_logits),
-            w_reg=init_scale * rng.standard_normal((hidden_dim, 4)),
+            w_reg=rng.standard_normal((hidden_dim, 4)),
             b_reg=np.zeros(4),
             learning_rate=learning_rate,
             weight_decay=weight_decay,
@@ -321,13 +321,12 @@ class ToyHead:
             "b_reg": grad_deltas.sum(axis=0),
         }
 
-    def apply_gradients(self, grads: dict[str, np.ndarray], lr: Optional[float] = None) -> None:
-        step = self.learning_rate if lr is None else lr
+    def apply_gradients(self, grads: dict[str, np.ndarray]) -> None:
         for name, grad in grads.items():
             value = getattr(self, name)
             if name.startswith("w_"):
                 grad = grad + self.weight_decay * value
-            setattr(self, name, value - step * grad)
+            setattr(self, name, value - self.learning_rate * grad)
 
     def to_dict(self) -> dict:
         return {
@@ -458,14 +457,13 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
     rows = build_training_rows(dataset, config)
     head = ToyHead.create(
         config.feature_dim,
-        config.hidden_dim,
+        HIDDEN_DIM,
         config.head_width(),
         seed=config.seed,
         learning_rate=config.learning_rate,
         weight_decay=config.weight_decay,
-        init_scale=config.init_scale,
     )
-    lam = config.lambda0
+    lam = 0.0
     warmup = config.resolved_warmup()
     history: list[EpochStats] = []
 
@@ -501,10 +499,9 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
             )
         )
 
-        grad_logits_total = config.weights.alpha_cls * grad_logits
         if config.weights.alpha_sim > 0:
-            grad_logits_total = grad_logits_total + config.weights.alpha_sim * grad_sim
-        head.apply_gradients(head.gradients(rows.features, acts, grad_logits_total, config.weights.alpha_reg * grad_deltas))
+            grad_logits = grad_logits + config.weights.alpha_sim * grad_sim
+        head.apply_gradients(head.gradients(rows.features, acts, grad_logits, grad_deltas))
         if self_supervised:
             lam = update_lambda(lam, config.eta)
 
@@ -549,7 +546,7 @@ def detect_with_embeddings(
                     )
                 )
             scored = [(box, float(probs[row, slot])) for box, row in zip(boxes, rows)]
-            for kept in nms(scored, config.inference_nms_threshold):
+            for kept in nms(scored, NMS_THRESHOLD):
                 detections.append(
                     Detection(
                         image_id=scene.image_id,
@@ -587,7 +584,7 @@ class RefineOutcome:
     n_clusters: int
 
 
-def _suppress_per_class(detections: list[Detection], threshold: float) -> list[int]:
+def _suppress_per_class(detections: list[Detection]) -> list[int]:
     """Indices surviving per-image, per-class greedy NMS, in input order."""
     groups: dict[tuple, list[int]] = {}
     for i, det in enumerate(detections):
@@ -597,29 +594,25 @@ def _suppress_per_class(detections: list[Detection], threshold: float) -> list[i
     for key in sorted(groups):
         indices = groups[key]
         scored = [(detections[i].box, detections[i].score) for i in indices]
-        keep.extend(indices[k] for k in nms(scored, threshold))
+        keep.extend(indices[k] for k in nms(scored, NMS_THRESHOLD))
     return sorted(keep)
 
 
-def refine_pipeline(
-    head: ToyHead,
-    dataset: SyntheticDataset,
-    config: RunConfig,
-    split: str = "test",
-) -> RefineOutcome:
-    """Cluster the embeddings of unknown-slot detections and relabel each
-    detection with its cluster's unknown id.
+def refine_pipeline(head: ToyHead, dataset: SyntheticDataset, config: RunConfig) -> RefineOutcome:
+    """Cluster the embeddings of unknown-slot test detections and relabel
+    each detection with its cluster's unknown id.
 
     Embeddings are length-normalized before clustering (the similarity
     loss shapes angles, not norms). The cluster count defaults to the best
     mean silhouette over 2..unknown_slots, so a class split across slots
     can be consolidated and a merged slot pulled apart. Relabeling can
     land duplicate boxes in one class, so per-class suppression runs
-    again afterwards. Raises when nothing was classified as unknown
+    again afterwards. Refinement runs ``refine``'s defaults: 200 steps at
+    step size 0.1, a target update every 10 steps, embeddings and
+    centroids both moving. Raises when nothing was classified as unknown
     (lower the pseudo-label objectness floor or add unknown slots).
     """
-    scenes = {"train": dataset.train, "test": dataset.test}[split]
-    detections, embeddings = detect_with_embeddings(head, scenes, config)
+    detections, embeddings = detect_with_embeddings(head, dataset.test, config)
     unknown_indices = [i for i, det in enumerate(detections) if det.label.is_unknown]
     if not unknown_indices:
         raise RuntimeError(
@@ -639,15 +632,7 @@ def refine_pipeline(
         )
     n_clusters = min(n_clusters, len(unknown_indices))
 
-    result = refine(
-        points,
-        n_clusters,
-        steps=config.refine_steps,
-        lr=config.refine_lr,
-        seed=config.seed,
-        target_interval=config.target_update_interval,
-        update_embeddings=config.refine_update_embeddings,
-    )
+    result = refine(points, n_clusters, seed=config.seed)
     relabeled = list(detections)
     for position, det_index in enumerate(unknown_indices):
         det = detections[det_index]
@@ -655,7 +640,7 @@ def refine_pipeline(
         relabeled[det_index] = dataclasses.replace(
             det, label=ClassLabel.unknown(config.known_classes + cluster)
         )
-    surviving = _suppress_per_class(relabeled, config.inference_nms_threshold)
+    surviving = _suppress_per_class(relabeled)
     final = [relabeled[i] for i in surviving]
     return RefineOutcome(
         detections=final,

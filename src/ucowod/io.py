@@ -208,7 +208,6 @@ def _dump_json(path: PathLike, payload: dict) -> None:
 _VALUE_CHECKS = {
     int: ("an integer", _is_int),
     float: ("a finite number", _is_number),
-    bool: ("true or false", lambda v: isinstance(v, bool)),
     Optional[int]: ("an integer or null", lambda v: v is None or _is_int(v)),
 }
 
@@ -273,16 +272,19 @@ def _scene_to_dict(scene: SyntheticScene) -> dict:
 
 def _scene_from_dict(payload: dict, known_count: int, where: str) -> SyntheticScene:
     with _rejected_as_schema(where):
-        image_id = payload["image_id"]
-        proposals = [
-            Proposal(image_id, _parse_bbox(record["bbox"], where), record["objectness"])
-            for record in payload["proposals"]
-        ]
+        image_id = _parse_int(payload, "image_id", where)
+        proposals = []
+        for record in payload["proposals"]:
+            objectness = record["objectness"]
+            _require(_is_number(objectness), where, f"objectness must be a finite number, got {objectness!r}")
+            proposals.append(Proposal(image_id, _parse_bbox(record["bbox"], where), objectness))
         gts = []
         for record in payload["gts"]:
             label = label_for_class_id(record["class_id"], known_count)
             box = _parse_bbox(record["bbox"], where)
-            gts.append(GroundTruthObject(record["image_id"], label, box, record["is_pseudo"]))
+            is_pseudo = record["is_pseudo"]
+            _require(isinstance(is_pseudo, bool), where, f"is_pseudo must be true or false, got {is_pseudo!r}")
+            gts.append(GroundTruthObject(_parse_int(record, "image_id", where), label, box, is_pseudo))
         features = np.array(payload["features"], dtype=float)
         if features.size == 0:
             features = features.reshape(0, 0)
@@ -300,7 +302,11 @@ def save_dataset(path: PathLike, dataset: SyntheticDataset) -> None:
 
 def load_dataset(path: PathLike) -> SyntheticDataset:
     payload = _read_json_object(path)
-    config = config_from_dict(_field(payload, "config", str(path)))
+    raw_config = _field(payload, "config", str(path))
+    try:
+        config = config_from_dict(raw_config)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
     splits = {}
     for split in ("train", "test"):
         scenes = _field(payload, split, str(path))

@@ -366,16 +366,14 @@ def l1_regression_loss(
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Term weights for the total objective."""
+    """Weight of the pair-similarity term; classification and regression
+    carry weight 1."""
 
-    alpha_cls: float = 1.0
-    alpha_reg: float = 1.0
     alpha_sim: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("alpha_cls", "alpha_reg", "alpha_sim"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        if self.alpha_sim < 0:
+            raise ValueError("alpha_sim must be non-negative")
 
 
 def total_training_loss(
@@ -384,9 +382,5 @@ def total_training_loss(
     similarity: float,
     weights: LossWeights = LossWeights(),
 ) -> float:
-    """Weighted sum of the three trainable terms."""
-    return (
-        weights.alpha_cls * classification
-        + weights.alpha_reg * regression
-        + weights.alpha_sim * similarity
-    )
+    """Sum of the three trainable terms, the pair term weighted by ``alpha_sim``."""
+    return classification + regression + weights.alpha_sim * similarity

@@ -205,22 +205,18 @@ class RefineResult:
 def refine(
     embeddings: np.ndarray,
     n_clusters: int,
-    steps: int = 1000,
+    steps: int = 200,
     lr: float = 0.1,
     seed: int = 0,
-    *,
-    target_interval: int = 10,
-    update_embeddings: bool = True,
-    min_change_fraction: float = 1e-3,
 ) -> RefineResult:
-    """Cluster embeddings and tighten the clusters by KL descent.
+    """Cluster embeddings and tighten the clusters by KL descent, moving
+    embeddings and centroids together.
 
-    The target distribution is recomputed every ``target_interval`` steps;
-    between recomputations each step must not increase the KL value, which a
+    The target distribution is recomputed every 10 steps; between
+    recomputations each step must not increase the KL value, which a
     deterministic halving backoff of the step size enforces. Refinement
     stops early once the fraction of changed hard assignments between
-    consecutive target recomputations falls below ``min_change_fraction``.
-    Set ``update_embeddings=False`` to move centroids only.
+    consecutive target recomputations falls below 0.001.
     """
     E = np.array(embeddings, dtype=float)
     if E.ndim != 2 or len(E) == 0:
@@ -237,16 +233,16 @@ def refine(
 
     # P is always the soft assignment of the current E and centroids
     for step in range(steps):
-        if step > 0 and step % target_interval == 0:
+        if step > 0 and step % 10 == 0:
             new_hard = P.argmax(axis=1)
             changed = float(np.mean(new_hard != hard))
             hard = new_hard
             Q = target_distribution(P)
-            if changed < min_change_fraction:
+            if changed < 1e-3:
                 break
         value, grad_e, grad_c = kl_loss(Q, P, E, centroids)
         for _ in range(30):
-            new_e = E - step_lr * grad_e if update_embeddings else E
+            new_e = E - step_lr * grad_e
             new_c = centroids - step_lr * grad_c
             P = soft_assignment(new_e, new_c)
             trial_kl = kl_divergence(Q, P)

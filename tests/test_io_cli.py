@@ -156,7 +156,6 @@ def test_config_from_dict_overrides_and_rejects_unknown_keys():
         ({"epochs": 2.0}, "epochs must be an integer"),
         ({"seed": True}, "seed must be an integer"),
         ({"eta": float("nan")}, "eta must be a finite number"),
-        ({"refine_update_embeddings": 1}, "refine_update_embeddings must be true or false"),
         ({"warmup_epochs": "3"}, "warmup_epochs must be an integer or null"),
         ({"weights": {"alpha_sim": None}}, "weights.alpha_sim must be a finite number"),
     ):
@@ -268,6 +267,8 @@ def test_invalid_config_key_via_cli_exits_two(tmp_path, capsys):
         ({"not_a_field": 1}, "not_a_field"),
         ({"ulp": {"bogus": 1}}, "ulp.bogus"),
         ({"weights": {"alpha_rpn": 1.0}}, "weights.alpha_rpn"),
+        ({"refine_steps": 100}, "refine_steps"),
+        ({"weights": {"alpha_cls": 1.0}}, "weights.alpha_cls"),
         ({"ulp": 0.5}, "ulp must be an object"),
         ({"weights": [1.0]}, "weights must be an object"),
         ({"epochs": "x"}, "epochs must be an integer"),
@@ -279,17 +280,28 @@ def test_invalid_config_key_via_cli_exits_two(tmp_path, capsys):
         assert run_cli("simulate", "--out-dir", tmp_path / "run", "--config", config_path) == 2
         assert named in capsys.readouterr().err
 
-    # a dataset.json written before alpha_rpn was removed names the stale key
+    # eval takes no --seed: argparse rejects it as a usage error
+    with pytest.raises(SystemExit) as excinfo:
+        main(["eval", "--gt", "gt.json", "--det", "det.jsonl", "--out", "r.json", "--seed", "0"])
+    assert excinfo.value.code == 2
+
+    # a dataset.json written before a config key was removed names the file and the stale key
     out_dir = tmp_path / "old"
     config_path.write_text(json.dumps({"train_scenes": 2, "test_scenes": 1}))
     assert run_cli("simulate", "--out-dir", out_dir, "--config", config_path) == 0
     dataset_path = out_dir / "dataset.json"
-    payload = json.loads(dataset_path.read_text())
-    payload["config"]["weights"]["alpha_rpn"] = 1.0
-    dataset_path.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert run_cli("train", "--dataset", dataset_path, "--out-dir", out_dir) == 2
-    assert "weights.alpha_rpn" in capsys.readouterr().err
+    original = json.loads(dataset_path.read_text())
+    for add_stale, named in (
+        (lambda config: config["weights"].update(alpha_rpn=1.0), "weights.alpha_rpn"),
+        (lambda config: config.update(lambda0=0.0), "lambda0"),
+    ):
+        payload = json.loads(json.dumps(original))
+        add_stale(payload["config"])
+        dataset_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("train", "--dataset", dataset_path, "--out-dir", out_dir) == 2
+        err = capsys.readouterr().err
+        assert f"{dataset_path}: unknown config keys" in err and named in err
 
 
 def small_run(tmp_path):
@@ -317,14 +329,25 @@ def test_train_on_non_finite_or_boolean_dataset_box_exits_two(tmp_path, capsys):
     out_dir = small_run(tmp_path)
     dataset_path = out_dir / "dataset.json"
     original = json.loads(dataset_path.read_text())
-    for split, key, bad in (("train", "proposals", float("nan")), ("test", "gts", True)):
+
+    def set_bbox(scene, key, bad):
+        scene[key][0]["bbox"][0] = bad
+
+    for split, mutate, named in (
+        ("train", lambda s: set_bbox(s, "proposals", float("nan")), "bbox values must be finite numbers"),
+        ("test", lambda s: set_bbox(s, "gts", True), "bbox values must be finite numbers"),
+        ("train", lambda s: s.update(image_id=True), "image_id must be an integer, got True"),
+        ("test", lambda s: s["gts"][0].update(image_id=True), "image_id must be an integer, got True"),
+        ("train", lambda s: s["proposals"][0].update(objectness=True), "objectness must be a finite number"),
+        ("test", lambda s: s["gts"][0].update(is_pseudo=0), "is_pseudo must be true or false, got 0"),
+    ):
         payload = json.loads(json.dumps(original))
-        payload[split][0][key][0]["bbox"][0] = bad
+        mutate(payload[split][0])
         dataset_path.write_text(json.dumps(payload))
         capsys.readouterr()
         assert run_cli("train", "--dataset", dataset_path, "--out-dir", out_dir) == 2
         err = capsys.readouterr().err
-        assert f"{dataset_path}: {split}[0]: bbox values must be finite numbers" in err
+        assert f"{dataset_path}: {split}[0]: {named}" in err
 
 
 def test_same_seed_chain_writes_byte_identical_artifacts(tmp_path):

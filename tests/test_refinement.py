@@ -272,12 +272,6 @@ def test_refine_is_deterministic():
     assert a.kl_history == b.kl_history
 
 
-def test_refine_centroids_only_mode_leaves_embeddings_alone():
-    points, _ = gaussian_blobs(2, [[0, 0], [3, 3]], 15, 0.3)
-    result = refine(points, 2, steps=60, lr=0.1, seed=0, update_embeddings=False)
-    assert np.array_equal(result.embeddings, points)
-
-
 def test_refine_input_validation():
     with pytest.raises(ValueError):
         refine(np.zeros((0, 2)), 1)
