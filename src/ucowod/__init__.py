@@ -15,7 +15,6 @@ from .core import (
     GroundTruthObject,
     LabelKind,
     Proposal,
-    from_corners,
     iou,
     label_for_class_id,
     to_corners,

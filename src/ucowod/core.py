@@ -51,13 +51,6 @@ def to_corners(box: Box) -> Corners:
     return (box.cx - half_w, box.cy - half_h, box.cx + half_w, box.cy + half_h)
 
 
-def from_corners(xmin: float, ymin: float, xmax: float, ymax: float) -> Box:
-    """Build a center-format box from corner coordinates."""
-    if not (xmax > xmin and ymax > ymin):
-        raise ValueError(f"degenerate corners ({xmin}, {ymin}, {xmax}, {ymax})")
-    return Box((xmin + xmax) / 2.0, (ymin + ymax) / 2.0, xmax - xmin, ymax - ymin)
-
-
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes, in [0, 1]."""
     ax0, ay0, ax1, ay1 = to_corners(a)

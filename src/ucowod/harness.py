@@ -515,47 +515,37 @@ def detect_with_embeddings(
 
     Each proposal is classified by its argmax slot (background rows are
     dropped), scored by the softmax probability, and its box is shifted by
-    the predicted deltas. Returns the detections plus their embedding rows,
-    aligned index for index.
+    the predicted deltas. A scene's detections come out by slot, then by
+    descending score, then by proposal row. Returns the detections plus
+    their embedding rows, aligned index for index.
     """
     detections: list[Detection] = []
     embeddings: list[np.ndarray] = []
+    background = head.n_logits - 1
     for scene in scenes:
         if not scene.proposals:
             continue
         acts = head.forward(scene.features)
         probs = softmax(acts.logits, axis=1)
-        predicted = probs.argmax(axis=1)
-        background = head.n_logits - 1
-        by_class: dict[int, list[int]] = {}
-        for row, slot in enumerate(predicted):
-            if slot != background:
-                by_class.setdefault(int(slot), []).append(row)
-        for slot in sorted(by_class):
-            rows = by_class[slot]
-            boxes = []
-            for row in rows:
-                proposal = scene.proposals[row]
-                d = acts.deltas[row]
-                boxes.append(
-                    Box(
-                        proposal.box.cx + d[0],
-                        proposal.box.cy + d[1],
-                        max(proposal.box.w + d[2], 1e-3),
-                        max(proposal.box.h + d[3], 1e-3),
-                    )
-                )
-            scored = [(box, float(probs[row, slot])) for box, row in zip(boxes, rows)]
-            for kept in nms(scored, NMS_THRESHOLD):
-                detections.append(
-                    Detection(
-                        image_id=scene.image_id,
-                        label=label_for_class_id(slot, config.known_classes),
-                        box=scored[kept][0],
-                        score=scored[kept][1],
-                    )
-                )
-                embeddings.append(acts.logits[rows[kept]])
+        predicted, scores = probs.argmax(axis=1), probs.max(axis=1)
+        rows = sorted(
+            (row for row, slot in enumerate(predicted) if slot != background),
+            key=lambda row: (predicted[row], -scores[row], row),
+        )
+        candidates = []
+        for row in rows:
+            proposal, d = scene.proposals[row], acts.deltas[row]
+            box = Box(
+                proposal.box.cx + d[0],
+                proposal.box.cy + d[1],
+                max(proposal.box.w + d[2], 1e-3),
+                max(proposal.box.h + d[3], 1e-3),
+            )
+            label = label_for_class_id(int(predicted[row]), config.known_classes)
+            candidates.append(Detection(scene.image_id, label, box, float(scores[row])))
+        for kept in _suppress_per_class(candidates):
+            detections.append(candidates[kept])
+            embeddings.append(acts.logits[rows[kept]])
     return detections, (np.array(embeddings) if embeddings else np.empty((0, head.n_logits)))
 
 

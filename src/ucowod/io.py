@@ -75,7 +75,7 @@ def _rejected_as_schema(where: str) -> Iterator[None]:
         raise
     except KeyError as exc:
         raise SchemaError(f"{where}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
@@ -270,7 +270,7 @@ def _scene_to_dict(scene: SyntheticScene) -> dict:
     }
 
 
-def _scene_from_dict(payload: dict, known_count: int, where: str) -> SyntheticScene:
+def _scene_from_dict(payload: dict, config: RunConfig, where: str) -> SyntheticScene:
     with _rejected_as_schema(where):
         image_id = _parse_int(payload, "image_id", where)
         proposals = []
@@ -280,14 +280,19 @@ def _scene_from_dict(payload: dict, known_count: int, where: str) -> SyntheticSc
             proposals.append(Proposal(image_id, _parse_bbox(record["bbox"], where), objectness))
         gts = []
         for record in payload["gts"]:
-            label = label_for_class_id(record["class_id"], known_count)
+            label = label_for_class_id(_parse_int(record, "class_id", where), config.known_classes)
             box = _parse_bbox(record["bbox"], where)
             is_pseudo = record["is_pseudo"]
             _require(isinstance(is_pseudo, bool), where, f"is_pseudo must be true or false, got {is_pseudo!r}")
             gts.append(GroundTruthObject(_parse_int(record, "image_id", where), label, box, is_pseudo))
-        features = np.array(payload["features"], dtype=float)
+        raw = payload["features"]
+        features = np.array(raw, dtype=float)
         if features.size == 0:
-            features = features.reshape(0, 0)
+            features = features.reshape(0, config.feature_dim)
+        shape = (len(proposals), config.feature_dim)
+        _require(features.shape == shape, where, f"features must have shape {shape}, got {features.shape}")
+        finite = np.isfinite(features).all() and not any(type(v) is bool for row in raw for v in row)
+        _require(finite, where, "features must be finite numbers")
         return SyntheticScene(image_id, proposals, gts, features)
 
 
@@ -312,7 +317,7 @@ def load_dataset(path: PathLike) -> SyntheticDataset:
         scenes = _field(payload, split, str(path))
         _require(isinstance(scenes, list), str(path), f"{split} must be a list")
         where = f"{path}: {split}"
-        splits[split] = [_scene_from_dict(s, config.known_classes, f"{where}[{i}]") for i, s in enumerate(scenes)]
+        splits[split] = [_scene_from_dict(s, config, f"{where}[{i}]") for i, s in enumerate(scenes)]
     return SyntheticDataset(config=config, **splits)
 
 

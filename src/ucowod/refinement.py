@@ -22,6 +22,11 @@ import numpy as np
 LOG_FLOOR = 1e-12
 
 
+def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from every row of ``A`` to every row of ``B``."""
+    return ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+
+
 def kmeans_init(points: np.ndarray, n_clusters: int, seed: int = 0) -> np.ndarray:
     """Deterministic k-means: distance-squared weighted seeding followed by
     Lloyd iterations (at most 100, stopping once centroids move < 1e-6).
@@ -40,19 +45,16 @@ def kmeans_init(points: np.ndarray, n_clusters: int, seed: int = 0) -> np.ndarra
     rng = np.random.default_rng(seed)
 
     centroids = np.empty((n_clusters, X.shape[1]), dtype=float)
-    centroids[0] = X[rng.integers(m)]
-    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
-    for c in range(1, n_clusters):
+    d2 = np.zeros(m)
+    for c in range(n_clusters):
         total = d2.sum()
-        if total > 0:
-            idx = rng.choice(m, p=d2 / total)
-        else:
-            idx = rng.integers(m)  # all remaining points coincide
+        # uniform for the first pick and once all remaining points coincide
+        idx = rng.choice(m, p=d2 / total) if total > 0 else rng.integers(m)
         centroids[c] = X[idx]
-        d2 = np.minimum(d2, ((X - centroids[c]) ** 2).sum(axis=1))
+        d2 = _sq_distances(X, centroids[: c + 1]).min(axis=1)
 
     for _ in range(100):
-        dists = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        dists = _sq_distances(X, centroids)
         assign = dists.argmin(axis=1)
         new_centroids = centroids.copy()
         for c in range(n_clusters):
@@ -70,6 +72,22 @@ def kmeans_init(points: np.ndarray, n_clusters: int, seed: int = 0) -> np.ndarra
     return centroids
 
 
+def _silhouette(dists: np.ndarray, assign: np.ndarray) -> float:
+    """Mean silhouette of a labelling (two or more clusters) from the distance
+    matrix: one matmul by the one-hot labels gives each point's sum per cluster."""
+    _, labels = np.unique(assign, return_inverse=True)
+    own = labels[:, None] == np.arange(labels.max() + 1)
+    sums = dists @ own.astype(float)
+    sizes = own.sum(axis=0)
+    n_same = sizes[labels]
+    # a point's own-cluster sum includes its zero distance to itself
+    within = sums[own] / np.maximum(n_same - 1, 1)
+    nearest_other = np.where(own, np.inf, sums / sizes).min(axis=1)
+    denom = np.maximum(within, nearest_other)
+    scores = np.divide(nearest_other - within, denom, out=np.zeros(len(labels)), where=(n_same > 1) & (denom > 0))
+    return float(scores.mean())
+
+
 def silhouette_score(points: np.ndarray, assignments: np.ndarray) -> float:
     """Mean silhouette over all points under Euclidean distance.
 
@@ -78,24 +96,9 @@ def silhouette_score(points: np.ndarray, assignments: np.ndarray) -> float:
     """
     X = np.asarray(points, dtype=float)
     assign = np.asarray(assignments)
-    cluster_ids = np.unique(assign)
-    if len(cluster_ids) < 2:
+    if len(np.unique(assign)) < 2:
         raise ValueError("silhouette needs at least two clusters")
-    dists = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
-    scores = np.zeros(len(X))
-    for i in range(len(X)):
-        same = assign == assign[i]
-        n_same = int(same.sum())
-        if n_same <= 1:
-            continue
-        within = dists[i][same].sum() / (n_same - 1)
-        nearest_other = min(
-            dists[i][assign == c].mean() for c in cluster_ids if c != assign[i]
-        )
-        denom = max(within, nearest_other)
-        if denom > 0:
-            scores[i] = (nearest_other - within) / denom
-    return float(scores.mean())
+    return _silhouette(np.sqrt(_sq_distances(X, X)), assign)
 
 
 def select_cluster_count(points: np.ndarray, max_clusters: int, seed: int = 0) -> int:
@@ -105,14 +108,12 @@ def select_cluster_count(points: np.ndarray, max_clusters: int, seed: int = 0) -
     one). Falls back to 1 when the points cannot support two clusters.
     """
     X = np.asarray(points, dtype=float)
-    m = len(X)
+    dists = np.sqrt(_sq_distances(X, X))
     scores: dict[int, float] = {}
-    for k in range(2, min(max_clusters, m - 1) + 1):
-        centroids = kmeans_init(X, k, seed=seed)
-        assign = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
-        if len(np.unique(assign)) < 2:
-            continue
-        scores[k] = silhouette_score(X, assign)
+    for k in range(2, min(max_clusters, len(X) - 1) + 1):
+        assign = _sq_distances(X, kmeans_init(X, k, seed=seed)).argmin(axis=1)
+        if len(np.unique(assign)) > 1:
+            scores[k] = _silhouette(dists, assign)
     if not scores:
         return 1
     best = max(scores.values())
@@ -127,8 +128,7 @@ def soft_assignment(embeddings: np.ndarray, centroids: np.ndarray) -> np.ndarray
     C = np.asarray(centroids, dtype=float)
     if len(C) == 0:
         raise ValueError("need at least one centroid")
-    d2 = ((E[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
-    kernel = 1.0 / (1.0 + d2)
+    kernel = 1.0 / (1.0 + _sq_distances(E, C))
     return kernel / kernel.sum(axis=1, keepdims=True)
 
 

@@ -328,6 +328,32 @@ def kl_ref(Q, P, floor=1e-12):
     return total
 
 
+def silhouette_ref(points, assignments):
+    """Mean silhouette, point by point, under Euclidean distance. Points in
+    singleton clusters and points with a zero denominator score 0; fewer
+    than two clusters raise."""
+    X = np.asarray(points, dtype=float)
+    assign = np.asarray(assignments)
+    cluster_ids = np.unique(assign)
+    if len(cluster_ids) < 2:
+        raise ValueError("silhouette needs at least two clusters")
+    dists = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+    scores = np.zeros(len(X))
+    for i in range(len(X)):
+        same = assign == assign[i]
+        n_same = int(same.sum())
+        if n_same <= 1:
+            continue
+        within = dists[i][same].sum() / (n_same - 1)
+        nearest_other = min(
+            dists[i][assign == c].mean() for c in cluster_ids if c != assign[i]
+        )
+        denom = max(within, nearest_other)
+        if denom > 0:
+            scores[i] = (nearest_other - within) / denom
+    return float(scores.mean())
+
+
 def best_permutation_accuracy(assignments, truth):
     """Clustering accuracy maximized over relabelings of the clusters."""
     assignments = np.asarray(assignments)

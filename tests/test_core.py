@@ -7,7 +7,6 @@ from ucowod import (
     ClassLabel,
     GroundTruthObject,
     LabelKind,
-    from_corners,
     iou,
     label_for_class_id,
     to_corners,
@@ -55,15 +54,6 @@ def test_to_corners_symmetric_box():
 
 def test_to_corners_hand_arithmetic():
     assert to_corners(Box(5, 3, 4, 2)) == (3, 2, 7, 4)
-
-
-@given(boxes())
-def test_corner_round_trip(b):
-    again = from_corners(*to_corners(b))
-    assert again.cx == pytest.approx(b.cx, abs=1e-9)
-    assert again.cy == pytest.approx(b.cy, abs=1e-9)
-    assert again.w == pytest.approx(b.w, abs=1e-9)
-    assert again.h == pytest.approx(b.h, abs=1e-9)
 
 
 def test_box_rejects_nonpositive_size():

@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.special import softmax
 
 from ucowod import (
+    Box,
     ClassLabel,
     LossWeights,
     RunConfig,
@@ -23,8 +25,9 @@ from ucowod import (
     supervised_label_matrix,
     train,
 )
+from ucowod.harness import NMS_THRESHOLD
 
-from reference import central_difference, relative_error
+from reference import central_difference, nms_ref, relative_error
 
 
 @pytest.fixture(scope="module")
@@ -349,3 +352,29 @@ def test_detect_with_embeddings_alignment(default_run):
     assert len(detections) == len(embeddings)
     assert embeddings.shape[1] == config.head_width()
     assert all(d.score >= 0.0 and not d.label.is_background for d in detections)
+
+
+def test_detect_with_embeddings_matches_slot_by_slot_reference(default_run):
+    config, dataset, result = default_run
+    head = result.head
+    want, want_rows, candidates = [], [], 0
+    for scene in dataset.test:
+        acts = head.forward(scene.features)
+        probs = softmax(acts.logits, axis=1)
+        for slot in range(config.head_width() - 1):
+            rows = [row for row in range(len(probs)) if probs[row].argmax() == slot]
+            candidates += len(rows)
+            scored = []
+            for row in rows:
+                p, d = scene.proposals[row].box, acts.deltas[row]
+                box = Box(p.cx + d[0], p.cy + d[1], max(p.w + d[2], 1e-3), max(p.h + d[3], 1e-3))
+                scored.append((box, float(probs[row, slot])))
+            kept = sorted(nms_ref(scored, NMS_THRESHOLD), key=lambda i: (-scored[i][1], rows[i]))
+            want += [(scene.image_id, slot, *scored[i]) for i in kept]
+            want_rows += [acts.logits[rows[i]] for i in kept]
+    detections, embeddings = detect_with_embeddings(head, dataset.test, config)
+    assert [(d.image_id, d.label.class_id, d.box, d.score) for d in detections] == want
+    assert np.array_equal(embeddings, np.array(want_rows))
+    # the fixture exercises suppression and several slots
+    assert len(want) < candidates
+    assert len({slot for _, slot, _, _ in want}) > config.known_classes

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +335,9 @@ def test_train_on_non_finite_or_boolean_dataset_box_exits_two(tmp_path, capsys):
     def set_bbox(scene, key, bad):
         scene[key][0]["bbox"][0] = bad
 
+    def set_feature(scene, row, bad):
+        scene["features"][row][0] = bad
+
     for split, mutate, named in (
         ("train", lambda s: set_bbox(s, "proposals", float("nan")), "bbox values must be finite numbers"),
         ("test", lambda s: set_bbox(s, "gts", True), "bbox values must be finite numbers"),
@@ -340,6 +345,13 @@ def test_train_on_non_finite_or_boolean_dataset_box_exits_two(tmp_path, capsys):
         ("test", lambda s: s["gts"][0].update(image_id=True), "image_id must be an integer, got True"),
         ("train", lambda s: s["proposals"][0].update(objectness=True), "objectness must be a finite number"),
         ("test", lambda s: s["gts"][0].update(is_pseudo=0), "is_pseudo must be true or false, got 0"),
+        ("test", lambda s: s["gts"][0].update(class_id=True), "class_id must be an integer, got True"),
+        ("train", lambda s: set_feature(s, 0, float("nan")), "features must be finite numbers"),
+        ("test", lambda s: set_feature(s, 1, float("nan")), "features must be finite numbers"),
+        ("train", lambda s: set_feature(s, 0, True), "features must be finite numbers"),
+        ("train", lambda s: set_feature(s, 0, 10**400), "int too large to convert to float"),
+        ("train", lambda s: s.update(features=[row + [0.0] for row in s["features"]]), "features must have shape ("),
+        ("test", lambda s: s["features"].pop(), "features must have shape ("),
     ):
         payload = json.loads(json.dumps(original))
         mutate(payload[split][0])
@@ -348,6 +360,21 @@ def test_train_on_non_finite_or_boolean_dataset_box_exits_two(tmp_path, capsys):
         assert run_cli("train", "--dataset", dataset_path, "--out-dir", out_dir) == 2
         err = capsys.readouterr().err
         assert f"{dataset_path}: {split}[0]: {named}" in err
+
+
+def test_readme_quick_start_prints_documented_lines(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Quick start (CLI)")[1].split("```sh\n")[1].split("```")[0]
+    lines = [line for line in block.splitlines() if line]
+    steps = list(zip(lines[::2], lines[1::2]))
+    assert [command.split()[:2] for command, _ in steps] == [
+        ["ucowod", stage] for stage in ("simulate", "train", "refine", "eval")
+    ]
+    monkeypatch.chdir(tmp_path)
+    for command, comment in steps:
+        assert comment.startswith("# ")
+        assert main(shlex.split(command)[1:]) == 0
+        assert capsys.readouterr().out.startswith(comment[2:])
 
 
 def test_same_seed_chain_writes_byte_identical_artifacts(tmp_path):

@@ -19,6 +19,7 @@ from reference import (
     kl_ref,
     kl_soft_assignment_longdouble,
     relative_error,
+    silhouette_ref,
     soft_assignment_ref,
     target_distribution_ref,
 )
@@ -319,6 +320,61 @@ def test_silhouette_singleton_contributes_zero():
 def test_silhouette_needs_two_clusters():
     with pytest.raises(ValueError):
         silhouette_score(np.zeros((3, 2)), np.zeros(3, dtype=int))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    labels=st.lists(st.integers(0, 7), min_size=1, max_size=40),
+    dim=st.integers(1, 4),
+    positions=st.sampled_from([None, 1, 2, 3]),
+)
+@example(seed=0, labels=[0, 0, 1], dim=1, positions=1)  # every denominator is 0
+@example(seed=0, labels=[0, 1, 1, 2], dim=2, positions=None)  # singleton clusters
+@example(seed=0, labels=[3, 3, 3], dim=2, positions=None)  # one cluster raises
+def test_silhouette_matches_reference(seed, labels, dim, positions):
+    g = np.random.default_rng(seed)
+    points = g.normal(size=(len(labels), dim))
+    if positions is not None:
+        # points drawn from a few positions coincide, zeroing distances
+        points = g.normal(size=(positions, dim))[g.integers(positions, size=len(labels))]
+    assign = np.array(labels) * 3 - 5  # arbitrary, non-contiguous cluster ids
+    if len(set(labels)) < 2:
+        with pytest.raises(ValueError, match="two clusters"):
+            silhouette_score(points, assign)
+        with pytest.raises(ValueError, match="two clusters"):
+            silhouette_ref(points, assign)
+        return
+    assert abs(silhouette_score(points, assign) - silhouette_ref(points, assign)) <= 1e-12
+
+
+def sweep_ref(points, max_clusters, seed):
+    """The cluster-count rule spelled out: k-means labelling per k, scored
+    by the reference silhouette, largest k within 10% of the best."""
+    scores = {}
+    for k in range(2, min(max_clusters, len(points) - 1) + 1):
+        centroids = kmeans_init(points, k, seed=seed)
+        assign = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+        if len(np.unique(assign)) > 1:
+            scores[k] = silhouette_ref(points, assign)
+    if not scores:
+        return 1
+    best = max(scores.values())
+    return max(k for k, score in scores.items() if score >= best - 0.1 * abs(best))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_centers=st.integers(1, 6),
+    n_per=st.integers(1, 15),
+    sigma=st.sampled_from([0.0, 0.02, 0.1, 0.5]),
+    max_clusters=st.integers(1, 8),
+)
+def test_select_cluster_count_matches_reference_sweep(seed, n_centers, n_per, sigma, max_clusters):
+    g = np.random.default_rng(seed)
+    points, _ = gaussian_blobs(seed, g.uniform(-1, 1, size=(n_centers, 3)), n_per, sigma)
+    assert select_cluster_count(points, max_clusters, seed=seed) == sweep_ref(points, max_clusters, seed)
 
 
 def test_select_cluster_count_on_blobs():
