@@ -449,10 +449,12 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
     The pair-similarity term runs label-supervised for the warm-up epochs,
     then self-supervised with one lambda update per epoch until the
     threshold schedule terminates, after which it falls back to the
-    label-supervised pairs. The pair term and its gradient come from the
-    tiled ``pair_similarity_loss``. The recorded ``model_loss`` excludes the
-    lambda penalty (which carries no parameter gradient); divergence to a
-    non-finite loss raises with the epoch index.
+    label-supervised pairs. The pair term and its gradient come from
+    ``pair_similarity_loss``, which visits each unordered pair once, in
+    64-row strips of the upper triangle, with O(N * 64) memory; its pair
+    counts still cover all N x N ordered pairs. The recorded ``model_loss``
+    excludes the lambda penalty (which carries no parameter gradient);
+    divergence to a non-finite loss raises with the epoch index.
     """
     rows = build_training_rows(dataset, config)
     head = ToyHead.create(

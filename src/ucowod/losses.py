@@ -14,7 +14,8 @@ Three loss families live here:
 - pairwise similarity losses over an embedding cosine-similarity matrix,
   supervised by label agreement and, in the self-supervised phase, by
   thresholding the similarities themselves under a closing threshold pair.
-  Training runs ``pair_similarity_loss``, a tiled kernel these functions define.
+  Training runs ``pair_similarity_loss``, which these functions define and
+  which visits each unordered pair once, in row strips of the upper triangle.
 - an elementwise L1 regression penalty and the weighted total.
 
 Every loss returns ``(value, gradient)`` with analytic gradients.
@@ -306,44 +307,70 @@ def pair_similarity_loss(
     unknown: np.ndarray,
     lam: Optional[float] = None,
 ) -> tuple[float, np.ndarray, int, int]:
-    """Training's pair term in one pass over PAIR_TILE_ROWS-row tiles: the
-    ``similarity_loss`` (``self_similarity_loss`` given ``lam``) of
-    ``similarity_matrix(embeddings)`` under the label matrices of the
-    ``label_codes`` arrays, and its ``cosine_similarity_grad``. Returns (value,
-    gradient, positive and negative counts over all N x N ordered pairs)."""
+    """Training's pair term: the ``similarity_loss`` (``self_similarity_loss``
+    given ``lam``) of ``similarity_matrix(embeddings)`` under the label
+    matrices of the ``label_codes`` arrays, and its ``cosine_similarity_grad``.
+    Returns (value, gradient, positive and negative counts over all N x N
+    ordered pairs).
+
+    S and the pair verdicts are symmetric, so each unordered pair is computed
+    once: the PAIR_TILE_ROWS-row tile [s, e) is multiplied only against the
+    columns [s, N), and the pair derivatives of that strip are pushed onto
+    both its rows and its columns. The gradient is then projected onto each
+    row's tangent plane in O(N d), once for all tiles. Memory is
+    O(N * PAIR_TILE_ROWS)."""
     schedule, eps = DEFAULT_SCHEDULE, CLAMP_EPS
     if lam is not None:
         _require_active(schedule, lam)
     unit, norms = _unit_rows(embeddings)
     codes, unknown = np.asarray(codes), np.asarray(unknown, dtype=bool)
-    grad = np.empty_like(unit)
+    n = len(unit)
+    # one group per label code, all unknown rows in one more: equal groups are
+    # the positive pairs, or the undecided ones between two unknown rows; the
+    # smallest integer type keeps the per-tile comparison cheap
+    values, group = np.unique(codes, return_inverse=True)
+    group[unknown] = len(values)
+    group = group.astype(np.min_scalar_type(len(values)))
+    acc = np.zeros_like(unit)
     total, positive, negative = 0.0, 0, 0
-    clamped, term = np.empty((2, min(PAIR_TILE_ROWS, len(unit)), len(unit)))
-    for start in range(0, len(unit), PAIR_TILE_ROWS):
-        tile = slice(start, start + PAIR_TILE_ROWS)
-        raw = unit[tile] @ unit.T
-        S = np.clip(raw, eps, 1.0 - eps, out=clamped[: len(raw)])
-        pos = (codes[tile, None] == codes) & ~unknown[tile, None] & ~unknown
-        both_unknown = unknown[tile, None] & unknown
-        neg = ~(pos | both_unknown)
-        if lam is not None:
+    for s in range(0, n, PAIR_TILE_ROWS):
+        e = min(s + PAIR_TILE_ROWS, n)
+        r = e - s
+        # the strip [s, e) x [s, n): its r x r diagonal block holds both
+        # orders of its pairs, every other entry stands for two ordered pairs
+        raw = unit[s:e] @ unit[s:].T
+        active = (raw > eps) & (raw < 1.0 - eps)  # pinned at the clamp: no gradient
+        S = np.clip(raw, eps, 1.0 - eps, out=raw)
+        same = group[s:e, None] == group[s:]
+        pos = same & ~unknown[s:e, None]
+        neg = ~same
+        if lam is not None and unknown[s:e].any() and unknown[s:].any():
+            both_unknown = same & unknown[s:e, None]
             pos |= both_unknown & (S > schedule.upper(lam))
             neg |= both_unknown & (S < schedule.lower(lam))
-        # X is S for positive pairs and 1 - S for negative ones: the pair's
-        # cross-entropy is -log X, its derivative wrt S is -1/X or +1/X
-        X = np.abs(np.subtract(neg, S, out=term[: len(raw)]), out=term[: len(raw)])
-        sign = neg.view(np.int8) - pos.view(np.int8)
-        sign *= (raw > eps) & (raw < 1.0 - eps)  # pinned at the clamp: no gradient
-        upstream = np.divide(sign, X, out=S)
-        np.copyto(X, 1.0, where=~(pos | neg))
-        total -= np.log(X, out=X).sum()
-        positive += int(np.count_nonzero(pos))
-        negative += int(np.count_nonzero(neg))
-        grad[tile] = (upstream @ unit - np.einsum("ij,ij->i", upstream, raw)[:, None] * unit[tile]) / norms[tile, None]
+        selected = pos | neg
+        # q is -S for positive pairs and 1 - S for negative ones: the pair's
+        # cross-entropy is -log|q| and its derivative wrt S is 1/q
+        q = np.subtract(neg, S, out=S)
+        upstream = np.divide(active & selected, q)
+        acc[s:e] += upstream @ unit[s:]
+        acc[e:] += upstream[:, r:].T @ unit[s:e]
+        # |q| < 1 on every pair, so undecided ones read 1 and add log 1 = 0
+        log_x = np.log(np.maximum(np.abs(q, out=q), ~selected, out=q), out=q)
+        total -= 2.0 * log_x.sum() - log_x[:, :r].sum()
+        positive += 2 * int(np.count_nonzero(pos)) - int(np.count_nonzero(pos[:, :r]))
+        negative += 2 * int(np.count_nonzero(neg)) - int(np.count_nonzero(neg[:, :r]))
     penalty = 0.0 if lam is None else schedule.penalty(lam)
     if positive + negative == 0:
         _warnings.warn("similarity loss saw no selected pairs", RuntimeWarning)
         return penalty, np.zeros_like(unit), 0, 0
+    # d S_ij / d unit_i is unit_j less its component along unit_i: project acc
+    # onto each row's tangent plane. One projection leaves a radial residue of
+    # the rounding of |acc|, which can exceed rounding of the result where acc
+    # is nearly radial; a second one takes it down to the result's own rounding
+    grad = acc - (unit * acc).sum(axis=1)[:, None] * unit
+    grad -= (unit * grad).sum(axis=1)[:, None] * unit
+    grad /= norms[:, None]
     # S_ij and S_ji carry the same verdict, so each pair's gradient counts twice
     scale = 1.0 / (positive + negative)
     return total * scale + penalty, grad * (2.0 * scale), positive, negative

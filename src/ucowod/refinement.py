@@ -20,11 +20,24 @@ from dataclasses import dataclass
 import numpy as np
 
 LOG_FLOOR = 1e-12
+# rows per tile of _distances, whose temporaries are O(m * DISTANCE_TILE_ROWS * d)
+DISTANCE_TILE_ROWS = 256
 
 
 def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance from every row of ``A`` to every row of ``B``."""
     return ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+
+
+def _distances(X: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix of the rows of ``X``, one row tile of
+    ``_sq_distances`` at a time so no m x m x d temporary exists; each entry
+    is the whole-matrix value to the bit."""
+    dists = np.empty((len(X), len(X)))
+    for start in range(0, len(X), DISTANCE_TILE_ROWS):
+        tile = slice(start, start + DISTANCE_TILE_ROWS)
+        dists[tile] = np.sqrt(_sq_distances(X[tile], X))
+    return dists
 
 
 def kmeans_init(points: np.ndarray, n_clusters: int, seed: int = 0) -> np.ndarray:
@@ -98,7 +111,7 @@ def silhouette_score(points: np.ndarray, assignments: np.ndarray) -> float:
     assign = np.asarray(assignments)
     if len(np.unique(assign)) < 2:
         raise ValueError("silhouette needs at least two clusters")
-    return _silhouette(np.sqrt(_sq_distances(X, X)), assign)
+    return _silhouette(_distances(X), assign)
 
 
 def select_cluster_count(points: np.ndarray, max_clusters: int, seed: int = 0) -> int:
@@ -108,7 +121,7 @@ def select_cluster_count(points: np.ndarray, max_clusters: int, seed: int = 0) -
     one). Falls back to 1 when the points cannot support two clusters.
     """
     X = np.asarray(points, dtype=float)
-    dists = np.sqrt(_sq_distances(X, X))
+    dists = _distances(X)
     scores: dict[int, float] = {}
     for k in range(2, min(max_clusters, len(X) - 1) + 1):
         assign = _sq_distances(X, kmeans_init(X, k, seed=seed)).argmin(axis=1)

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +399,38 @@ def test_same_seed_chain_writes_byte_identical_artifacts(tmp_path):
     ]
     assert first == second
 
+
+
+def test_chain_agrees_under_one_and_two_blas_threads(tmp_path):
+    # seed 1 trains chaotically at the default config: last-bit differences
+    # in summation order grow into different detections, if any arise
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def chain(threads):
+        out_dir = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        for argv in (
+            ["simulate", "--out-dir", out_dir, "--seed", 1],
+            ["train", "--dataset", out_dir / "dataset.json", "--out-dir", out_dir],
+            ["refine", "--dataset", out_dir / "dataset.json", "--model", out_dir / "model.json", "--out-dir", out_dir],
+            ["eval", "--gt", out_dir / "gt.json", "--det", out_dir / "detections_refined.jsonl",
+             "--out", out_dir / "report.json"],
+        ):
+            done = subprocess.run(
+                [sys.executable, "-m", "ucowod", *map(str, argv)], capture_output=True, text=True, env=env, timeout=300
+            )
+            assert done.returncode == 0, done.stderr
+        return out_dir
+
+    one, two = chain(1), chain(2)
+    for name in ("detections.jsonl", "detections_refined.jsonl", "report.json"):
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+    model_one, model_two = (json.loads((out_dir / "model.json").read_text()) for out_dir in (one, two))
+    arrays_one, arrays_two = model_one.pop("arrays"), model_two.pop("arrays")
+    assert model_one == model_two and arrays_one.keys() == arrays_two.keys()
+    for name, values in arrays_one.items():
+        assert np.allclose(values, arrays_two[name], rtol=0.0, atol=1e-9), name
 
 def test_refine_with_model_without_learning_rate_exits_two(tmp_path, capsys):
     out_dir = small_run(tmp_path)

@@ -540,6 +540,55 @@ def test_pair_kernel_matches_matrix_definitions(seed, n, tile_rows, lam, with_un
         assert_kernel_matches(E, labels, lam)
 
 
+
+def pinned_kernel_input(g, n):
+    """Embeddings with duplicated (scaled) and negated rows, whose pairs are
+    pinned at the clamp, and random labels."""
+    E = g.normal(0, 1, size=(n, int(g.integers(2, 6))))
+    for i in range(1, n):
+        if g.random() < 0.2:
+            E[i] = E[int(g.integers(0, i))] * g.uniform(0.5, 2.0)
+        elif g.random() < 0.1:
+            E[i] = -E[int(g.integers(0, i))]
+    return E, random_labels(g, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 100_000), st.integers(1, 40), st.one_of(st.none(), st.floats(0.0, 0.44)))
+def test_pair_kernel_gradient_is_tangent(seed, n, lam):
+    # S depends on each row's direction only, so no row's gradient has a
+    # component along the row itself
+    E, labels = pinned_kernel_input(np.random.default_rng(seed), n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        grad = pair_similarity_loss(E, *label_codes(labels), lam)[1]
+    along = np.abs((grad * E).sum(axis=1))
+    assert (along <= 1e-12 * np.linalg.norm(grad, axis=1) * np.linalg.norm(E, axis=1)).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 100_000),
+    st.integers(1, 40),
+    st.sampled_from([1, 3, 8, PAIR_TILE_ROWS]),
+    st.one_of(st.none(), st.floats(0.0, 0.44)),
+)
+def test_pair_kernel_is_permutation_equivariant(seed, n, tile_rows, lam):
+    # moving rows between diagonal blocks and off-block strip entries must
+    # not change how often each pair counts
+    g = np.random.default_rng(seed)
+    E, labels = pinned_kernel_input(g, n)
+    perm = g.permutation(n)
+    with warnings.catch_warnings(), mock.patch.object(losses, "PAIR_TILE_ROWS", tile_rows):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        value, grad, positive, negative = pair_similarity_loss(E, *label_codes(labels), lam)
+        p_value, p_grad, p_positive, p_negative = pair_similarity_loss(
+            E[perm], *label_codes([labels[i] for i in perm]), lam
+        )
+    assert (p_positive, p_negative) == (positive, negative)
+    assert p_value == pytest.approx(value, rel=1e-12, abs=1e-12)
+    assert np.allclose(p_grad, grad[perm], rtol=1e-9, atol=1e-12 * max(1.0, np.abs(grad).max()))
+
 @pytest.mark.parametrize("lam", [None, 0.2])
 def test_pair_kernel_matches_across_real_tile_boundary(lam):
     g = np.random.default_rng(5)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +14,7 @@ from ucowod import (
     soft_assignment,
     target_distribution,
 )
+from ucowod import refinement
 
 from reference import (
     best_permutation_accuracy,
@@ -391,3 +394,23 @@ def test_select_cluster_count_respects_cap():
 
 def test_select_cluster_count_degenerate_inputs():
     assert select_cluster_count(np.zeros((2, 2)), 8, seed=0) == 1
+
+
+@pytest.mark.parametrize("m", [7, 256, 323, 513])
+def test_tiled_distances_equal_whole_matrix_bits(m):
+    X = np.random.default_rng(m).normal(0.0, 1.0, size=(m, 12))
+    whole = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+    assert np.array_equal(refinement._distances(X), whole)
+
+
+def test_cluster_count_sweep_memory_is_tiled():
+    m, d = 1000, 12
+    points, _ = gaussian_blobs(0, np.random.default_rng(1).uniform(-1, 1, size=(4, d)), m // 4, 0.1)
+    tracemalloc.start()
+    try:
+        select_cluster_count(points, 8, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one m x m x d float64 array alone would take 8 * m * m * d bytes (96 MB)
+    assert peak < 8 * m * m * d
