@@ -40,6 +40,7 @@ from .losses import (
     PairLabelMatrix,
     PairSelectionSchedule,
     classification_loss,
+    classification_loss_from_codes,
     cosine_similarity_grad,
     l1_regression_loss,
     label_codes,

@@ -94,7 +94,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_refine(args: argparse.Namespace) -> int:
     dataset = io.load_dataset(args.dataset)
     config = _load_run_config(args, dataset.config)
-    head = io.load_head(args.model)
+    head = io.load_head(args.model, dataset.config)
     outcome = refine_pipeline(head, dataset, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -33,7 +33,7 @@ from .core import Box, ClassLabel, Detection, GroundTruthObject, Proposal, iou, 
 from .losses import (
     DEFAULT_SCHEDULE,
     LossWeights,
-    classification_loss,
+    classification_loss_from_codes,
     l1_regression_loss,
     label_codes,
     pair_similarity_loss,
@@ -343,7 +343,7 @@ class ToyHead:
         arrays = {name: np.array(values, dtype=float) for name, values in payload["arrays"].items()}
         return cls(
             learning_rate=float(payload["learning_rate"]),
-            weight_decay=float(payload.get("weight_decay", 0.0)),
+            weight_decay=float(payload["weight_decay"]),
             **arrays,
         )
 
@@ -471,7 +471,9 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
 
     for epoch in range(config.epochs):
         acts = head.forward(rows.features)
-        cls_value, grad_logits = classification_loss(acts.logits, rows.labels, config.known_classes)
+        cls_value, grad_logits = classification_loss_from_codes(
+            acts.logits, rows.codes, rows.unknown, config.known_classes
+        )
 
         reg_value, grad_selected = l1_regression_loss(
             acts.deltas[rows.has_box_target], rows.delta_targets[rows.has_box_target]

@@ -325,7 +325,45 @@ def save_head(path: PathLike, head: ToyHead) -> None:
     _dump_json(path, head.to_dict())
 
 
-def load_head(path: PathLike) -> ToyHead:
+# array shapes of a head: F inputs, H hidden units, L logits
+_HEAD_SHAPES = {
+    "w_hidden": ("F", "H"),
+    "b_hidden": ("H",),
+    "w_cls": ("H", "L"),
+    "b_cls": ("L",),
+    "w_reg": ("H", 4),
+    "b_reg": (4,),
+}
+
+
+def _array_shape(raw: object, ndim: int, where: str, key: str) -> tuple[int, ...]:
+    """Shape of a non-empty 1-d or 2-d JSON array of finite numbers."""
+    rows = [raw] if ndim == 1 else raw
+    ok = (
+        isinstance(rows, list)
+        and all(isinstance(row, list) and row for row in rows)
+        and len({len(row) for row in rows}) == 1
+        and all(_is_number(v) for row in rows for v in row)
+    )
+    _require(ok, where, f"{key} must be a non-empty {ndim}-d array of finite numbers")
+    return (len(rows), len(rows[0]))[2 - ndim :]
+
+
+def load_head(path: PathLike, config: Optional[RunConfig] = None) -> ToyHead:
+    """Read a head. Given the dataset's config, F must be its ``feature_dim``
+    and L its ``head_width()``."""
     payload = _read_json_object(path)
-    with _rejected_as_schema(str(path)):
-        return ToyHead.from_dict(payload)
+    where = str(path)
+    for key in ("learning_rate", "weight_decay"):
+        value = _field(payload, key, where)
+        _require(_is_number(value), where, f"{key} must be a finite number, got {value!r}")
+    arrays = _field(payload, "arrays", where)
+    _require(isinstance(arrays, dict), where, f"arrays must be an object, got {arrays!r}")
+    unknown = sorted(set(arrays) - set(_HEAD_SHAPES))
+    _require(not unknown, where, f"unknown arrays: {unknown}")
+    dims = {} if config is None else {"F": config.feature_dim, "L": config.head_width()}
+    for key, symbols in _HEAD_SHAPES.items():
+        shape = _array_shape(_field(arrays, key, where), len(symbols), where, f"arrays.{key}")
+        expected = tuple(dims.setdefault(s, n) if isinstance(s, str) else s for s, n in zip(symbols, shape))
+        _require(shape == expected, where, f"arrays.{key} must have shape {expected}, got {shape}")
+    return ToyHead.from_dict(payload)

@@ -55,19 +55,30 @@ def classification_loss(
     ``-log p`` of their highest-scoring unknown slot, so only that slot
     receives gradient. Returns ``(mean loss, gradient wrt logits)``.
     """
+    return classification_loss_from_codes(logits, *label_codes(labels), known_count)
+
+
+def classification_loss_from_codes(
+    logits: np.ndarray,
+    codes: np.ndarray,
+    unknown: np.ndarray,
+    known_count: int,
+) -> tuple[float, np.ndarray]:
+    """``classification_loss`` with the labels given as ``label_codes``
+    arrays, so training builds them once rather than every epoch."""
     Z = np.asarray(logits, dtype=float)
     if Z.ndim != 2:
         raise ValueError(f"logits must be 2-d, got shape {Z.shape}")
     n, width = Z.shape
     if n == 0:
         raise ValueError("empty batch")
-    if len(labels) != n:
-        raise ValueError(f"{n} logit rows but {len(labels)} labels")
+    if len(codes) != n:
+        raise ValueError(f"{n} logit rows but {len(codes)} labels")
     unknown_slots = width - known_count - 1
     if unknown_slots < 0:
         raise ValueError(f"logit width {width} too small for {known_count} known classes")
     background = width - 1
-    codes, unknown = label_codes(labels)
+    codes, unknown = np.asarray(codes), np.asarray(unknown, dtype=bool)
     # the first offending row names the error (background codes are -1)
     bad = np.flatnonzero(np.where(unknown, unknown_slots == 0, codes >= known_count))
     if bad.size and unknown[bad[0]]:

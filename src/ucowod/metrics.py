@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import Box, Detection, GroundTruthObject, iou
 
@@ -204,6 +203,9 @@ def hungarian_assign(gain: np.ndarray) -> list[tuple[int, int]]:
     columns, so the smaller side is always fully assigned. Returns (row,
     column) pairs sorted by row.
     """
+    # imported here, not at module top, so only eval pays scipy's start-up
+    from scipy.optimize import linear_sum_assignment
+
     gain = np.asarray(gain, dtype=float)
     if gain.size == 0:
         return []

@@ -14,6 +14,7 @@ from ucowod import (
     build_training_rows,
     class_prototypes,
     classification_loss,
+    classification_loss_from_codes,
     detect,
     detect_with_embeddings,
     evaluate,
@@ -272,6 +273,35 @@ def test_history_pair_counts_match_label_matrices():
             own = self_label_matrix(S, labels, stats.lam)
             positive, negative = positive | own.positive, negative | own.negative
         assert (stats.positive, stats.negative) == (positive.sum(), negative.sum())
+
+
+def test_train_builds_label_codes_once(monkeypatch):
+    # build_training_rows makes the codes; no epoch rebuilds them
+    import ucowod.harness
+    import ucowod.losses
+
+    calls, original = [], ucowod.losses.label_codes
+
+    def counted(labels):
+        calls.append(len(labels))
+        return original(labels)
+
+    monkeypatch.setattr(ucowod.losses, "label_codes", counted)
+    monkeypatch.setattr(ucowod.harness, "label_codes", counted)
+    config = RunConfig(seed=0, train_scenes=3, test_scenes=1, epochs=10)
+    result = train(config, generate_dataset(config))
+    assert calls == [len(result.rows.labels)]
+
+
+def test_classification_loss_from_codes_is_classification_loss(default_run):
+    config, _, result = default_run
+    rows = result.rows
+    logits = result.head.forward(rows.features).logits
+    value, grad = classification_loss(logits, rows.labels, config.known_classes)
+    coded_value, coded_grad = classification_loss_from_codes(logits, rows.codes, rows.unknown, config.known_classes)
+    assert coded_value == value and np.array_equal(coded_grad, grad)
+    with pytest.raises(ValueError, match=f"{len(rows.codes)} logit rows but {len(rows.codes) - 1} labels"):
+        classification_loss_from_codes(logits, rows.codes[1:], rows.unknown[1:], config.known_classes)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -432,6 +432,42 @@ def test_chain_agrees_under_one_and_two_blas_threads(tmp_path):
     for name, values in arrays_one.items():
         assert np.allclose(values, arrays_two[name], rtol=0.0, atol=1e-9), name
 
+COLD_START_CHAIN = """
+import json, sys
+from pathlib import Path
+from ucowod.cli import main
+
+out = Path(sys.argv[1])
+out.mkdir()
+(out / "config.json").write_text(json.dumps({"epochs": 20}))
+codes = [
+    main(["simulate", "--out-dir", str(out), "--config", str(out / "config.json")]),
+    main(["train", "--dataset", str(out / "dataset.json"), "--out-dir", str(out)]),
+    main(["refine", "--dataset", str(out / "dataset.json"), "--model", str(out / "model.json"), "--out-dir", str(out)]),
+]
+before_eval = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+codes.append(main(["eval", "--gt", str(out / "gt.json"), "--det", str(out / "detections_refined.jsonl"),
+                   "--out", str(out / "report.json")]))
+print(json.dumps({"codes": codes, "before_eval": before_eval, "after_eval": "scipy.optimize" in sys.modules}))
+"""
+
+
+def test_only_eval_imports_scipy(tmp_path):
+    # a fresh interpreter: this pytest process has imported scipy already
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START_CHAIN, str(tmp_path / "run")], capture_output=True, text=True, env=env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["before_eval"] == []
+    assert result["after_eval"]
+
+
 def test_refine_with_model_without_learning_rate_exits_two(tmp_path, capsys):
     out_dir = small_run(tmp_path)
     model_path = out_dir / "model.json"
@@ -442,6 +478,58 @@ def test_refine_with_model_without_learning_rate_exits_two(tmp_path, capsys):
     code = run_cli("refine", "--dataset", out_dir / "dataset.json", "--model", model_path, "--out-dir", out_dir)
     assert code == 2
     assert "missing key 'learning_rate'" in capsys.readouterr().err
+
+
+def test_refine_with_malformed_model_exits_two(tmp_path, capsys):
+    # the default config: F = feature_dim = 16 inputs, 128 hidden units, L = head_width() = 12 logits
+    out_dir = small_run(tmp_path)
+    model_path = out_dir / "model.json"
+    original = json.loads(model_path.read_text())
+
+    def set_first(name, bad):
+        def mutate(payload):
+            array = payload["arrays"][name]
+            (array[0] if isinstance(array[0], list) else array)[0] = bad
+        return mutate
+
+    def reshape(name, transform):
+        return lambda payload: payload["arrays"].update({name: transform(payload["arrays"][name])})
+
+    for mutate, named in (
+        (set_first("w_cls", float("nan")), "arrays.w_cls must be a non-empty 2-d array of finite numbers"),
+        (set_first("b_reg", True), "arrays.b_reg must be a non-empty 1-d array of finite numbers"),
+        (set_first("w_reg", "0.5"), "arrays.w_reg must be a non-empty 2-d array of finite numbers"),
+        (reshape("b_cls", lambda a: [a]), "arrays.b_cls must be a non-empty 1-d array"),
+        (reshape("b_reg", lambda a: None), "arrays.b_reg must be a non-empty 1-d array"),
+        (reshape("w_cls", lambda a: [a[0]] + [row[:-1] for row in a[1:]]), "arrays.w_cls must be a non-empty 2-d"),
+        (reshape("w_hidden", lambda a: a[:-1]), "arrays.w_hidden must have shape (16, 128), got (15, 128)"),
+        (reshape("b_hidden", lambda a: a[:-1]), "arrays.b_hidden must have shape (128,), got (127,)"),
+        (reshape("w_cls", lambda a: [row[:-1] for row in a]), "arrays.w_cls must have shape (128, 12), got (128, 11)"),
+        (reshape("w_reg", lambda a: [row + [0.0] for row in a]), "arrays.w_reg must have shape (128, 4), got (128, 5)"),
+        (lambda p: p["arrays"].update(w_extra=[0.0]), "unknown arrays: ['w_extra']"),
+        (lambda p: p["arrays"].pop("b_cls"), "missing key 'b_cls'"),
+        (lambda p: p.update(arrays=[]), "arrays must be an object, got []"),
+        (lambda p: p.pop("arrays"), "missing key 'arrays'"),
+        (lambda p: p.update(learning_rate=True), "learning_rate must be a finite number, got True"),
+        (lambda p: p.update(learning_rate=float("inf")), "learning_rate must be a finite number, got inf"),
+        (lambda p: p.update(weight_decay="0.001"), "weight_decay must be a finite number, got '0.001'"),
+        (lambda p: p.pop("weight_decay"), "missing key 'weight_decay'"),
+    ):
+        payload = json.loads(json.dumps(original))
+        mutate(payload)
+        model_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run_cli("refine", "--dataset", out_dir / "dataset.json", "--model", model_path, "--out-dir", out_dir)
+        assert code == 2, named
+        assert f"{model_path}: {named}" in capsys.readouterr().err
+
+
+def test_load_head_checks_shapes_against_each_other_only_without_config(tmp_path):
+    path = tmp_path / "model.json"
+    save_head(path, ToyHead.create(feature_dim=4, hidden_dim=6, n_logits=7, seed=3))
+    assert load_head(path).w_hidden.shape == (4, 6)
+    with pytest.raises(SchemaError, match=r"arrays.w_hidden must have shape \(16, 6\), got \(4, 6\)"):
+        load_head(path, RunConfig())
 
 
 def test_eval_out_creates_missing_parent_directories(tmp_path):
