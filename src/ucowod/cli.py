@@ -117,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--gt", required=True, help="ground-truth JSON file")
     p_eval.add_argument("--det", required=True, help="detections JSONL file")
     p_eval.add_argument("--out", required=True, help="report JSON to write")
-    p_eval.add_argument("--iou-thresh", type=float, default=0.5)
-    p_eval.add_argument("--score-thresh", type=float, default=0.05)
+    p_eval.add_argument("--iou-thresh", type=float, default=EvalConfig.iou_threshold)
+    p_eval.add_argument("--score-thresh", type=float, default=EvalConfig.score_threshold)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic dataset")

@@ -17,8 +17,9 @@ chain in one call.
 Fixed for every run, so kept out of ``RunConfig``: ``IMAGE_SIZE``-pixel
 scenes, ``JITTER_PER_OBJECT`` jittered proposals per object and
 ``BACKGROUND_PER_SCENE`` background proposals per scene, a ``HIDDEN_DIM``-unit
-head with standard-normal initial weights, lambda starting at 0, and
-detection NMS at IoU ``NMS_THRESHOLD``.
+head with standard-normal initial weights and weight decay ``WEIGHT_DECAY``,
+training targets at IoU ``TARGET_IOU``, lambda starting at 0, detection NMS
+at IoU ``NMS_THRESHOLD``, and scoring at the ``EvalConfig`` defaults.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ IMAGE_SIZE = 100.0
 JITTER_PER_OBJECT = 2
 BACKGROUND_PER_SCENE = 3
 NMS_THRESHOLD = 0.5
+TARGET_IOU = 0.5
+WEIGHT_DECAY = 1e-3
 
 
 @dataclass(frozen=True)
@@ -72,14 +75,13 @@ class RunConfig:
     epochs: int = 160
     warmup_epochs: Optional[int] = None
     learning_rate: float = 1.0
-    weight_decay: float = 1e-3
     refine_clusters: Optional[int] = None
-    iou_threshold: float = 0.5
-    score_threshold: float = 0.05
 
     def __post_init__(self) -> None:
         if self.known_classes < 1:
             raise ValueError("need at least one known class")
+        if self.train_scenes < 1:
+            raise ValueError("need at least one training scene")
         if self.unknown_slots < 0 or self.unknown_gt_classes < 0:
             raise ValueError("unknown counts must be non-negative")
         if self.feature_dim < self.known_classes + self.unknown_gt_classes:
@@ -93,6 +95,10 @@ class RunConfig:
             raise ValueError("need at least one epoch")
         if self.warmup_epochs is not None and not (0 <= self.warmup_epochs <= self.epochs):
             raise ValueError("warmup must lie within the epoch budget")
+        if self.eta < 0:
+            raise ValueError(f"eta must be non-negative, got {self.eta}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
     def resolved_warmup(self) -> int:
         """Supervised warm-up length; defaults to half the epochs."""
@@ -102,7 +108,7 @@ class RunConfig:
         return self.known_classes + self.unknown_slots + 1
 
     def eval_config(self) -> EvalConfig:
-        return EvalConfig(iou_threshold=self.iou_threshold, score_threshold=self.score_threshold)
+        return EvalConfig()
 
 
 @dataclass
@@ -221,10 +227,10 @@ def _split_class_sequence(
     return out
 
 
-def generate_dataset(config: RunConfig, seed: Optional[int] = None) -> SyntheticDataset:
+def generate_dataset(config: RunConfig) -> SyntheticDataset:
     """Sample the train and test scene lists. Training scenes leave unknown
     objects unannotated; test scenes annotate everything."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     prototypes = class_prototypes(config)
     n_classes = len(prototypes)
 
@@ -328,25 +334,6 @@ class ToyHead:
                 grad = grad + self.weight_decay * value
             setattr(self, name, value - self.learning_rate * grad)
 
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "arrays": {
-                name: getattr(self, name).tolist()
-                for name in ("w_hidden", "b_hidden", "w_cls", "b_cls", "w_reg", "b_reg")
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ToyHead":
-        arrays = {name: np.array(values, dtype=float) for name, values in payload["arrays"].items()}
-        return cls(
-            learning_rate=float(payload["learning_rate"]),
-            weight_decay=float(payload["weight_decay"]),
-            **arrays,
-        )
-
 
 @dataclass(frozen=True)
 class TrainingRows:
@@ -365,7 +352,7 @@ class TrainingRows:
 
 def build_training_rows(dataset: SyntheticDataset, config: RunConfig) -> TrainingRows:
     """Assign every training proposal a target: the best-overlapping known or
-    pseudo ground truth at the IoU threshold, else background."""
+    pseudo ground truth at IoU ``TARGET_IOU``, else background."""
     features = []
     labels: list[ClassLabel] = []
     deltas = []
@@ -385,7 +372,7 @@ def build_training_rows(dataset: SyntheticDataset, config: RunConfig) -> Trainin
             best_overlap = 0.0
             for gt in candidates:
                 overlap = iou(proposal.box, gt.box)
-                if overlap >= config.iou_threshold and overlap > best_overlap:
+                if overlap >= TARGET_IOU and overlap > best_overlap:
                     best, best_overlap = gt, overlap
             features.append(scene.features[row])
             if best is None:
@@ -463,7 +450,7 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
         config.head_width(),
         seed=config.seed,
         learning_rate=config.learning_rate,
-        weight_decay=config.weight_decay,
+        weight_decay=WEIGHT_DECAY,
     )
     lam = 0.0
     warmup = config.resolved_warmup()

@@ -291,8 +291,7 @@ def _scene_from_dict(payload: dict, config: RunConfig, where: str) -> SyntheticS
             features = features.reshape(0, config.feature_dim)
         shape = (len(proposals), config.feature_dim)
         _require(features.shape == shape, where, f"features must have shape {shape}, got {features.shape}")
-        finite = np.isfinite(features).all() and not any(type(v) is bool for row in raw for v in row)
-        _require(finite, where, "features must be finite numbers")
+        _require(all(_is_number(v) for row in raw for v in row), where, "features must be finite numbers")
         return SyntheticScene(image_id, proposals, gts, features)
 
 
@@ -321,10 +320,6 @@ def load_dataset(path: PathLike) -> SyntheticDataset:
     return SyntheticDataset(config=config, **splits)
 
 
-def save_head(path: PathLike, head: ToyHead) -> None:
-    _dump_json(path, head.to_dict())
-
-
 # array shapes of a head: F inputs, H hidden units, L logits
 _HEAD_SHAPES = {
     "w_hidden": ("F", "H"),
@@ -334,6 +329,15 @@ _HEAD_SHAPES = {
     "w_reg": ("H", 4),
     "b_reg": (4,),
 }
+
+
+def save_head(path: PathLike, head: ToyHead) -> None:
+    payload = {
+        "learning_rate": head.learning_rate,
+        "weight_decay": head.weight_decay,
+        "arrays": {name: getattr(head, name).tolist() for name in _HEAD_SHAPES},
+    }
+    _dump_json(path, payload)
 
 
 def _array_shape(raw: object, ndim: int, where: str, key: str) -> tuple[int, ...]:
@@ -366,4 +370,8 @@ def load_head(path: PathLike, config: Optional[RunConfig] = None) -> ToyHead:
         shape = _array_shape(_field(arrays, key, where), len(symbols), where, f"arrays.{key}")
         expected = tuple(dims.setdefault(s, n) if isinstance(s, str) else s for s, n in zip(symbols, shape))
         _require(shape == expected, where, f"arrays.{key} must have shape {expected}, got {shape}")
-    return ToyHead.from_dict(payload)
+    return ToyHead(
+        learning_rate=float(payload["learning_rate"]),
+        weight_decay=float(payload["weight_decay"]),
+        **{name: np.array(arrays[name], dtype=float) for name in _HEAD_SHAPES},
+    )

@@ -126,25 +126,23 @@ def _unit_rows(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return E / norms[:, None], norms
 
 
-def similarity_matrix(embeddings: np.ndarray, eps: float = CLAMP_EPS) -> np.ndarray:
-    """Pairwise cosine similarity, clamped into ``[eps, 1 - eps]`` to keep
-    downstream log terms finite."""
+def similarity_matrix(embeddings: np.ndarray) -> np.ndarray:
+    """Pairwise cosine similarity, clamped into ``[CLAMP_EPS, 1 - CLAMP_EPS]``
+    to keep downstream log terms finite."""
     unit, _ = _unit_rows(embeddings)
     raw = unit @ unit.T
     raw = (raw + raw.T) / 2.0
-    return np.clip(raw, eps, 1.0 - eps)
+    return np.clip(raw, CLAMP_EPS, 1.0 - CLAMP_EPS)
 
 
-def cosine_similarity_grad(
-    embeddings: np.ndarray, upstream: np.ndarray, eps: float = CLAMP_EPS
-) -> np.ndarray:
+def cosine_similarity_grad(embeddings: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """Backpropagate a gradient wrt the clamped similarity matrix onto the
     embedding rows. Entries pinned at the clamp bounds pass no gradient."""
     unit, norms = _unit_rows(embeddings)
     G_in = np.asarray(upstream, dtype=float)
     raw = unit @ unit.T
     raw = (raw + raw.T) / 2.0
-    active = (raw > eps) & (raw < 1.0 - eps)
+    active = (raw > CLAMP_EPS) & (raw < 1.0 - CLAMP_EPS)
     G = (G_in + G_in.T) * active
     return (G @ unit - (G * raw).sum(axis=1, keepdims=True) * unit) / norms[:, None]
 
@@ -184,9 +182,9 @@ def supervised_label_matrix(labels: Sequence[ClassLabel]) -> PairLabelMatrix:
     return PairLabelMatrix(positive=positive, negative=negative)
 
 
-@dataclass(frozen=True)
 class PairSelectionSchedule:
-    """Linear upper/lower similarity thresholds steered by ``lam``.
+    """Linear upper/lower similarity thresholds steered by ``lam``:
+    ``upper(lam) = 0.95 - lam`` and ``lower(lam) = 0.455 + 0.1 lam``.
 
     Unknown-unknown pairs above ``upper(lam)`` are self-labeled positive and
     pairs below ``lower(lam)`` negative. As ``lam`` grows the band between
@@ -194,16 +192,16 @@ class PairSelectionSchedule:
     and self-supervision terminates.
     """
 
-    upper_intercept: float = 0.95
-    upper_slope: float = 1.0
-    lower_intercept: float = 0.455
-    lower_slope: float = 0.1
+    UPPER_INTERCEPT = 0.95
+    UPPER_SLOPE = 1.0
+    LOWER_INTERCEPT = 0.455
+    LOWER_SLOPE = 0.1
 
     def upper(self, lam: float) -> float:
-        return self.upper_intercept - self.upper_slope * lam
+        return self.UPPER_INTERCEPT - self.UPPER_SLOPE * lam
 
     def lower(self, lam: float) -> float:
-        return self.lower_intercept + self.lower_slope * lam
+        return self.LOWER_INTERCEPT + self.LOWER_SLOPE * lam
 
     def penalty(self, lam: float) -> float:
         """Width of the undecided band; added to the self-supervised loss so
@@ -212,7 +210,7 @@ class PairSelectionSchedule:
 
     def penalty_slope(self) -> float:
         """d penalty / d lam, constant for linear thresholds."""
-        return -(self.upper_slope + self.lower_slope)
+        return -(self.UPPER_SLOPE + self.LOWER_SLOPE)
 
     def terminated(self, lam: float) -> bool:
         return self.upper(lam) <= self.lower(lam)
@@ -221,10 +219,10 @@ class PairSelectionSchedule:
         """Closed-form number of ``update_lambda`` steps until termination."""
         if eta <= 0:
             raise ValueError("eta must be positive to make progress")
-        crossing = (self.upper_intercept - self.lower_intercept) / (
-            self.upper_slope + self.lower_slope
+        crossing = (self.UPPER_INTERCEPT - self.LOWER_INTERCEPT) / (
+            self.UPPER_SLOPE + self.LOWER_SLOPE
         )
-        per_step = eta * (self.upper_slope + self.lower_slope)
+        per_step = eta * (self.UPPER_SLOPE + self.LOWER_SLOPE)
         remaining = crossing - lam0
         if remaining <= 0:
             return 0
@@ -234,11 +232,11 @@ class PairSelectionSchedule:
 DEFAULT_SCHEDULE = PairSelectionSchedule()
 
 
-def _require_active(schedule: PairSelectionSchedule, lam: float) -> None:
-    if schedule.terminated(lam):
+def _require_active(lam: float) -> None:
+    if DEFAULT_SCHEDULE.terminated(lam):
         raise RuntimeError(
-            f"self-supervision terminated: upper threshold {schedule.upper(lam):.4f} "
-            f"<= lower threshold {schedule.lower(lam):.4f} at lam={lam}"
+            f"self-supervision terminated: upper threshold {DEFAULT_SCHEDULE.upper(lam):.4f} "
+            f"<= lower threshold {DEFAULT_SCHEDULE.lower(lam):.4f} at lam={lam}"
         )
 
 
@@ -252,10 +250,7 @@ def update_lambda(
 
 
 def self_label_matrix(
-    similarity: np.ndarray,
-    labels: Sequence[ClassLabel],
-    lam: float,
-    schedule: PairSelectionSchedule = DEFAULT_SCHEDULE,
+    similarity: np.ndarray, labels: Sequence[ClassLabel], lam: float
 ) -> PairLabelMatrix:
     """Self-supervised verdicts for unknown-unknown pairs.
 
@@ -263,12 +258,12 @@ def self_label_matrix(
     threshold negative; the band between stays unselected. Raises once the
     schedule has terminated.
     """
-    _require_active(schedule, lam)
+    _require_active(lam)
     S = np.asarray(similarity, dtype=float)
     is_unknown = label_codes(labels)[1]
     both_unknown = np.outer(is_unknown, is_unknown)
-    positive = both_unknown & (S > schedule.upper(lam))
-    negative = both_unknown & (S < schedule.lower(lam))
+    positive = both_unknown & (S > DEFAULT_SCHEDULE.upper(lam))
+    negative = both_unknown & (S < DEFAULT_SCHEDULE.lower(lam))
     return PairLabelMatrix(positive=positive, negative=negative)
 
 
@@ -298,10 +293,7 @@ def similarity_loss(
 
 
 def self_similarity_loss(
-    pair_labels: PairLabelMatrix,
-    similarity: np.ndarray,
-    lam: float,
-    schedule: PairSelectionSchedule = DEFAULT_SCHEDULE,
+    pair_labels: PairLabelMatrix, similarity: np.ndarray, lam: float
 ) -> tuple[float, np.ndarray]:
     """Pair cross-entropy plus the threshold band-width penalty.
 
@@ -309,7 +301,7 @@ def self_similarity_loss(
     matrix is the plain pair-loss gradient.
     """
     base, grad = similarity_loss(pair_labels, similarity)
-    return base + schedule.penalty(lam), grad
+    return base + DEFAULT_SCHEDULE.penalty(lam), grad
 
 
 def pair_similarity_loss(
@@ -332,7 +324,7 @@ def pair_similarity_loss(
     O(N * PAIR_TILE_ROWS)."""
     schedule, eps = DEFAULT_SCHEDULE, CLAMP_EPS
     if lam is not None:
-        _require_active(schedule, lam)
+        _require_active(lam)
     unit, norms = _unit_rows(embeddings)
     codes, unknown = np.asarray(codes), np.asarray(unknown, dtype=bool)
     n = len(unit)

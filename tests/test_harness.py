@@ -59,6 +59,13 @@ def test_config_validation():
         RunConfig(min_objects=5, max_objects=4)
     with pytest.raises(ValueError):
         RunConfig(warmup_epochs=1000)
+    with pytest.raises(ValueError, match="eta must be non-negative"):
+        RunConfig(eta=-0.1)
+    with pytest.raises(ValueError, match="need at least one training scene"):
+        RunConfig(train_scenes=0)
+    for learning_rate in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="learning_rate must be positive"):
+            RunConfig(learning_rate=learning_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +123,6 @@ def test_every_scene_pairs_features_with_proposals(default_run):
 
 # ---------------------------------------------------------------------------
 # toy head
-
-
-def test_head_serialization_round_trip():
-    head = ToyHead.create(feature_dim=5, hidden_dim=7, n_logits=6, seed=2, weight_decay=1e-3)
-    clone = ToyHead.from_dict(head.to_dict())
-    for name in ("w_hidden", "b_hidden", "w_cls", "b_cls", "w_reg", "b_reg"):
-        assert np.array_equal(getattr(head, name), getattr(clone, name))
-    assert clone.learning_rate == head.learning_rate
-    assert clone.weight_decay == head.weight_decay
 
 
 def test_head_backprop_matches_finite_differences():

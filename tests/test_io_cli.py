@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -139,11 +141,13 @@ def test_dataset_round_trip(tmp_path):
 
 
 def test_head_round_trip(tmp_path):
-    head = ToyHead.create(feature_dim=4, hidden_dim=6, n_logits=7, seed=3, weight_decay=1e-3)
+    head = ToyHead.create(feature_dim=4, hidden_dim=6, n_logits=7, seed=3, learning_rate=0.3, weight_decay=1e-3)
     path = tmp_path / "model.json"
     save_head(path, head)
     loaded = load_head(path)
-    assert np.array_equal(loaded.w_hidden, head.w_hidden)
+    for name in ("w_hidden", "b_hidden", "w_cls", "b_cls", "w_reg", "b_reg"):
+        assert np.array_equal(getattr(loaded, name), getattr(head, name)), name
+    assert loaded.learning_rate == head.learning_rate
     assert loaded.weight_decay == head.weight_decay
 
 
@@ -280,6 +284,13 @@ def test_invalid_config_key_via_cli_exits_two(tmp_path, capsys):
         ({"ulp": {"delta": "x"}}, "ulp.delta must be a finite number"),
         ({"epochs": 0}, "config: need at least one epoch"),
         ({"ulp": {"delta": 1.5}}, "config.ulp: delta must lie in [0, 1], got 1.5"),
+        ({"eta": -0.1}, "config: eta must be non-negative, got -0.1"),
+        ({"train_scenes": 0}, "config: need at least one training scene"),
+        ({"learning_rate": -1.0}, "config: learning_rate must be positive, got -1.0"),
+        ({"learning_rate": 0.0}, "config: learning_rate must be positive, got 0.0"),
+        ({"iou_threshold": 0.5}, "iou_threshold"),
+        ({"score_threshold": 0.05}, "score_threshold"),
+        ({"weight_decay": 1e-3}, "weight_decay"),
     ):
         config_path.write_text(json.dumps(overrides))
         assert run_cli("simulate", "--out-dir", tmp_path / "run", "--config", config_path) == 2
@@ -299,6 +310,9 @@ def test_invalid_config_key_via_cli_exits_two(tmp_path, capsys):
     for add_stale, named in (
         (lambda config: config["weights"].update(alpha_rpn=1.0), "weights.alpha_rpn"),
         (lambda config: config.update(lambda0=0.0), "lambda0"),
+        (lambda config: config.update(iou_threshold=0.5), "iou_threshold"),
+        (lambda config: config.update(score_threshold=0.05), "score_threshold"),
+        (lambda config: config.update(weight_decay=1e-3), "weight_decay"),
     ):
         payload = json.loads(json.dumps(original))
         add_stale(payload["config"])
@@ -352,6 +366,7 @@ def test_train_on_non_finite_or_boolean_dataset_box_exits_two(tmp_path, capsys):
         ("train", lambda s: set_feature(s, 0, float("nan")), "features must be finite numbers"),
         ("test", lambda s: set_feature(s, 1, float("nan")), "features must be finite numbers"),
         ("train", lambda s: set_feature(s, 0, True), "features must be finite numbers"),
+        ("train", lambda s: set_feature(s, 0, "0.5"), "features must be finite numbers"),
         ("train", lambda s: set_feature(s, 0, 10**400), "int too large to convert to float"),
         ("train", lambda s: s.update(features=[row + [0.0] for row in s["features"]]), "features must have shape ("),
         ("test", lambda s: s["features"].pop(), "features must have shape ("),
@@ -363,6 +378,24 @@ def test_train_on_non_finite_or_boolean_dataset_box_exits_two(tmp_path, capsys):
         assert run_cli("train", "--dataset", dataset_path, "--out-dir", out_dir) == 2
         err = capsys.readouterr().err
         assert f"{dataset_path}: {split}[0]: {named}" in err
+
+
+def test_readme_config_table_documents_only_config_keys():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Configuration highlights")[1].split("\n## ")[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    keys = [key for row in rows for key in re.findall(r"`([\w.]+)`", row.split("|")[1])]
+    assert len(keys) >= len(rows) > 0
+    defaults = dataclasses.asdict(RunConfig())
+    for key in keys:
+        # each key is overridden with its own default, so only an unknown key can fail
+        head, _, nested = key.partition(".")
+        value = defaults.get(head)
+        payload = {head: {nested: (value or {}).get(nested)} if nested else value}
+        try:
+            config_from_dict(payload)
+        except SchemaError as exc:
+            pytest.fail(f"README documents {key!r}, which the config rejects: {exc}")
 
 
 def test_readme_quick_start_prints_documented_lines(tmp_path, monkeypatch, capsys):
