@@ -27,6 +27,7 @@ from ucowod import (
     train,
 )
 from ucowod.harness import NMS_THRESHOLD
+from ucowod.io import load_head, save_head
 
 from reference import central_difference, nms_ref, relative_error
 
@@ -123,6 +124,16 @@ def test_every_scene_pairs_features_with_proposals(default_run):
 
 # ---------------------------------------------------------------------------
 # toy head
+
+
+def test_head_serialization_round_trip(tmp_path):
+    head = ToyHead.create(feature_dim=5, hidden_dim=7, n_logits=6, seed=2, weight_decay=1e-3)
+    save_head(tmp_path / "model.json", head)
+    clone = load_head(tmp_path / "model.json")
+    for name in ("w_hidden", "b_hidden", "w_cls", "b_cls", "w_reg", "b_reg"):
+        assert np.array_equal(getattr(head, name), getattr(clone, name))
+    assert clone.learning_rate == head.learning_rate
+    assert clone.weight_decay == head.weight_decay
 
 
 def test_head_backprop_matches_finite_differences():
