@@ -3,8 +3,10 @@
 The subcommands chain through files: ``simulate`` writes a synthetic dataset
 plus its test-split ground truth, ``train`` fits the head and writes test
 detections, ``refine`` relabels unknown detections by cluster, and ``eval``
-scores any detection file against any ground-truth file. Exit codes: 0 on
-success, 1 for missing files or runtime failures, 2 for schema violations.
+scores any detection file against any ground-truth file. Only ``simulate``
+takes ``--config``; ``train`` and ``refine`` run with the config stored in
+``dataset.json``, overridden only by ``--seed``. Exit codes: 0 on success,
+1 for missing files or runtime failures, 2 for schema violations.
 """
 
 from __future__ import annotations
@@ -20,14 +22,8 @@ from .harness import RunConfig, detect, generate_dataset, refine_pipeline, train
 from .metrics import EvalConfig, evaluate
 
 
-def _load_run_config(args: argparse.Namespace, base: RunConfig) -> RunConfig:
-    """``base`` overlaid with the ``--config`` file, then with ``--seed``."""
-    config = base
-    if args.config:
-        config = io.load_config(args.config, config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    return config
+def _with_seed(config: RunConfig, seed: Optional[int]) -> RunConfig:
+    return config if seed is None else dataclasses.replace(config, seed=seed)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -55,7 +51,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_run_config(args, RunConfig())
+    config = _with_seed(io.load_config(args.config) if args.config else RunConfig(), args.seed)
     dataset = generate_dataset(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -76,7 +72,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     dataset = io.load_dataset(args.dataset)
-    config = _load_run_config(args, dataset.config)
+    config = _with_seed(dataset.config, args.seed)
     result = train(config, dataset)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -93,8 +89,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_refine(args: argparse.Namespace) -> int:
     dataset = io.load_dataset(args.dataset)
-    config = _load_run_config(args, dataset.config)
-    head = io.load_head(args.model, dataset.config)
+    config = _with_seed(dataset.config, args.seed)
+    head = io.load_head(args.model, config)
     outcome = refine_pipeline(head, dataset, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -131,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--dataset", required=True, help="dataset.json from simulate")
     p_train.add_argument("--out-dir", required=True)
     p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument("--config", default=None)
     p_train.set_defaults(func=_cmd_train)
 
     p_refine = sub.add_parser("refine", help="cluster-refine unknown detections")
@@ -139,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_refine.add_argument("--model", required=True, help="model.json from train")
     p_refine.add_argument("--out-dir", required=True)
     p_refine.add_argument("--seed", type=int, default=None)
-    p_refine.add_argument("--config", default=None)
     p_refine.set_defaults(func=_cmd_refine)
     return parser
 

@@ -82,6 +82,8 @@ class RunConfig:
             raise ValueError("need at least one known class")
         if self.train_scenes < 1:
             raise ValueError("need at least one training scene")
+        if self.test_scenes < 1:
+            raise ValueError("need at least one test scene")
         if self.unknown_slots < 0 or self.unknown_gt_classes < 0:
             raise ValueError("unknown counts must be non-negative")
         if self.feature_dim < self.known_classes + self.unknown_gt_classes:
@@ -99,6 +101,10 @@ class RunConfig:
             raise ValueError(f"eta must be non-negative, got {self.eta}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.refine_clusters is not None and not (1 <= self.refine_clusters <= self.unknown_slots):
+            raise ValueError(
+                f"refine_clusters must be null or lie in [1, {self.unknown_slots}], got {self.refine_clusters}"
+            )
 
     def resolved_warmup(self) -> int:
         """Supervised warm-up length; defaults to half the epochs."""
@@ -270,19 +276,9 @@ class ToyHead:
     b_cls: np.ndarray
     w_reg: np.ndarray
     b_reg: np.ndarray
-    learning_rate: float
-    weight_decay: float = 0.0
 
     @classmethod
-    def create(
-        cls,
-        feature_dim: int,
-        hidden_dim: int,
-        n_logits: int,
-        seed: int = 0,
-        learning_rate: float = 1.0,
-        weight_decay: float = 0.0,
-    ) -> "ToyHead":
+    def create(cls, feature_dim: int, hidden_dim: int, n_logits: int, seed: int = 0) -> "ToyHead":
         rng = np.random.default_rng(seed)
         return cls(
             w_hidden=rng.standard_normal((feature_dim, hidden_dim)),
@@ -291,8 +287,6 @@ class ToyHead:
             b_cls=0.01 * rng.standard_normal(n_logits),
             w_reg=rng.standard_normal((hidden_dim, 4)),
             b_reg=np.zeros(4),
-            learning_rate=learning_rate,
-            weight_decay=weight_decay,
         )
 
     @property
@@ -327,12 +321,13 @@ class ToyHead:
             "b_reg": grad_deltas.sum(axis=0),
         }
 
-    def apply_gradients(self, grads: dict[str, np.ndarray]) -> None:
+    def apply_gradients(self, grads: dict[str, np.ndarray], learning_rate: float, weight_decay: float) -> None:
+        """One descent step; weight decay applies to the weight matrices only."""
         for name, grad in grads.items():
             value = getattr(self, name)
             if name.startswith("w_"):
-                grad = grad + self.weight_decay * value
-            setattr(self, name, value - self.learning_rate * grad)
+                grad = grad + weight_decay * value
+            setattr(self, name, value - learning_rate * grad)
 
 
 @dataclass(frozen=True)
@@ -444,14 +439,7 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
     divergence to a non-finite loss raises with the epoch index.
     """
     rows = build_training_rows(dataset, config)
-    head = ToyHead.create(
-        config.feature_dim,
-        HIDDEN_DIM,
-        config.head_width(),
-        seed=config.seed,
-        learning_rate=config.learning_rate,
-        weight_decay=WEIGHT_DECAY,
-    )
+    head = ToyHead.create(config.feature_dim, HIDDEN_DIM, config.head_width(), seed=config.seed)
     lam = 0.0
     warmup = config.resolved_warmup()
     history: list[EpochStats] = []
@@ -492,7 +480,9 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
 
         if config.weights.alpha_sim > 0:
             grad_logits = grad_logits + config.weights.alpha_sim * grad_sim
-        head.apply_gradients(head.gradients(rows.features, acts, grad_logits, grad_deltas))
+        head.apply_gradients(
+            head.gradients(rows.features, acts, grad_logits, grad_deltas), config.learning_rate, WEIGHT_DECAY
+        )
         if self_supervised:
             lam = update_lambda(lam, config.eta)
 
@@ -607,10 +597,6 @@ def refine_pipeline(head: ToyHead, dataset: SyntheticDataset, config: RunConfig)
     n_clusters = config.refine_clusters
     if n_clusters is None:
         n_clusters = select_cluster_count(points, config.unknown_slots, seed=config.seed)
-    if n_clusters > config.unknown_slots:
-        raise ValueError(
-            f"{n_clusters} clusters cannot be expressed with {config.unknown_slots} unknown slots"
-        )
     n_clusters = min(n_clusters, len(unknown_indices))
 
     result = refine(points, n_clusters, seed=config.seed)

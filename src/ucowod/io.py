@@ -220,9 +220,9 @@ def _check_values(cls: type, values: dict, prefix: str = "") -> None:
         _require(ok(value), "config", f"{prefix}{key} must be {kind}, got {value!r}")
 
 
-def config_from_dict(payload: dict, base: Optional[RunConfig] = None) -> RunConfig:
-    """Build a RunConfig from a (possibly partial) dictionary of overrides."""
-    base = base or RunConfig()
+def config_from_dict(payload: dict) -> RunConfig:
+    """Build a RunConfig from a (possibly partial) dictionary of overrides of
+    its defaults."""
     _require(isinstance(payload, dict), "config", f"must be an object, got {payload!r}")
     payload = dict(payload)
     known_fields = {f.name for f in dataclasses.fields(RunConfig)}
@@ -240,11 +240,11 @@ def config_from_dict(payload: dict, base: Optional[RunConfig] = None) -> RunConf
         with _rejected_as_schema(f"config.{key}"):
             payload[key] = cls(**payload[key])
     with _rejected_as_schema("config"):
-        return dataclasses.replace(base, **payload)
+        return RunConfig(**payload)
 
 
-def load_config(path: PathLike, base: Optional[RunConfig] = None) -> RunConfig:
-    return config_from_dict(_read_json_object(path), base)
+def load_config(path: PathLike) -> RunConfig:
+    return config_from_dict(_read_json_object(path))
 
 
 def _scene_to_dict(scene: SyntheticScene) -> dict:
@@ -258,12 +258,7 @@ def _scene_to_dict(scene: SyntheticScene) -> dict:
             for p in scene.proposals
         ],
         "gts": [
-            {
-                "image_id": g.image_id,
-                "class_id": g.label.class_id,
-                "bbox": [g.box.cx, g.box.cy, g.box.w, g.box.h],
-                "is_pseudo": g.is_pseudo,
-            }
+            {"class_id": g.label.class_id, "bbox": [g.box.cx, g.box.cy, g.box.w, g.box.h]}
             for g in scene.gts
         ],
         "features": scene.features.tolist(),
@@ -281,10 +276,7 @@ def _scene_from_dict(payload: dict, config: RunConfig, where: str) -> SyntheticS
         gts = []
         for record in payload["gts"]:
             label = label_for_class_id(_parse_int(record, "class_id", where), config.known_classes)
-            box = _parse_bbox(record["bbox"], where)
-            is_pseudo = record["is_pseudo"]
-            _require(isinstance(is_pseudo, bool), where, f"is_pseudo must be true or false, got {is_pseudo!r}")
-            gts.append(GroundTruthObject(_parse_int(record, "image_id", where), label, box, is_pseudo))
+            gts.append(GroundTruthObject(image_id, label, _parse_bbox(record["bbox"], where)))
         raw = payload["features"]
         features = np.array(raw, dtype=float)
         if features.size == 0:
@@ -332,12 +324,7 @@ _HEAD_SHAPES = {
 
 
 def save_head(path: PathLike, head: ToyHead) -> None:
-    payload = {
-        "learning_rate": head.learning_rate,
-        "weight_decay": head.weight_decay,
-        "arrays": {name: getattr(head, name).tolist() for name in _HEAD_SHAPES},
-    }
-    _dump_json(path, payload)
+    _dump_json(path, {"arrays": {name: getattr(head, name).tolist() for name in _HEAD_SHAPES}})
 
 
 def _array_shape(raw: object, ndim: int, where: str, key: str) -> tuple[int, ...]:
@@ -358,9 +345,6 @@ def load_head(path: PathLike, config: Optional[RunConfig] = None) -> ToyHead:
     and L its ``head_width()``."""
     payload = _read_json_object(path)
     where = str(path)
-    for key in ("learning_rate", "weight_decay"):
-        value = _field(payload, key, where)
-        _require(_is_number(value), where, f"{key} must be a finite number, got {value!r}")
     arrays = _field(payload, "arrays", where)
     _require(isinstance(arrays, dict), where, f"arrays must be an object, got {arrays!r}")
     unknown = sorted(set(arrays) - set(_HEAD_SHAPES))
@@ -370,8 +354,4 @@ def load_head(path: PathLike, config: Optional[RunConfig] = None) -> ToyHead:
         shape = _array_shape(_field(arrays, key, where), len(symbols), where, f"arrays.{key}")
         expected = tuple(dims.setdefault(s, n) if isinstance(s, str) else s for s, n in zip(symbols, shape))
         _require(shape == expected, where, f"arrays.{key} must have shape {expected}, got {shape}")
-    return ToyHead(
-        learning_rate=float(payload["learning_rate"]),
-        weight_decay=float(payload["weight_decay"]),
-        **{name: np.array(arrays[name], dtype=float) for name in _HEAD_SHAPES},
-    )
+    return ToyHead(**{name: np.array(arrays[name], dtype=float) for name in _HEAD_SHAPES})
