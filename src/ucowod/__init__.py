@@ -41,14 +41,12 @@ from .losses import (
     PairSelectionSchedule,
     classification_loss,
     classification_loss_from_codes,
-    cosine_similarity_grad,
     l1_regression_loss,
     label_codes,
     pair_similarity_loss,
     self_label_matrix,
     self_similarity_loss,
     similarity_loss,
-    similarity_matrix,
     supervised_label_matrix,
     total_training_loss,
     update_lambda,
@@ -75,7 +73,6 @@ from .refinement import (
     kmeans_init,
     refine,
     select_cluster_count,
-    silhouette_score,
     soft_assignment,
     target_distribution,
 )

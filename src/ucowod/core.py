@@ -120,20 +120,16 @@ def label_for_class_id(class_id: int, known_count: int) -> ClassLabel:
 
 @dataclass(frozen=True)
 class GroundTruthObject:
-    """One annotated object. ``is_pseudo`` marks objects minted by the
-    pseudo-label selector rather than a human annotator; those are always
-    unknown-labeled."""
+    """One annotated object. Objects minted by the pseudo-label selector
+    carry an unknown label, which is how training tells them apart."""
 
     image_id: int
     label: ClassLabel
     box: Box
-    is_pseudo: bool = False
 
     def __post_init__(self) -> None:
         if self.label.is_background:
             raise ValueError("ground truth cannot be labeled background")
-        if self.is_pseudo and not self.label.is_unknown:
-            raise ValueError("pseudo ground truth must carry an unknown label")
 
 
 @dataclass(frozen=True)

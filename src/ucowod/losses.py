@@ -11,11 +11,13 @@ Three loss families live here:
   the single highest-scoring unknown slot. The restriction is implemented by
   masking invisible slots to a large negative logit before the softmax, which
   drives their probability (and gradient) to exactly zero in float64.
-- pairwise similarity losses over an embedding cosine-similarity matrix,
-  supervised by label agreement and, in the self-supervised phase, by
-  thresholding the similarities themselves under a closing threshold pair.
-  Training runs ``pair_similarity_loss``, which these functions define and
-  which visits each unordered pair once, in row strips of the upper triangle.
+- pairwise similarity losses over the clamped cosine similarities of the
+  embeddings, supervised by label agreement and, in the self-supervised
+  phase, by thresholding the similarities under a closing threshold pair.
+  ``pair_similarity_loss``, which training runs, is their definition; it
+  visits each unordered pair once, in row strips of the upper triangle. Its
+  oracles, the cosine matrix and its gradient among them, are in
+  ``tests/reference.py``.
 - an elementwise L1 regression penalty and the weighted total.
 
 Every loss returns ``(value, gradient)`` with analytic gradients.
@@ -98,11 +100,11 @@ def classification_loss_from_codes(
 
     masked = np.where(visible, Z, MASK_LOGIT)
     row_max = masked.max(axis=1, keepdims=True)
-    logsumexp = row_max[:, 0] + np.log(np.exp(masked - row_max).sum(axis=1))
-    picked = masked[np.arange(n), targets]
-    loss = float(np.mean(logsumexp - picked))
+    exp = np.exp(masked - row_max)
+    sums = exp.sum(axis=1)
+    loss = float(np.mean(row_max[:, 0] + np.log(sums) - masked[np.arange(n), targets]))
 
-    probs = softmax(masked, axis=1)
+    probs = exp / sums[:, None]
     probs[np.arange(n), targets] -= 1.0
     return loss, probs / n
 
@@ -124,27 +126,6 @@ def _unit_rows(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if dead.size:
         raise ValueError(f"zero-norm embedding rows: {dead.tolist()}")
     return E / norms[:, None], norms
-
-
-def similarity_matrix(embeddings: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity, clamped into ``[CLAMP_EPS, 1 - CLAMP_EPS]``
-    to keep downstream log terms finite."""
-    unit, _ = _unit_rows(embeddings)
-    raw = unit @ unit.T
-    raw = (raw + raw.T) / 2.0
-    return np.clip(raw, CLAMP_EPS, 1.0 - CLAMP_EPS)
-
-
-def cosine_similarity_grad(embeddings: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Backpropagate a gradient wrt the clamped similarity matrix onto the
-    embedding rows. Entries pinned at the clamp bounds pass no gradient."""
-    unit, norms = _unit_rows(embeddings)
-    G_in = np.asarray(upstream, dtype=float)
-    raw = unit @ unit.T
-    raw = (raw + raw.T) / 2.0
-    active = (raw > CLAMP_EPS) & (raw < 1.0 - CLAMP_EPS)
-    G = (G_in + G_in.T) * active
-    return (G @ unit - (G * raw).sum(axis=1, keepdims=True) * unit) / norms[:, None]
 
 
 @dataclass(frozen=True)
@@ -311,10 +292,10 @@ def pair_similarity_loss(
     lam: Optional[float] = None,
 ) -> tuple[float, np.ndarray, int, int]:
     """Training's pair term: the ``similarity_loss`` (``self_similarity_loss``
-    given ``lam``) of ``similarity_matrix(embeddings)`` under the label
-    matrices of the ``label_codes`` arrays, and its ``cosine_similarity_grad``.
-    Returns (value, gradient, positive and negative counts over all N x N
-    ordered pairs).
+    given ``lam``) of the clamped cosine similarities of ``embeddings`` under
+    the label matrices of the ``label_codes`` arrays, and its gradient wrt
+    the embeddings. Returns (value, gradient, positive and negative counts
+    over all N x N ordered pairs).
 
     S and the pair verdicts are symmetric, so each unordered pair is computed
     once: the PAIR_TILE_ROWS-row tile [s, e) is multiplied only against the

@@ -51,8 +51,8 @@ def select_pseudo_labels(
 
     All proposals must come from one image. ``unknown_id`` is the placeholder
     unknown class id stamped on every selected proposal (callers typically
-    pass the first unknown slot). Returns at most ``config.top_k`` objects,
-    each marked ``is_pseudo``.
+    pass the first unknown slot). Returns at most ``config.top_k`` objects;
+    their unknown label is what marks them as pseudo ground truth.
     """
     if not proposals:
         return []
@@ -76,7 +76,6 @@ def select_pseudo_labels(
             image_id=proposals[i].image_id,
             label=ClassLabel.unknown(unknown_id),
             box=proposals[i].box,
-            is_pseudo=True,
         )
         for i in selected
     ]

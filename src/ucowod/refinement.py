@@ -86,8 +86,10 @@ def kmeans_init(points: np.ndarray, n_clusters: int, seed: int = 0) -> np.ndarra
 
 
 def _silhouette(dists: np.ndarray, assign: np.ndarray) -> float:
-    """Mean silhouette of a labelling (two or more clusters) from the distance
-    matrix: one matmul by the one-hot labels gives each point's sum per cluster."""
+    """Mean silhouette (Rousseeuw 1987) of a labelling with two or more
+    clusters, from the distance matrix; points in singleton clusters or with
+    a zero denominator score 0. One matmul by the one-hot labels gives each
+    point's sum per cluster. ``tests/reference.py`` holds its oracle."""
     _, labels = np.unique(assign, return_inverse=True)
     own = labels[:, None] == np.arange(labels.max() + 1)
     sums = dists @ own.astype(float)
@@ -99,19 +101,6 @@ def _silhouette(dists: np.ndarray, assign: np.ndarray) -> float:
     denom = np.maximum(within, nearest_other)
     scores = np.divide(nearest_other - within, denom, out=np.zeros(len(labels)), where=(n_same > 1) & (denom > 0))
     return float(scores.mean())
-
-
-def silhouette_score(points: np.ndarray, assignments: np.ndarray) -> float:
-    """Mean silhouette over all points under Euclidean distance.
-
-    Points in singleton clusters contribute 0, matching the usual
-    convention. Requires at least two distinct clusters.
-    """
-    X = np.asarray(points, dtype=float)
-    assign = np.asarray(assignments)
-    if len(np.unique(assign)) < 2:
-        raise ValueError("silhouette needs at least two clusters")
-    return _silhouette(_distances(X), assign)
 
 
 def select_cluster_count(points: np.ndarray, max_clusters: int, seed: int = 0) -> int:
@@ -210,7 +199,6 @@ class RefineResult:
     centroids: np.ndarray
     assignments: np.ndarray
     embeddings: np.ndarray
-    soft_assignments: np.ndarray
     kl_history: tuple[float, ...]
     steps_run: int
 
@@ -270,7 +258,6 @@ def refine(
         centroids=centroids,
         assignments=P.argmax(axis=1),
         embeddings=E,
-        soft_assignments=P,
         kl_history=tuple(kl_history),
         steps_run=steps_run,
     )

@@ -266,6 +266,22 @@ def cosine_matrix_ref(rows, eps=1e-6):
     return np.clip(S, eps, 1 - eps)
 
 
+def cosine_grad_ref(rows, upstream, eps=1e-6):
+    """Backpropagate a gradient wrt the clamped cosine matrix onto the rows,
+    by the chain rule ``d S_ij / d x_i = (u_j - S_ij u_i) / |x_i|`` with
+    ``u`` the unit rows, applied to both ``S_ij`` and ``S_ji``. Entries
+    pinned at the clamp bounds pass no gradient."""
+    rows = np.asarray(rows, dtype=float)
+    norms = np.sqrt((rows * rows).sum(axis=1))
+    unit = rows / norms[:, None]
+    raw = unit @ unit.T
+    raw = (raw + raw.T) / 2.0
+    active = (raw > eps) & (raw < 1.0 - eps)
+    upstream = np.asarray(upstream, dtype=float)
+    G = (upstream + upstream.T) * active
+    return (G @ unit - (G * raw).sum(axis=1, keepdims=True) * unit) / norms[:, None]
+
+
 def pair_bce_ref(similarity, positive, negative):
     """Mean binary cross entropy over the selected entries of a similarity
     matrix; positive/negative are boolean masks over the full matrix."""

@@ -87,10 +87,6 @@ def test_label_for_class_id_splits_on_known_count():
     assert label_for_class_id(7, known_count=3).class_id == 7
 
 
-def test_ground_truth_rejects_background_and_pseudo_known():
+def test_ground_truth_rejects_background():
     with pytest.raises(ValueError):
         GroundTruthObject(image_id=0, label=ClassLabel.background(), box=Box(0, 0, 1, 1))
-    with pytest.raises(ValueError):
-        GroundTruthObject(
-            image_id=0, label=ClassLabel.known(0), box=Box(0, 0, 1, 1), is_pseudo=True
-        )

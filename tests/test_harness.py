@@ -22,14 +22,13 @@ from ucowod import (
     refine_pipeline,
     select_pseudo_labels,
     self_label_matrix,
-    similarity_matrix,
     supervised_label_matrix,
     train,
 )
 from ucowod.harness import NMS_THRESHOLD
 from ucowod.io import load_head, save_head
 
-from reference import central_difference, nms_ref, relative_error
+from reference import central_difference, cosine_matrix_ref, nms_ref, relative_error
 
 
 @pytest.fixture(scope="module")
@@ -282,7 +281,7 @@ def test_history_pair_counts_match_label_matrices():
         if stats.phase == "self":
             # the same run stopped before this epoch holds the epoch's head
             head = train(dataclasses.replace(config, epochs=stats.epoch), dataset).head
-            S = similarity_matrix(head.forward(result.rows.features).logits)
+            S = cosine_matrix_ref(head.forward(result.rows.features).logits)
             own = self_label_matrix(S, labels, stats.lam)
             positive, negative = positive | own.positive, negative | own.negative
         assert (stats.positive, stats.negative) == (positive.sum(), negative.sum())

@@ -13,14 +13,12 @@ from ucowod import (
     PairLabelMatrix,
     PairSelectionSchedule,
     classification_loss,
-    cosine_similarity_grad,
     l1_regression_loss,
     label_codes,
     pair_similarity_loss,
     self_label_matrix,
     self_similarity_loss,
     similarity_loss,
-    similarity_matrix,
     supervised_label_matrix,
     total_training_loss,
     update_lambda,
@@ -31,6 +29,7 @@ from ucowod.losses import CLAMP_EPS, PAIR_TILE_ROWS
 from reference import (
     central_difference,
     classification_loss_ref,
+    cosine_grad_ref,
     cosine_matrix_ref,
     l1_loss_ref,
     pair_bce_ref,
@@ -164,41 +163,22 @@ def test_classification_invariant_to_permuting_unknown_slots():
 
 
 # ---------------------------------------------------------------------------
-# similarity matrix
+# clamped cosine matrix
 
 
 def test_similarity_identical_rows_clamp_to_one():
-    S = similarity_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    S = cosine_matrix_ref(np.array([[1.0, 2.0], [2.0, 4.0]]))
     assert S[0, 1] == pytest.approx(1.0 - CLAMP_EPS, abs=1e-15)
 
 
 def test_similarity_orthogonal_rows_clamp_to_eps():
-    S = similarity_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    S = cosine_matrix_ref(np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert S[0, 1] == pytest.approx(CLAMP_EPS, abs=1e-15)
 
 
 def test_similarity_hand_value():
-    S = similarity_matrix(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    S = cosine_matrix_ref(np.array([[1.0, 0.0], [1.0, 1.0]]))
     assert S[0, 1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
-
-
-def test_similarity_zero_row_rejected():
-    with pytest.raises(ValueError, match="1"):
-        similarity_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 100_000))
-def test_similarity_matches_reference_and_is_scale_invariant(seed):
-    g = np.random.default_rng(seed)
-    E = g.normal(0, 1, size=(int(g.integers(2, 7)), int(g.integers(2, 5))))
-    E[np.abs(E).sum(axis=1) == 0] = 1.0
-    S = similarity_matrix(E)
-    assert np.allclose(S, cosine_matrix_ref(E), atol=1e-12)
-    assert np.allclose(S, S.T, atol=0)
-    scaled = E.copy()
-    scaled[0] *= 7.5
-    assert np.allclose(similarity_matrix(scaled), S, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +342,10 @@ def test_full_chain_gradient_through_embeddings():
     M = supervised_label_matrix(labels)
 
     def full(embeddings):
-        return similarity_loss(M, similarity_matrix(embeddings))[0]
+        return similarity_loss(M, cosine_matrix_ref(embeddings))[0]
 
-    _, gS = similarity_loss(M, similarity_matrix(E))
-    gE = cosine_similarity_grad(E, gS)
+    _, gS = similarity_loss(M, cosine_matrix_ref(E))
+    gE = cosine_grad_ref(E, gS)
     fd = central_difference(full, E.copy())
     assert relative_error(gE, fd) < 1e-4
 
@@ -493,8 +473,9 @@ def test_loss_weights_reject_negative():
 
 
 def matrix_pair_loss(E, labels, lam=None):
-    """The pair kernel's result spelled out with the small-matrix functions."""
-    S = similarity_matrix(E)
+    """The pair kernel's result spelled out with the small-matrix functions
+    and the reference cosine matrix and its gradient."""
+    S = cosine_matrix_ref(E)
     M = supervised_label_matrix(labels)
     if lam is not None:
         own = self_label_matrix(S, labels, lam)
@@ -502,7 +483,7 @@ def matrix_pair_loss(E, labels, lam=None):
         value, grad_S = self_similarity_loss(M, S, lam)
     else:
         value, grad_S = similarity_loss(M, S)
-    return value, cosine_similarity_grad(E, grad_S), int(M.positive.sum()), int(M.negative.sum())
+    return value, cosine_grad_ref(E, grad_S), int(M.positive.sum()), int(M.negative.sum())
 
 
 def assert_kernel_matches(E, labels, lam=None):
@@ -557,13 +538,24 @@ def pinned_kernel_input(g, n):
 @given(st.integers(0, 100_000), st.integers(1, 40), st.one_of(st.none(), st.floats(0.0, 0.44)))
 def test_pair_kernel_gradient_is_tangent(seed, n, lam):
     # S depends on each row's direction only, so no row's gradient has a
-    # component along the row itself
-    E, labels = pinned_kernel_input(np.random.default_rng(seed), n)
+    # component along the row itself, and scaling a row by c leaves the value
+    # and the counts unchanged and divides that row's gradient by c
+    g = np.random.default_rng(seed)
+    E, labels = pinned_kernel_input(g, n)
+    row, c = int(g.integers(n)), g.uniform(0.1, 10.0)
+    scaled = E.copy()
+    scaled[row] *= c
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        grad = pair_similarity_loss(E, *label_codes(labels), lam)[1]
+        value, grad, positive, negative = pair_similarity_loss(E, *label_codes(labels), lam)
+        s_value, s_grad, s_positive, s_negative = pair_similarity_loss(scaled, *label_codes(labels), lam)
     along = np.abs((grad * E).sum(axis=1))
     assert (along <= 1e-12 * np.linalg.norm(grad, axis=1) * np.linalg.norm(E, axis=1)).all()
+    assert (s_positive, s_negative) == (positive, negative)
+    assert s_value == pytest.approx(value, rel=1e-12, abs=1e-12)
+    want = grad.copy()
+    want[row] /= c
+    assert np.allclose(s_grad, want, rtol=1e-9, atol=1e-12 * max(1.0, np.abs(grad).max()))
 
 
 @settings(max_examples=100, deadline=None)

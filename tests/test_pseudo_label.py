@@ -24,7 +24,6 @@ def known_gt(box, cls=0, image_id=0):
 def test_single_confident_proposal_is_promoted():
     out = select_pseudo_labels([proposal(Box(0, 0, 2, 2), 0.9)], [], UlpConfig(delta=0.3))
     assert len(out) == 1
-    assert out[0].is_pseudo
     assert out[0].label.is_unknown
     assert out[0].box == Box(0, 0, 2, 2)
 
@@ -112,7 +111,6 @@ def test_selection_invariants(seed):
         key = (p.box.cx, p.box.cy, p.box.w, p.box.h)
         objectness_by_box[key] = max(objectness_by_box.get(key, 0.0), p.objectness)
     for item in out:
-        assert item.is_pseudo
         assert item.label == ClassLabel.unknown(3)
         key = (item.box.cx, item.box.cy, item.box.w, item.box.h)
         assert objectness_by_box[key] > config.delta

@@ -10,7 +10,6 @@ from ucowod import (
     kmeans_init,
     refine,
     select_cluster_count,
-    silhouette_score,
     soft_assignment,
     target_distribution,
 )
@@ -306,23 +305,29 @@ def test_cluster_index_equivariance():
 # cluster-count selection
 
 
+def silhouette(points, assign):
+    """The sweep's silhouette of one labelling."""
+    return refinement._silhouette(refinement._distances(points), assign)
+
+
 def test_silhouette_hand_value():
     points = np.array([[0.0], [1.0], [10.0], [11.0]])
     assign = np.array([0, 0, 1, 1])
     want = (19.0 / 21.0 + 17.0 / 19.0) / 2.0
-    assert silhouette_score(points, assign) == pytest.approx(want, abs=1e-12)
+    assert silhouette(points, assign) == pytest.approx(want, abs=1e-12)
 
 
 def test_silhouette_singleton_contributes_zero():
     points = np.array([[0.0], [10.0], [11.0]])
     assign = np.array([0, 1, 1])
     want = (0.0 + 0.9 + 10.0 / 11.0) / 3.0
-    assert silhouette_score(points, assign) == pytest.approx(want, abs=1e-12)
+    assert silhouette(points, assign) == pytest.approx(want, abs=1e-12)
 
 
 def test_silhouette_needs_two_clusters():
-    with pytest.raises(ValueError):
-        silhouette_score(np.zeros((3, 2)), np.zeros(3, dtype=int))
+    # coincident points: every k-means labelling is one cluster, which the
+    # sweep does not score, so it falls back to one cluster
+    assert select_cluster_count(np.zeros((5, 2)), 4, seed=0) == 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -343,12 +348,11 @@ def test_silhouette_matches_reference(seed, labels, dim, positions):
         points = g.normal(size=(positions, dim))[g.integers(positions, size=len(labels))]
     assign = np.array(labels) * 3 - 5  # arbitrary, non-contiguous cluster ids
     if len(set(labels)) < 2:
-        with pytest.raises(ValueError, match="two clusters"):
-            silhouette_score(points, assign)
+        # the sweep never passes _silhouette a one-cluster labelling
         with pytest.raises(ValueError, match="two clusters"):
             silhouette_ref(points, assign)
         return
-    assert abs(silhouette_score(points, assign) - silhouette_ref(points, assign)) <= 1e-12
+    assert abs(silhouette(points, assign) - silhouette_ref(points, assign)) <= 1e-12
 
 
 def sweep_ref(points, max_clusters, seed):
