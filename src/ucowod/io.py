@@ -15,6 +15,9 @@ where a ``class_id`` in ``[known_count, known_count + unknown_slots)`` is a
 predicted unknown slot. Reports and the synthetic dataset/model bundles are
 plain JSON. All writers emit sorted keys so identical runs produce
 byte-identical files; report floats are rounded to 6 decimal places.
+``dataset.json`` and ``model.json`` are single-line JSON, written by the C
+encoder that ``json.dumps`` runs when no indent is asked for; ``gt.json`` and
+``report.json`` stay indented. The readers accept either layout.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import dataclasses
 import json
 import sys
 import typing
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -54,6 +58,17 @@ def _is_int(value: object) -> bool:
 def _is_number(value: object) -> bool:
     # NaN, infinities and integers past the float range all fail the bound
     return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _number_array(values: list) -> Optional[np.ndarray]:
+    """``values`` as a float array if each one passes ``_is_number``, else None."""
+    types = set(map(type, values))
+    # np.array(..., dtype=float) takes True and "0.5" as numbers, and an int
+    # just past the float range rounds to a finite float
+    if not types <= {int, float} or (int in types and not all(map(_is_number, values))):
+        return None
+    array = np.array(values, dtype=float)
+    return array if np.isfinite(array).all() else None
 
 
 def _read_json_object(path: PathLike) -> dict:
@@ -265,35 +280,83 @@ def _scene_to_dict(scene: SyntheticScene) -> dict:
     }
 
 
+def _scene_from_columns(payload: dict, config: RunConfig) -> Optional[SyntheticScene]:
+    """The scene, with each column checked in one step: the objectness
+    scores, the boxes of the proposals and ground truth together, the class
+    ids and the features. None if a check fails."""
+    image_id = payload["image_id"]
+    records, gt_records, rows = payload["proposals"], payload["gts"], payload["features"]
+    scores = [r["objectness"] for r in records]
+    bboxes = [r["bbox"] for r in records] + [r["bbox"] for r in gt_records]
+    class_ids = [r["class_id"] for r in gt_records]
+    if not (_is_int(image_id) and set(map(type, class_ids)) <= {int} and _number_array(scores) is not None):
+        return None
+    if not (set(map(type, bboxes)) <= {list} and set(map(len, bboxes)) <= {4} and set(map(type, rows)) <= {list}):
+        return None
+    values = _number_array(list(chain.from_iterable(bboxes)))
+    features = _number_array(list(chain.from_iterable(rows)))
+    if values is None or features is None or len(set(map(len, rows))) > 1:
+        return None
+    values = values.reshape(-1, 4)
+    # no values at all read as (0, F), as they do in the record walk
+    features = features.reshape(len(rows), -1) if features.size else features.reshape(0, config.feature_dim)
+    if not ((values[:, 2:] > 0).all() and features.shape == (len(records), config.feature_dim)):
+        return None
+    boxes = [Box(*box) for box in values.tolist()]
+    proposals = [Proposal(image_id, box, score) for box, score in zip(boxes, scores)]
+    gts = [
+        GroundTruthObject(image_id, label_for_class_id(class_id, config.known_classes), box)
+        for class_id, box in zip(class_ids, boxes[len(records) :])
+    ]
+    return SyntheticScene(image_id, proposals, gts, features)
+
+
+def _check_scene_records(payload: dict, config: RunConfig, where: str) -> None:
+    """Walk a scene record by record and raise for its first offender."""
+    image_id = _parse_int(payload, "image_id", where)
+    proposals = []
+    for record in payload["proposals"]:
+        objectness = record["objectness"]
+        _require(_is_number(objectness), where, f"objectness must be a finite number, got {objectness!r}")
+        proposals.append(Proposal(image_id, _parse_bbox(record["bbox"], where), objectness))
+    for record in payload["gts"]:
+        label = label_for_class_id(_parse_int(record, "class_id", where), config.known_classes)
+        GroundTruthObject(image_id, label, _parse_bbox(record["bbox"], where))
+    raw = payload["features"]
+    features = np.array(raw, dtype=float)
+    if features.size == 0:
+        features = features.reshape(0, config.feature_dim)
+    shape = (len(proposals), config.feature_dim)
+    _require(features.shape == shape, where, f"features must have shape {shape}, got {features.shape}")
+    _require(all(_is_number(v) for row in raw for v in row), where, "features must be finite numbers")
+
+
 def _scene_from_dict(payload: dict, config: RunConfig, where: str) -> SyntheticScene:
-    with _rejected_as_schema(where):
-        image_id = _parse_int(payload, "image_id", where)
-        proposals = []
-        for record in payload["proposals"]:
-            objectness = record["objectness"]
-            _require(_is_number(objectness), where, f"objectness must be a finite number, got {objectness!r}")
-            proposals.append(Proposal(image_id, _parse_bbox(record["bbox"], where), objectness))
-        gts = []
-        for record in payload["gts"]:
-            label = label_for_class_id(_parse_int(record, "class_id", where), config.known_classes)
-            gts.append(GroundTruthObject(image_id, label, _parse_bbox(record["bbox"], where)))
-        raw = payload["features"]
-        features = np.array(raw, dtype=float)
-        if features.size == 0:
-            features = features.reshape(0, config.feature_dim)
-        shape = (len(proposals), config.feature_dim)
-        _require(features.shape == shape, where, f"features must have shape {shape}, got {features.shape}")
-        _require(all(_is_number(v) for row in raw for v in row), where, "features must be finite numbers")
-        return SyntheticScene(image_id, proposals, gts, features)
+    """Only a scene that fails a column check is walked record by record,
+    for the first offender's message."""
+    try:
+        scene = _scene_from_columns(payload, config)
+    except (KeyError, TypeError, ValueError):
+        scene = None
+    if scene is None:
+        with _rejected_as_schema(where):
+            _check_scene_records(payload, config, where)
+        # a backstop: the column checks reject nothing that the walk accepts
+        raise SchemaError(f"{where}: scene failed the column checks")
+    return scene
 
 
 def save_dataset(path: PathLike, dataset: SyntheticDataset) -> None:
-    payload = {
-        "config": dataclasses.asdict(dataset.config),
-        "train": [_scene_to_dict(s) for s in dataset.train],
-        "test": [_scene_to_dict(s) for s in dataset.test],
-    }
-    _dump_json(path, payload)
+    """Write ``json.dumps(payload, sort_keys=True)`` and a newline, one scene
+    at a time, so that only one scene's lists are held at once."""
+    with open(path, "w") as handle:
+        handle.write('{"config": ' + json.dumps(dataclasses.asdict(dataset.config), sort_keys=True))
+        for split, scenes in (("test", dataset.test), ("train", dataset.train)):  # sorted keys
+            handle.write(f', "{split}": [')
+            for index, scene in enumerate(scenes):
+                handle.write((", " if index else "") + json.dumps(_scene_to_dict(scene), sort_keys=True))
+            handle.write("]")
+        handle.write("}\n")
 
 
 def load_dataset(path: PathLike) -> SyntheticDataset:
@@ -324,20 +387,19 @@ _HEAD_SHAPES = {
 
 
 def save_head(path: PathLike, head: ToyHead) -> None:
-    _dump_json(path, {"arrays": {name: getattr(head, name).tolist() for name in _HEAD_SHAPES}})
+    payload = {"arrays": {name: getattr(head, name).tolist() for name in _HEAD_SHAPES}}
+    with open(path, "w") as handle:
+        handle.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _array_shape(raw: object, ndim: int, where: str, key: str) -> tuple[int, ...]:
-    """Shape of a non-empty 1-d or 2-d JSON array of finite numbers."""
+def _head_array(raw: object, ndim: int, where: str, key: str) -> np.ndarray:
+    """A non-empty 1-d or 2-d JSON array of finite numbers, as floats."""
     rows = [raw] if ndim == 1 else raw
-    ok = (
-        isinstance(rows, list)
-        and all(isinstance(row, list) and row for row in rows)
-        and len({len(row) for row in rows}) == 1
-        and all(_is_number(v) for row in rows for v in row)
-    )
-    _require(ok, where, f"{key} must be a non-empty {ndim}-d array of finite numbers")
-    return (len(rows), len(rows[0]))[2 - ndim :]
+    ok = isinstance(rows, list) and all(isinstance(row, list) and row for row in rows)
+    ok = ok and len(set(map(len, rows))) == 1
+    array = _number_array(list(chain.from_iterable(rows))) if ok else None
+    _require(array is not None, where, f"{key} must be a non-empty {ndim}-d array of finite numbers")
+    return array.reshape((len(rows), -1)[2 - ndim :])
 
 
 def load_head(path: PathLike, config: Optional[RunConfig] = None) -> ToyHead:
@@ -346,12 +408,15 @@ def load_head(path: PathLike, config: Optional[RunConfig] = None) -> ToyHead:
     payload = _read_json_object(path)
     where = str(path)
     arrays = _field(payload, "arrays", where)
-    _require(isinstance(arrays, dict), where, f"arrays must be an object, got {arrays!r}")
+    if not isinstance(arrays, dict):  # the message is built only when needed: it holds every value
+        raise SchemaError(f"{where}: arrays must be an object, got {arrays!r}")
     unknown = sorted(set(arrays) - set(_HEAD_SHAPES))
     _require(not unknown, where, f"unknown arrays: {unknown}")
     dims = {} if config is None else {"F": config.feature_dim, "L": config.head_width()}
+    parsed = {}
     for key, symbols in _HEAD_SHAPES.items():
-        shape = _array_shape(_field(arrays, key, where), len(symbols), where, f"arrays.{key}")
+        parsed[key] = _head_array(_field(arrays, key, where), len(symbols), where, f"arrays.{key}")
+        shape = parsed[key].shape
         expected = tuple(dims.setdefault(s, n) if isinstance(s, str) else s for s, n in zip(symbols, shape))
         _require(shape == expected, where, f"arrays.{key} must have shape {expected}, got {shape}")
-    return ToyHead(**{name: np.array(arrays[name], dtype=float) for name in _HEAD_SHAPES})
+    return ToyHead(**parsed)

@@ -316,13 +316,15 @@ def pair_similarity_loss(
     group[unknown] = len(values)
     group = group.astype(np.min_scalar_type(len(values)))
     acc = np.zeros_like(unit)
+    # two work buffers that every strip reuses, rather than allocating its own
+    raw_buf, upstream_buf = np.empty(PAIR_TILE_ROWS * n), np.empty(PAIR_TILE_ROWS * n)
     total, positive, negative = 0.0, 0, 0
     for s in range(0, n, PAIR_TILE_ROWS):
         e = min(s + PAIR_TILE_ROWS, n)
         r = e - s
         # the strip [s, e) x [s, n): its r x r diagonal block holds both
         # orders of its pairs, every other entry stands for two ordered pairs
-        raw = unit[s:e] @ unit[s:].T
+        raw = np.matmul(unit[s:e], unit[s:].T, out=raw_buf[: r * (n - s)].reshape(r, n - s))
         active = (raw > eps) & (raw < 1.0 - eps)  # pinned at the clamp: no gradient
         S = np.clip(raw, eps, 1.0 - eps, out=raw)
         same = group[s:e, None] == group[s:]
@@ -336,7 +338,7 @@ def pair_similarity_loss(
         # q is -S for positive pairs and 1 - S for negative ones: the pair's
         # cross-entropy is -log|q| and its derivative wrt S is 1/q
         q = np.subtract(neg, S, out=S)
-        upstream = np.divide(active & selected, q)
+        upstream = np.divide(active & selected, q, out=upstream_buf[: q.size].reshape(q.shape))
         acc[s:e] += upstream @ unit[s:]
         acc[e:] += upstream[:, r:].T @ unit[s:e]
         # |q| < 1 on every pair, so undecided ones read 1 and add log 1 = 0

@@ -138,7 +138,9 @@ def test_dataset_round_trip(tmp_path):
         assert a.image_id == b.image_id
         assert a.proposals == b.proposals
         assert a.gts == b.gts
-        assert np.allclose(a.features, b.features, atol=0)
+        assert np.array_equal(a.features, b.features)
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
 
 def test_head_round_trip(tmp_path):
@@ -378,6 +380,11 @@ def test_train_on_non_finite_or_boolean_dataset_box_exits_two(tmp_path, capsys):
         ("train", lambda s: set_feature(s, 0, 10**400), "int too large to convert to float"),
         ("train", lambda s: s.update(features=[row + [0.0] for row in s["features"]]), "features must have shape ("),
         ("test", lambda s: s["features"].pop(), "features must have shape ("),
+        ("train", lambda s: s["proposals"][0]["bbox"].__setitem__(2, 0.0), "bbox sides must be positive, got w=0.0"),
+        ("train", lambda s: set_feature(s, 0, float("inf")), "features must be finite numbers"),
+        ("train", lambda s: s["proposals"][0].update(objectness=float("nan")),
+         "objectness must be a finite number, got nan"),
+        ("train", lambda s: s["features"][0].pop(), ""),  # numpy's own message follows
     ):
         payload = json.loads(json.dumps(original))
         mutate(payload[split][0])
@@ -455,30 +462,45 @@ def test_train_runs_with_the_config_stored_in_the_dataset(tmp_path):
 
 def test_artifacts_with_removed_keys_load_and_give_identical_outputs(tmp_path):
     # older dataset.json ground-truth records carried image_id and is_pseudo,
-    # and older model.json files learning_rate and weight_decay; all four are ignored
+    # and older model.json files learning_rate and weight_decay; all four are
+    # ignored. Older versions also wrote both files indented
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"train_scenes": 6, "test_scenes": 4, "epochs": 20}))
-    new, old = tmp_path / "new", tmp_path / "old"
+
+    def finish_chain(out_dir):
+        assert run_cli("refine", "--dataset", out_dir / "dataset.json", "--model", out_dir / "model.json",
+                       "--out-dir", out_dir) == 0
+        assert run_cli("eval", "--gt", new / "gt.json", "--det", out_dir / "detections_refined.jsonl",
+                       "--out", out_dir / "report.json") == 0
+
+    new = tmp_path / "new"
     assert run_cli("simulate", "--out-dir", new, "--config", config_path, "--seed", 3) == 0
     assert run_cli("train", "--dataset", new / "dataset.json", "--out-dir", new) == 0
-    assert run_cli("refine", "--dataset", new / "dataset.json", "--model", new / "model.json", "--out-dir", new) == 0
+    finish_chain(new)
 
     payload = json.loads((new / "dataset.json").read_text())
-    for scene in payload["train"] + payload["test"]:
+    model = json.loads((new / "model.json").read_text())
+    with_removed_keys = json.loads(json.dumps(payload))
+    for scene in with_removed_keys["train"] + with_removed_keys["test"]:
         for record in scene["gts"]:
             record.update(image_id=scene["image_id"], is_pseudo=False)
-    payload["train"][0]["gts"][0]["image_id"] = 999  # a stale id is never read
-    old.mkdir()
-    (old / "dataset.json").write_text(json.dumps(payload))
-    assert run_cli("train", "--dataset", old / "dataset.json", "--out-dir", old) == 0
-    model = json.loads((old / "model.json").read_text())
-    (old / "model.json").write_text(json.dumps({**model, "learning_rate": 1.0, "weight_decay": 1e-3}))
-    assert run_cli("refine", "--dataset", old / "dataset.json", "--model", old / "model.json", "--out-dir", old) == 0
-
-    assert model == json.loads((new / "model.json").read_text())
-    for name in ("detections.jsonl", "detections_refined.jsonl"):
-        assert (old / name).read_bytes() == (new / name).read_bytes(), name
-
+    with_removed_keys["train"][0]["gts"][0]["image_id"] = 999  # a stale id is never read
+    inputs = {
+        "removed_keys": (
+            json.dumps(with_removed_keys), json.dumps({**model, "learning_rate": 1.0, "weight_decay": 1e-3})
+        ),
+        "indented": tuple(json.dumps(value, indent=2, sort_keys=True) + "\n" for value in (payload, model)),
+    }
+    for layout, (dataset_text, model_text) in inputs.items():
+        old = tmp_path / layout
+        old.mkdir()
+        (old / "dataset.json").write_text(dataset_text)
+        assert run_cli("train", "--dataset", old / "dataset.json", "--out-dir", old) == 0
+        assert (old / "model.json").read_bytes() == (new / "model.json").read_bytes(), layout
+        (old / "model.json").write_text(model_text)
+        finish_chain(old)
+        for name in ("detections.jsonl", "detections_refined.jsonl", "report.json"):
+            assert (old / name).read_bytes() == (new / name).read_bytes(), (layout, name)
 
 
 def test_chain_agrees_under_one_and_two_blas_threads(tmp_path):
@@ -578,6 +600,8 @@ def test_refine_with_malformed_model_exits_two(tmp_path, capsys):
         (lambda p: p["arrays"].pop("b_cls"), "missing key 'b_cls'"),
         (lambda p: p.update(arrays=[]), "arrays must be an object, got []"),
         (lambda p: p.pop("arrays"), "missing key 'arrays'"),
+        (set_first("w_hidden", 10**400), "arrays.w_hidden must be a non-empty 2-d array of finite numbers"),
+        (set_first("w_hidden", float("inf")), "arrays.w_hidden must be a non-empty 2-d array of finite numbers"),
     ):
         payload = json.loads(json.dumps(original))
         mutate(payload)
