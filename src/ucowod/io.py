@@ -46,9 +46,11 @@ class SchemaError(ValueError):
     """A record failed validation; the message names the first offender."""
 
 
-def _require(condition: bool, where: str, message: str) -> None:
+def _require(condition: bool, where: str, template: str, *args: object) -> None:
+    """Raise unless ``condition`` holds; ``template.format(*args)`` is built
+    only then, so a valid record pays for no ``repr``."""
     if not condition:
-        raise SchemaError(f"{where}: {message}")
+        raise SchemaError(f"{where}: {template.format(*args)}")
 
 
 def _is_int(value: object) -> bool:
@@ -95,21 +97,21 @@ def _rejected_as_schema(where: str) -> Iterator[None]:
 
 
 def _field(record: dict, key: str, where: str) -> object:
-    _require(key in record, where, f"missing key {key!r}")
+    _require(key in record, where, "missing key {!r}", key)
     return record[key]
 
 
 def _parse_bbox(raw: object, where: str) -> Box:
-    _require(isinstance(raw, list) and len(raw) == 4, where, f"bbox must be a list of 4 numbers, got {raw!r}")
-    _require(all(_is_number(v) for v in raw), where, f"bbox values must be finite numbers, got {raw!r}")
+    _require(isinstance(raw, list) and len(raw) == 4, where, "bbox must be a list of 4 numbers, got {!r}", raw)
+    _require(all(_is_number(v) for v in raw), where, "bbox values must be finite numbers, got {!r}", raw)
     cx, cy, w, h = (float(v) for v in raw)
-    _require(w > 0 and h > 0, where, f"bbox sides must be positive, got w={w}, h={h}")
+    _require(w > 0 and h > 0, where, "bbox sides must be positive, got w={}, h={}", w, h)
     return Box(cx, cy, w, h)
 
 
 def _parse_int(record: dict, key: str, where: str) -> int:
     value = _field(record, key, where)
-    _require(_is_int(value), where, f"{key} must be an integer, got {value!r}")
+    _require(_is_int(value), where, "{} must be an integer, got {!r}", key, value)
     return value
 
 
@@ -124,10 +126,10 @@ def load_ground_truth(path: PathLike) -> tuple[list[GroundTruthObject], int, int
     objects = []
     for index, record in enumerate(payload["annotations"]):
         record_where = f"{path}: annotations[{index}]"
-        _require(isinstance(record, dict), record_where, f"record must be an object, got {record!r}")
+        _require(isinstance(record, dict), record_where, "record must be an object, got {!r}", record)
         image_id = _parse_int(record, "image_id", record_where)
         class_id = _parse_int(record, "class_id", record_where)
-        _require(class_id >= 0, record_where, f"class_id must be non-negative, got {class_id}")
+        _require(class_id >= 0, record_where, "class_id must be non-negative, got {}", class_id)
         box = _parse_bbox(record.get("bbox"), record_where)
         objects.append(GroundTruthObject(image_id, label_for_class_id(class_id, known_count), box))
     return objects, known_count, unknown_slots
@@ -166,17 +168,14 @@ def load_detections(path: PathLike, known_count: int, unknown_slots: int) -> lis
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{where}: not valid JSON ({exc})") from exc
-            _require(isinstance(record, dict), where, f"record must be an object, got {record!r}")
+            _require(isinstance(record, dict), where, "record must be an object, got {!r}", record)
             image_id = _parse_int(record, "image_id", where)
             class_id = _parse_int(record, "class_id", where)
-            _require(
-                0 <= class_id < known_count + unknown_slots,
-                where,
-                f"class_id must lie in [0, {known_count + unknown_slots}), got {class_id}",
-            )
+            n_classes = known_count + unknown_slots
+            _require(0 <= class_id < n_classes, where, "class_id must lie in [0, {}), got {}", n_classes, class_id)
             box = _parse_bbox(record.get("bbox"), where)
             score = _field(record, "score", where)
-            _require(_is_number(score) and 0.0 <= score <= 1.0, where, f"score must be a number in [0, 1], got {score!r}")
+            _require(_is_number(score) and 0.0 <= score <= 1.0, where, "score must be a number in [0, 1], got {!r}", score)
             detections.append(
                 Detection(image_id, label_for_class_id(class_id, known_count), box, float(score))
             )
@@ -232,19 +231,19 @@ def _check_values(cls: type, values: dict, prefix: str = "") -> None:
     hints = typing.get_type_hints(cls)
     for key, value in values.items():
         kind, ok = _VALUE_CHECKS[hints[key]]
-        _require(ok(value), "config", f"{prefix}{key} must be {kind}, got {value!r}")
+        _require(ok(value), "config", "{}{} must be {}, got {!r}", prefix, key, kind, value)
 
 
 def config_from_dict(payload: dict) -> RunConfig:
     """Build a RunConfig from a (possibly partial) dictionary of overrides of
     its defaults."""
-    _require(isinstance(payload, dict), "config", f"must be an object, got {payload!r}")
+    _require(isinstance(payload, dict), "config", "must be an object, got {!r}", payload)
     payload = dict(payload)
     known_fields = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = sorted(set(payload) - known_fields)
     nested = {key: cls for key, cls in (("ulp", UlpConfig), ("weights", LossWeights)) if key in payload}
     for key, cls in nested.items():
-        _require(isinstance(payload[key], dict), "config", f"{key} must be an object, got {payload[key]!r}")
+        _require(isinstance(payload[key], dict), "config", "{} must be an object, got {!r}", key, payload[key])
         names = {f.name for f in dataclasses.fields(cls)}
         unknown += sorted(f"{key}.{name}" for name in set(payload[key]) - names)
     if unknown:
@@ -317,7 +316,7 @@ def _check_scene_records(payload: dict, config: RunConfig, where: str) -> None:
     proposals = []
     for record in payload["proposals"]:
         objectness = record["objectness"]
-        _require(_is_number(objectness), where, f"objectness must be a finite number, got {objectness!r}")
+        _require(_is_number(objectness), where, "objectness must be a finite number, got {!r}", objectness)
         proposals.append(Proposal(image_id, _parse_bbox(record["bbox"], where), objectness))
     for record in payload["gts"]:
         label = label_for_class_id(_parse_int(record, "class_id", where), config.known_classes)
@@ -327,7 +326,7 @@ def _check_scene_records(payload: dict, config: RunConfig, where: str) -> None:
     if features.size == 0:
         features = features.reshape(0, config.feature_dim)
     shape = (len(proposals), config.feature_dim)
-    _require(features.shape == shape, where, f"features must have shape {shape}, got {features.shape}")
+    _require(features.shape == shape, where, "features must have shape {}, got {}", shape, features.shape)
     _require(all(_is_number(v) for row in raw for v in row), where, "features must be finite numbers")
 
 
@@ -369,7 +368,7 @@ def load_dataset(path: PathLike) -> SyntheticDataset:
     splits = {}
     for split in ("train", "test"):
         scenes = _field(payload, split, str(path))
-        _require(isinstance(scenes, list), str(path), f"{split} must be a list")
+        _require(isinstance(scenes, list), str(path), "{} must be a list", split)
         where = f"{path}: {split}"
         splits[split] = [_scene_from_dict(s, config, f"{where}[{i}]") for i, s in enumerate(scenes)]
     return SyntheticDataset(config=config, **splits)
@@ -398,7 +397,7 @@ def _head_array(raw: object, ndim: int, where: str, key: str) -> np.ndarray:
     ok = isinstance(rows, list) and all(isinstance(row, list) and row for row in rows)
     ok = ok and len(set(map(len, rows))) == 1
     array = _number_array(list(chain.from_iterable(rows))) if ok else None
-    _require(array is not None, where, f"{key} must be a non-empty {ndim}-d array of finite numbers")
+    _require(array is not None, where, "{} must be a non-empty {}-d array of finite numbers", key, ndim)
     return array.reshape((len(rows), -1)[2 - ndim :])
 
 
@@ -408,15 +407,14 @@ def load_head(path: PathLike, config: Optional[RunConfig] = None) -> ToyHead:
     payload = _read_json_object(path)
     where = str(path)
     arrays = _field(payload, "arrays", where)
-    if not isinstance(arrays, dict):  # the message is built only when needed: it holds every value
-        raise SchemaError(f"{where}: arrays must be an object, got {arrays!r}")
+    _require(isinstance(arrays, dict), where, "arrays must be an object, got {!r}", arrays)
     unknown = sorted(set(arrays) - set(_HEAD_SHAPES))
-    _require(not unknown, where, f"unknown arrays: {unknown}")
+    _require(not unknown, where, "unknown arrays: {}", unknown)
     dims = {} if config is None else {"F": config.feature_dim, "L": config.head_width()}
     parsed = {}
     for key, symbols in _HEAD_SHAPES.items():
         parsed[key] = _head_array(_field(arrays, key, where), len(symbols), where, f"arrays.{key}")
         shape = parsed[key].shape
         expected = tuple(dims.setdefault(s, n) if isinstance(s, str) else s for s, n in zip(symbols, shape))
-        _require(shape == expected, where, f"arrays.{key} must have shape {expected}, got {shape}")
+        _require(shape == expected, where, "arrays.{} must have shape {}, got {}", key, expected, shape)
     return ToyHead(**parsed)

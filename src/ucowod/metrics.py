@@ -16,7 +16,10 @@ Metrics:
 - ``absolute_open_set_error``: unknown ground-truth objects swallowed by
   known-labeled false positives.
 - ``wilderness_impact``: open-set error rate relative to known predictions.
-- ``hungarian_assign``: maximum-gain assignment (rectangular allowed).
+- ``hungarian_assign``: maximum-gain assignment (rectangular allowed), by
+  Crouse's shortest-augmenting-path method (after Jonker and Volgenant).
+  Among equal reduced costs an unassigned column wins, as in scipy's
+  ``linear_sum_assignment``, so both pick the same pairs under ties.
 - ``uc_map`` / ``uc_recall``: unknown-class mAP and recall, scored under the
   best matching between predicted unknown ids and true unknown classes.
 - ``evaluate``: the full report.
@@ -24,6 +27,7 @@ Metrics:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -196,16 +200,64 @@ def wilderness_impact(match: MatchResult, open_set_errors: int) -> float:
     return open_set_errors / denom
 
 
+def _shortest_augmenting_path(cost: list[list[float]]) -> list[int]:
+    """Column of each row in a minimum-cost assignment of a square matrix,
+    by Crouse's method (IEEE TAES, 2016) with the row order, column scan,
+    tie rule and dual updates of scipy's ``linear_sum_assignment``."""
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
+    for cur_row in range(n):
+        shortest = [math.inf] * n
+        rows_seen, cols_seen = [], []
+        remaining = list(range(n - 1, -1, -1))
+        min_val, i, sink = 0.0, cur_row, -1
+        while sink == -1:
+            rows_seen.append(i)
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                reduced = min_val + cost[i][j] - u[i] - v[j]
+                if reduced < shortest[j]:
+                    path[j] = i
+                    shortest[j] = reduced
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    index, lowest = it, shortest[j]
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # dual updates, then augment along the path back to cur_row
+        u[cur_row] += min_val
+        for i in rows_seen[1:]:  # rows_seen[0] is cur_row, still unassigned
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row
+
+
 def hungarian_assign(gain: np.ndarray) -> list[tuple[int, int]]:
     """Assignment of rows to columns maximizing total gain.
 
     Rectangular matrices are padded internally with zero-gain dummy rows or
-    columns, so the smaller side is always fully assigned. Returns (row,
-    column) pairs sorted by row.
+    columns, so the smaller side is always fully assigned. The negated
+    padded matrix goes to Crouse's shortest-augmenting-path solver, whose
+    tie rule (an unassigned column wins among equal reduced costs, columns
+    scanned from the last) picks the same pairs as scipy's
+    ``linear_sum_assignment(padded, maximize=True)``, zero-gain pairs
+    included. Returns (row, column) pairs sorted by row.
     """
-    # imported here, not at module top, so only eval pays scipy's start-up
-    from scipy.optimize import linear_sum_assignment
-
     gain = np.asarray(gain, dtype=float)
     if gain.size == 0:
         return []
@@ -217,10 +269,8 @@ def hungarian_assign(gain: np.ndarray) -> list[tuple[int, int]]:
     size = max(n_rows, n_cols)
     padded = np.zeros((size, size), dtype=float)
     padded[:n_rows, :n_cols] = gain
-    rows, cols = linear_sum_assignment(padded, maximize=True)
-    return sorted(
-        (int(r), int(c)) for r, c in zip(rows, cols) if r < n_rows and c < n_cols
-    )
+    cols = _shortest_augmenting_path((-padded).tolist())
+    return [(r, c) for r, c in enumerate(cols) if r < n_rows and c < n_cols]
 
 
 def uc_map(

@@ -547,14 +547,14 @@ codes = [
     main(["train", "--dataset", str(out / "dataset.json"), "--out-dir", str(out)]),
     main(["refine", "--dataset", str(out / "dataset.json"), "--model", str(out / "model.json"), "--out-dir", str(out)]),
 ]
-before_eval = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
 codes.append(main(["eval", "--gt", str(out / "gt.json"), "--det", str(out / "detections_refined.jsonl"),
                    "--out", str(out / "report.json")]))
-print(json.dumps({"codes": codes, "before_eval": before_eval, "after_eval": "scipy.optimize" in sys.modules}))
+scipy = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 
-def test_only_eval_imports_scipy(tmp_path):
+def test_no_stage_imports_scipy(tmp_path):
     # a fresh interpreter: this pytest process has imported scipy already
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
@@ -566,8 +566,7 @@ def test_only_eval_imports_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0, 0, 0]
-    assert result["before_eval"] == []
-    assert result["after_eval"]
+    assert result["scipy"] == []
 
 
 def test_refine_with_malformed_model_exits_two(tmp_path, capsys):

@@ -302,6 +302,48 @@ def test_hungarian_matches_brute_force(seed):
     assert total == pytest.approx(want_total, abs=1e-12)
 
 
+@st.composite
+def tie_heavy_gains(draw):
+    """Wide, tall and square gains up to 8x8: small integers with many
+    zeros, all zeros, or one constant."""
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    kind = draw(st.sampled_from(["sparse", "zero", "constant"]))
+    if kind == "zero":
+        return np.zeros(shape)
+    if kind == "constant":
+        return np.full(shape, float(draw(st.integers(1, 3))))
+    entry = st.one_of(st.just(0), st.integers(0, 3))
+    values = draw(st.lists(entry, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    return np.array(values, dtype=float).reshape(shape)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tie_heavy_gains())
+def test_hungarian_pairs_equal_scipy_under_ties(gain):
+    # the [test] extra's oracle; the package itself never loads scipy
+    from scipy.optimize import linear_sum_assignment
+
+    n_rows, n_cols = gain.shape
+    size = max(n_rows, n_cols)
+    padded = np.zeros((size, size))
+    padded[:n_rows, :n_cols] = gain
+    rows, cols = linear_sum_assignment(padded, maximize=True)
+    want = [(int(r), int(c)) for r, c in zip(rows, cols) if r < n_rows and c < n_cols]
+    assert hungarian_assign(gain) == want
+
+
+@pytest.mark.parametrize("gain", [np.ones(3), np.ones((2, 2, 2))])
+def test_hungarian_rejects_non_matrix(gain):
+    with pytest.raises(ValueError, match="must be 2-d"):
+        hungarian_assign(gain)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hungarian_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        hungarian_assign(np.array([[0.5, bad], [0.1, 0.2]]))
+
+
 # ---------------------------------------------------------------------------
 # unknown-class metrics
 
