@@ -40,9 +40,11 @@ from .losses import (
     PairLabelMatrix,
     PairSelectionSchedule,
     classification_loss,
-    classification_loss_from_codes,
+    classification_loss_from_plan,
+    classification_plan,
     l1_regression_loss,
     label_codes,
+    pair_plan,
     pair_similarity_loss,
     self_label_matrix,
     self_similarity_loss,

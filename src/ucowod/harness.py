@@ -34,9 +34,11 @@ from .core import Box, ClassLabel, Detection, GroundTruthObject, Proposal, iou, 
 from .losses import (
     DEFAULT_SCHEDULE,
     LossWeights,
-    classification_loss_from_codes,
+    classification_loss_from_plan,
+    classification_plan,
     l1_regression_loss,
     label_codes,
+    pair_plan,
     pair_similarity_loss,
     softmax,
     total_training_loss,
@@ -93,6 +95,8 @@ class RunConfig:
             )
         if self.min_objects < 1 or self.max_objects < self.min_objects:
             raise ValueError("object count range is invalid")
+        if self.feature_noise < 0:
+            raise ValueError(f"feature_noise must be non-negative, got {self.feature_noise}")
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
         if self.warmup_epochs is not None and not (0 <= self.warmup_epochs <= self.epochs):
@@ -431,14 +435,21 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
     The pair-similarity term runs label-supervised for the warm-up epochs,
     then self-supervised with one lambda update per epoch until the
     threshold schedule terminates, after which it falls back to the
-    label-supervised pairs. The pair term and its gradient come from
-    ``pair_similarity_loss``, which visits each unordered pair once, in
-    64-row strips of the upper triangle, with O(N * 64) memory; its pair
-    counts still cover all N x N ordered pairs. The recorded ``model_loss``
-    excludes the lambda penalty (which carries no parameter gradient);
-    divergence to a non-finite loss raises with the epoch index.
+    label-supervised pairs. What depends on the labels alone is built once,
+    before the first epoch, in O(N) memory: the ``classification_plan``, the
+    ``pair_plan`` and the box targets of the rows that have one; each epoch
+    does only the work that depends on the weights. The pair term and its
+    gradient come from ``pair_similarity_loss``, which visits each unordered
+    pair once, in 64-row strips of the upper triangle, with O(N * 64)
+    memory; its pair counts still cover all N x N ordered pairs. The
+    recorded ``model_loss`` excludes the lambda penalty (which carries no
+    parameter gradient); divergence to a non-finite loss raises with the
+    epoch index.
     """
     rows = build_training_rows(dataset, config)
+    cls_plan = classification_plan(rows.codes, rows.unknown, config.known_classes, config.head_width())
+    pairs = pair_plan(rows.codes, rows.unknown)
+    box_targets = rows.delta_targets[rows.has_box_target]
     head = ToyHead.create(config.feature_dim, HIDDEN_DIM, config.head_width(), seed=config.seed)
     lam = 0.0
     warmup = config.resolved_warmup()
@@ -446,19 +457,15 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
 
     for epoch in range(config.epochs):
         acts = head.forward(rows.features)
-        cls_value, grad_logits = classification_loss_from_codes(
-            acts.logits, rows.codes, rows.unknown, config.known_classes
-        )
+        cls_value, grad_logits = classification_loss_from_plan(acts.logits, cls_plan)
 
-        reg_value, grad_selected = l1_regression_loss(
-            acts.deltas[rows.has_box_target], rows.delta_targets[rows.has_box_target]
-        )
+        reg_value, grad_selected = l1_regression_loss(acts.deltas[rows.has_box_target], box_targets)
         grad_deltas = np.zeros_like(acts.deltas)
         grad_deltas[rows.has_box_target] = grad_selected
 
         self_supervised = epoch >= warmup and not DEFAULT_SCHEDULE.terminated(lam)
         sim_value, grad_sim, positive, negative = pair_similarity_loss(
-            acts.logits, rows.codes, rows.unknown, lam if self_supervised else None
+            acts.logits, pairs, lam if self_supervised else None
         )
         if self_supervised:
             penalty = DEFAULT_SCHEDULE.penalty(lam)
@@ -594,12 +601,13 @@ def refine_pipeline(head: ToyHead, dataset: SyntheticDataset, config: RunConfig)
     norms = np.linalg.norm(points, axis=1, keepdims=True)
     points = points / np.maximum(norms, 1e-12)
 
-    n_clusters = config.refine_clusters
+    n_clusters, centroids = config.refine_clusters, None
     if n_clusters is None:
-        n_clusters = select_cluster_count(points, config.unknown_slots, seed=config.seed)
+        # the sweep's k-means fit of the chosen count is where refine starts
+        n_clusters, centroids = select_cluster_count(points, config.unknown_slots, seed=config.seed)
     n_clusters = min(n_clusters, len(unknown_indices))
 
-    result = refine(points, n_clusters, seed=config.seed)
+    result = refine(points, n_clusters, seed=config.seed, centroids=centroids)
     relabeled = list(detections)
     for position, det_index in enumerate(unknown_indices):
         det = detections[det_index]

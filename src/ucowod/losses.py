@@ -20,6 +20,12 @@ Three loss families live here:
   ``tests/reference.py``.
 - an elementwise L1 regression penalty and the weighted total.
 
+Training calls both terms on the same labels every epoch, so what depends on
+the labels alone is built once per run, in O(N) memory: a
+``ClassificationPlan`` (``classification_plan``) and a ``PairPlan``
+(``pair_plan``), which ``classification_loss_from_plan`` and
+``pair_similarity_loss`` take.
+
 Every loss returns ``(value, gradient)`` with analytic gradients.
 """
 
@@ -35,7 +41,8 @@ from .core import ClassLabel, LabelKind
 
 CLAMP_EPS = 1e-6
 MASK_LOGIT = -1e4
-# rows per tile of pair_similarity_loss, whose memory is O(N * PAIR_TILE_ROWS)
+# rows per tile of pair_similarity_loss, whose memory is O(N * PAIR_TILE_ROWS);
+# pair_plan reads it, so a plan keeps the tile size it was built with
 PAIR_TILE_ROWS = 64
 
 
@@ -57,25 +64,39 @@ def classification_loss(
     ``-log p`` of their highest-scoring unknown slot, so only that slot
     receives gradient. Returns ``(mean loss, gradient wrt logits)``.
     """
-    return classification_loss_from_codes(logits, *label_codes(labels), known_count)
-
-
-def classification_loss_from_codes(
-    logits: np.ndarray,
-    codes: np.ndarray,
-    unknown: np.ndarray,
-    known_count: int,
-) -> tuple[float, np.ndarray]:
-    """``classification_loss`` with the labels given as ``label_codes``
-    arrays, so training builds them once rather than every epoch."""
     Z = np.asarray(logits, dtype=float)
     if Z.ndim != 2:
         raise ValueError(f"logits must be 2-d, got shape {Z.shape}")
     n, width = Z.shape
     if n == 0:
         raise ValueError("empty batch")
-    if len(codes) != n:
-        raise ValueError(f"{n} logit rows but {len(codes)} labels")
+    if len(labels) != n:
+        raise ValueError(f"{n} logit rows but {len(labels)} labels")
+    plan = classification_plan(*label_codes(labels), known_count, width)
+    return classification_loss_from_plan(Z, plan)
+
+
+@dataclass(frozen=True)
+class ClassificationPlan:
+    """The label-only part of ``classification_loss`` for one batch, built
+    once per training run by ``classification_plan``: the slots every row
+    sees (the known classes and background), each row's target slot (an
+    unknown row's is replaced on each call by its best unknown slot), the
+    unknown rows and the row index. Memory is O(N)."""
+
+    known_count: int
+    visible: np.ndarray
+    targets: np.ndarray
+    pseudo: np.ndarray
+    rows: np.ndarray
+
+
+def classification_plan(
+    codes: np.ndarray, unknown: np.ndarray, known_count: int, width: int
+) -> ClassificationPlan:
+    """The plan for rows with the ``label_codes`` arrays ``codes`` and
+    ``unknown`` under logits of ``width`` slots; raises on a label the head
+    cannot score."""
     unknown_slots = width - known_count - 1
     if unknown_slots < 0:
         raise ValueError(f"logit width {width} too small for {known_count} known classes")
@@ -87,25 +108,41 @@ def classification_loss_from_codes(
         raise ValueError("unknown-labeled row but the head has no unknown slots")
     if bad.size:
         raise ValueError(f"known id {codes[bad[0]]} out of range [0, {known_count})")
+    visible = np.zeros(width, dtype=bool)
+    visible[:known_count] = True
+    visible[background] = True
+    return ClassificationPlan(
+        known_count=known_count,
+        visible=visible,
+        targets=np.where(codes < 0, background, codes),
+        pseudo=np.flatnonzero(unknown),
+        rows=np.arange(len(codes)),
+    )
 
-    visible = np.zeros((n, width), dtype=bool)
-    visible[:, :known_count] = True
-    visible[:, background] = True
-    targets = np.where(codes < 0, background, codes)
-    pseudo = np.flatnonzero(unknown)
-    if pseudo.size:
-        best = known_count + Z[pseudo, known_count:background].argmax(axis=1)
-        visible[pseudo, best] = True
-        targets[pseudo] = best
 
-    masked = np.where(visible, Z, MASK_LOGIT)
+def classification_loss_from_plan(logits: np.ndarray, plan: ClassificationPlan) -> tuple[float, np.ndarray]:
+    """``classification_loss`` of ``logits`` for the rows ``plan`` was built
+    for, so that training checks and indexes the labels once, not every
+    epoch."""
+    Z = np.asarray(logits, dtype=float)
+    n = len(plan.rows)
+    if Z.shape != (n, len(plan.visible)):
+        raise ValueError(f"logits of shape {Z.shape} for a plan of {n} rows and {len(plan.visible)} slots")
+    masked = np.where(plan.visible, Z, MASK_LOGIT)
+    targets = plan.targets
+    if plan.pseudo.size:
+        best = plan.known_count + Z[plan.pseudo, plan.known_count : -1].argmax(axis=1)
+        masked[plan.pseudo, best] = Z[plan.pseudo, best]
+        targets = targets.copy()
+        targets[plan.pseudo] = best
+
     row_max = masked.max(axis=1, keepdims=True)
     exp = np.exp(masked - row_max)
     sums = exp.sum(axis=1)
-    loss = float(np.mean(row_max[:, 0] + np.log(sums) - masked[np.arange(n), targets]))
+    loss = float(np.mean(row_max[:, 0] + np.log(sums) - masked[plan.rows, targets]))
 
     probs = exp / sums[:, None]
-    probs[np.arange(n), targets] -= 1.0
+    probs[plan.rows, targets] -= 1.0
     return loss, probs / n
 
 
@@ -285,67 +322,109 @@ def self_similarity_loss(
     return base + DEFAULT_SCHEDULE.penalty(lam), grad
 
 
+@dataclass(frozen=True)
+class PairPlan:
+    """The label-only part of ``pair_similarity_loss`` for one batch, built
+    once per training run by ``pair_plan``. Memory is O(N).
+
+    ``group`` holds each row's group id in the smallest integer type, which
+    keeps each strip's comparison cheap: one group per label code and every
+    unknown row in one more, so that equal ids mark the positive pairs, or
+    the undecided ones between two unknown rows.
+    ``unknown_pairs`` says, for each ``tile_rows``-row strip, whether it holds
+    a pair of two unknown rows. ``positive`` and ``negative`` count the
+    label-supervised verdicts over all N x N ordered pairs."""
+
+    group: np.ndarray
+    unknown: np.ndarray
+    tile_rows: int
+    unknown_pairs: tuple[bool, ...]
+    positive: int
+    negative: int
+
+
+def pair_plan(codes: np.ndarray, unknown: np.ndarray) -> PairPlan:
+    """The plan for rows with the ``label_codes`` arrays ``codes`` and
+    ``unknown``, in strips of ``PAIR_TILE_ROWS`` rows."""
+    codes, unknown = np.asarray(codes), np.asarray(unknown, dtype=bool)
+    values, group = np.unique(codes, return_inverse=True)
+    group[unknown] = len(values)
+    n, tile = len(codes), PAIR_TILE_ROWS
+    # a pair is positive when both rows share a label code and neither is
+    # unknown, undecided when both are unknown, and negative otherwise
+    positive = int((np.bincount(group[~unknown]) ** 2).sum())
+    return PairPlan(
+        group=group.astype(np.min_scalar_type(len(values))),
+        unknown=unknown,
+        tile_rows=tile,
+        unknown_pairs=tuple(bool(unknown[s : s + tile].any() and unknown[s:].any()) for s in range(0, n, tile)),
+        positive=positive,
+        negative=n * n - positive - int(np.count_nonzero(unknown)) ** 2,
+    )
+
+
 def pair_similarity_loss(
     embeddings: np.ndarray,
-    codes: np.ndarray,
-    unknown: np.ndarray,
+    plan: PairPlan,
     lam: Optional[float] = None,
 ) -> tuple[float, np.ndarray, int, int]:
     """Training's pair term: the ``similarity_loss`` (``self_similarity_loss``
     given ``lam``) of the clamped cosine similarities of ``embeddings`` under
-    the label matrices of the ``label_codes`` arrays, and its gradient wrt
-    the embeddings. Returns (value, gradient, positive and negative counts
-    over all N x N ordered pairs).
+    the label matrices of the rows ``plan`` was built for, and its gradient
+    wrt the embeddings. Returns (value, gradient, positive and negative
+    counts over all N x N ordered pairs).
 
     S and the pair verdicts are symmetric, so each unordered pair is computed
-    once: the PAIR_TILE_ROWS-row tile [s, e) is multiplied only against the
-    columns [s, N), and the pair derivatives of that strip are pushed onto
-    both its rows and its columns. The gradient is then projected onto each
-    row's tangent plane in O(N d), once for all tiles. Memory is
-    O(N * PAIR_TILE_ROWS)."""
+    once: the ``plan.tile_rows``-row tile [s, e) is multiplied only against
+    the columns [s, N), and the pair derivatives of that strip are pushed
+    onto both its rows and its columns. The gradient is then projected onto
+    each row's tangent plane in O(N d), once for all tiles. The label-only
+    verdicts and counts come from the plan, so each strip does one group-id
+    comparison, and only with ``lam`` thresholds its unknown x unknown pairs.
+    Memory is O(N * tile_rows)."""
     schedule, eps = DEFAULT_SCHEDULE, CLAMP_EPS
     if lam is not None:
         _require_active(lam)
     unit, norms = _unit_rows(embeddings)
-    codes, unknown = np.asarray(codes), np.asarray(unknown, dtype=bool)
-    n = len(unit)
-    # one group per label code, all unknown rows in one more: equal groups are
-    # the positive pairs, or the undecided ones between two unknown rows; the
-    # smallest integer type keeps the per-tile comparison cheap
-    values, group = np.unique(codes, return_inverse=True)
-    group[unknown] = len(values)
-    group = group.astype(np.min_scalar_type(len(values)))
+    n, tile, group, unknown = len(unit), plan.tile_rows, plan.group, plan.unknown
+    if n != len(group):
+        raise ValueError(f"{n} embedding rows but a pair plan for {len(group)}")
     acc = np.zeros_like(unit)
     # two work buffers that every strip reuses, rather than allocating its own
-    raw_buf, upstream_buf = np.empty(PAIR_TILE_ROWS * n), np.empty(PAIR_TILE_ROWS * n)
-    total, positive, negative = 0.0, 0, 0
-    for s in range(0, n, PAIR_TILE_ROWS):
-        e = min(s + PAIR_TILE_ROWS, n)
+    raw_buf, upstream_buf = np.empty(tile * n), np.empty(tile * n)
+    total, positive, negative = 0.0, plan.positive, plan.negative
+    for s, unknown_pairs in zip(range(0, n, tile), plan.unknown_pairs):
+        e = min(s + tile, n)
         r = e - s
         # the strip [s, e) x [s, n): its r x r diagonal block holds both
         # orders of its pairs, every other entry stands for two ordered pairs
         raw = np.matmul(unit[s:e], unit[s:].T, out=raw_buf[: r * (n - s)].reshape(r, n - s))
         active = (raw > eps) & (raw < 1.0 - eps)  # pinned at the clamp: no gradient
         S = np.clip(raw, eps, 1.0 - eps, out=raw)
-        same = group[s:e, None] == group[s:]
-        pos = same & ~unknown[s:e, None]
-        neg = ~same
-        if lam is not None and unknown[s:e].any() and unknown[s:].any():
-            both_unknown = same & unknown[s:e, None]
-            pos |= both_unknown & (S > schedule.upper(lam))
-            neg |= both_unknown & (S < schedule.lower(lam))
-        selected = pos | neg
+        neg = group[s:e, None] != group[s:]
+        undecided = None
+        if unknown_pairs:
+            undecided = unknown[s:e, None] & unknown[s:]
+            if lam is not None:
+                above = undecided & (S > schedule.upper(lam))
+                below = undecided & (S < schedule.lower(lam))
+                neg |= below
+                undecided &= ~(above | below)
+                positive += 2 * int(np.count_nonzero(above)) - int(np.count_nonzero(above[:, :r]))
+                negative += 2 * int(np.count_nonzero(below)) - int(np.count_nonzero(below[:, :r]))
+            active &= ~undecided
         # q is -S for positive pairs and 1 - S for negative ones: the pair's
         # cross-entropy is -log|q| and its derivative wrt S is 1/q
         q = np.subtract(neg, S, out=S)
-        upstream = np.divide(active & selected, q, out=upstream_buf[: q.size].reshape(q.shape))
+        upstream = np.divide(active, q, out=upstream_buf[: q.size].reshape(q.shape))
         acc[s:e] += upstream @ unit[s:]
         acc[e:] += upstream[:, r:].T @ unit[s:e]
         # |q| < 1 on every pair, so undecided ones read 1 and add log 1 = 0
-        log_x = np.log(np.maximum(np.abs(q, out=q), ~selected, out=q), out=q)
+        x = np.abs(q, out=q)
+        if undecided is not None:
+            np.copyto(x, 1.0, where=undecided)
+        log_x = np.log(x, out=x)
         total -= 2.0 * log_x.sum() - log_x[:, :r].sum()
-        positive += 2 * int(np.count_nonzero(pos)) - int(np.count_nonzero(pos[:, :r]))
-        negative += 2 * int(np.count_nonzero(neg)) - int(np.count_nonzero(neg[:, :r]))
     penalty = 0.0 if lam is None else schedule.penalty(lam)
     if positive + negative == 0:
         _warnings.warn("similarity loss saw no selected pairs", RuntimeWarning)

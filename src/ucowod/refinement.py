@@ -16,6 +16,7 @@ rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -103,24 +104,31 @@ def _silhouette(dists: np.ndarray, assign: np.ndarray) -> float:
     return float(scores.mean())
 
 
-def select_cluster_count(points: np.ndarray, max_clusters: int, seed: int = 0) -> int:
+def select_cluster_count(
+    points: np.ndarray, max_clusters: int, seed: int = 0
+) -> tuple[int, Optional[np.ndarray]]:
     """Pick a cluster count in [2, max_clusters] by mean silhouette under
     seeded k-means, preferring the largest count within 10% of the best
     score (coarse splits of nested structure otherwise shadow the finer
-    one). Falls back to 1 when the points cannot support two clusters.
+    one). Returns the count with the ``kmeans_init`` centroids it was scored
+    with, for ``refine`` to start from; falls back to ``(1, None)`` when the
+    points cannot support two clusters.
     """
     X = np.asarray(points, dtype=float)
     dists = _distances(X)
+    fits: dict[int, np.ndarray] = {}
     scores: dict[int, float] = {}
     for k in range(2, min(max_clusters, len(X) - 1) + 1):
-        assign = _sq_distances(X, kmeans_init(X, k, seed=seed)).argmin(axis=1)
+        fits[k] = kmeans_init(X, k, seed=seed)
+        assign = _sq_distances(X, fits[k]).argmin(axis=1)
         if len(np.unique(assign)) > 1:
             scores[k] = _silhouette(dists, assign)
     if not scores:
-        return 1
+        return 1, None
     best = max(scores.values())
     threshold = best - 0.1 * abs(best)
-    return max(k for k, score in scores.items() if score >= threshold)
+    chosen = max(k for k, score in scores.items() if score >= threshold)
+    return chosen, fits[chosen]
 
 
 def soft_assignment(embeddings: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -209,9 +217,15 @@ def refine(
     steps: int = 200,
     lr: float = 0.1,
     seed: int = 0,
+    centroids: Optional[np.ndarray] = None,
 ) -> RefineResult:
     """Cluster embeddings and tighten the clusters by KL descent, moving
     embeddings and centroids together.
+
+    The descent starts from ``centroids`` when given, which must be what
+    ``kmeans_init(embeddings, n_clusters, seed)`` returns (the sweep of
+    ``select_cluster_count`` has them already), and from that call
+    otherwise.
 
     The target distribution is recomputed every 10 steps; between
     recomputations each step must not increase the KL value, which a
@@ -224,7 +238,10 @@ def refine(
         raise ValueError("need a non-empty 2-d embedding matrix")
     if steps < 0 or lr <= 0:
         raise ValueError("steps must be >= 0 and lr positive")
-    centroids = kmeans_init(E, n_clusters, seed)
+    if centroids is None:
+        centroids = kmeans_init(E, n_clusters, seed)
+    elif np.shape(centroids) != (n_clusters, E.shape[1]):
+        raise ValueError(f"centroids of shape {np.shape(centroids)} for {n_clusters} clusters of {E.shape[1]}-d points")
     P = soft_assignment(E, centroids)
     Q = target_distribution(P)
     hard = P.argmax(axis=1)

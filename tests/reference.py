@@ -299,6 +299,62 @@ def pair_bce_ref(similarity, positive, negative):
     return total / count if count else 0.0
 
 
+def pair_kernel_ref(embeddings, codes, unknown, lam=None, tile_rows=64):
+    """Exact oracle of ``losses.pair_similarity_loss``: the tiled kernel as it
+    was when it rebuilt its label-only state (group ids, masks and counts)
+    on every call, verbatim but for the package's constants, spelled out
+    with the same arithmetic, and the tile size, passed in. Its value,
+    gradient and counts must equal the planned kernel's to the bit."""
+    eps = 1e-6
+    upper = None if lam is None else 0.95 - 1.0 * lam
+    lower = None if lam is None else 0.455 + 0.1 * lam
+    if lam is not None and upper <= lower:
+        raise RuntimeError(f"self-supervision terminated at lam={lam}")
+    E = np.asarray(embeddings, dtype=float)
+    norms = np.sqrt((E * E).sum(axis=1))
+    if (norms == 0.0).any():
+        raise ValueError(f"zero-norm embedding rows: {np.flatnonzero(norms == 0.0).tolist()}")
+    unit = E / norms[:, None]
+    codes, unknown = np.asarray(codes), np.asarray(unknown, dtype=bool)
+    n = len(unit)
+    values, group = np.unique(codes, return_inverse=True)
+    group[unknown] = len(values)
+    group = group.astype(np.min_scalar_type(len(values)))
+    acc = np.zeros_like(unit)
+    raw_buf, upstream_buf = np.empty(tile_rows * n), np.empty(tile_rows * n)
+    total, positive, negative = 0.0, 0, 0
+    for s in range(0, n, tile_rows):
+        e = min(s + tile_rows, n)
+        r = e - s
+        raw = np.matmul(unit[s:e], unit[s:].T, out=raw_buf[: r * (n - s)].reshape(r, n - s))
+        active = (raw > eps) & (raw < 1.0 - eps)
+        S = np.clip(raw, eps, 1.0 - eps, out=raw)
+        same = group[s:e, None] == group[s:]
+        pos = same & ~unknown[s:e, None]
+        neg = ~same
+        if lam is not None and unknown[s:e].any() and unknown[s:].any():
+            both_unknown = same & unknown[s:e, None]
+            pos |= both_unknown & (S > upper)
+            neg |= both_unknown & (S < lower)
+        selected = pos | neg
+        q = np.subtract(neg, S, out=S)
+        upstream = np.divide(active & selected, q, out=upstream_buf[: q.size].reshape(q.shape))
+        acc[s:e] += upstream @ unit[s:]
+        acc[e:] += upstream[:, r:].T @ unit[s:e]
+        log_x = np.log(np.maximum(np.abs(q, out=q), ~selected, out=q), out=q)
+        total -= 2.0 * log_x.sum() - log_x[:, :r].sum()
+        positive += 2 * int(np.count_nonzero(pos)) - int(np.count_nonzero(pos[:, :r]))
+        negative += 2 * int(np.count_nonzero(neg)) - int(np.count_nonzero(neg[:, :r]))
+    penalty = 0.0 if lam is None else upper - lower
+    if positive + negative == 0:
+        return penalty, np.zeros_like(unit), 0, 0
+    grad = acc - (unit * acc).sum(axis=1)[:, None] * unit
+    grad -= (unit * grad).sum(axis=1)[:, None] * unit
+    grad /= norms[:, None]
+    scale = 1.0 / (positive + negative)
+    return total * scale + penalty, grad * (2.0 * scale), positive, negative
+
+
 def l1_loss_ref(pred, target):
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)

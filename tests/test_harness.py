@@ -14,7 +14,8 @@ from ucowod import (
     build_training_rows,
     class_prototypes,
     classification_loss,
-    classification_loss_from_codes,
+    classification_loss_from_plan,
+    classification_plan,
     detect,
     detect_with_embeddings,
     evaluate,
@@ -305,15 +306,48 @@ def test_train_builds_label_codes_once(monkeypatch):
     assert calls == [len(result.rows.labels)]
 
 
-def test_classification_loss_from_codes_is_classification_loss(default_run):
+def test_train_builds_pair_state_once(monkeypatch):
+    # the label-only state of both loss terms is built before the first
+    # epoch; every epoch reuses it
+    import ucowod.harness
+
+    calls = []
+
+    def counted(name):
+        original = getattr(ucowod.harness, name)
+
+        def wrapper(*args):
+            calls.append((name, args[1] if name == "pair_similarity_loss" else None))
+            return original(*args)
+
+        return wrapper
+
+    for name in ("pair_plan", "classification_plan", "pair_similarity_loss"):
+        monkeypatch.setattr(ucowod.harness, name, counted(name))
+    config = RunConfig(seed=0, train_scenes=3, test_scenes=1, epochs=10, warmup_epochs=4)
+    result = train(config, generate_dataset(config))
+    assert [stats.phase for stats in result.history].count("self") == 6
+    assert [name for name, _ in calls].count("pair_plan") == 1
+    assert [name for name, _ in calls].count("classification_plan") == 1
+    # every epoch, self-supervised ones included, reads the one pair plan
+    plans = [plan for name, plan in calls if name == "pair_similarity_loss"]
+    assert len(plans) == 10 and all(plan is plans[0] for plan in plans)
+
+
+def test_classification_loss_from_plan_is_classification_loss(default_run):
     config, _, result = default_run
     rows = result.rows
     logits = result.head.forward(rows.features).logits
     value, grad = classification_loss(logits, rows.labels, config.known_classes)
-    coded_value, coded_grad = classification_loss_from_codes(logits, rows.codes, rows.unknown, config.known_classes)
-    assert coded_value == value and np.array_equal(coded_grad, grad)
-    with pytest.raises(ValueError, match=f"{len(rows.codes)} logit rows but {len(rows.codes) - 1} labels"):
-        classification_loss_from_codes(logits, rows.codes[1:], rows.unknown[1:], config.known_classes)
+    plan = classification_plan(rows.codes, rows.unknown, config.known_classes, config.head_width())
+    planned_value, planned_grad = classification_loss_from_plan(logits, plan)
+    assert planned_value == value and np.array_equal(planned_grad, grad)
+    # the plan is not changed by a call: a second call gives the same result
+    again_value, again_grad = classification_loss_from_plan(logits, plan)
+    assert again_value == value and np.array_equal(again_grad, grad)
+    n, width = logits.shape
+    with pytest.raises(ValueError, match=f"logits of shape \\({n - 1}, {width}\\) for a plan of {n} rows and {width} slots"):
+        classification_loss_from_plan(logits[1:], plan)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -355,6 +389,27 @@ def test_refine_pipeline_outputs_are_consistent(default_run):
     ]
     ids = {outcome.detections[i].label.class_id for i in outcome.refined_indices}
     assert ids <= set(range(config.known_classes, config.known_classes + outcome.n_clusters))
+
+
+def test_refine_pipeline_runs_kmeans_once_per_candidate_count(default_run, monkeypatch):
+    # refine starts from the sweep's fit of the chosen count instead of
+    # running k-means for it again; a fixed count runs it once, in refine
+    import ucowod.refinement
+
+    config, dataset, result = default_run
+    counts, original = [], ucowod.refinement.kmeans_init
+
+    def counted(points, n_clusters, seed=0):
+        counts.append(n_clusters)
+        return original(points, n_clusters, seed)
+
+    monkeypatch.setattr(ucowod.refinement, "kmeans_init", counted)
+    outcome = refine_pipeline(result.head, dataset, config)
+    assert counts == list(range(2, config.unknown_slots + 1))
+    assert outcome.n_clusters in counts
+    counts.clear()
+    refine_pipeline(result.head, dataset, dataclasses.replace(config, refine_clusters=3))
+    assert counts == [3]
 
 
 def test_refine_single_cluster_collapses_ids_and_keeps_recall():

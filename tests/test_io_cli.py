@@ -287,6 +287,7 @@ def test_invalid_config_key_via_cli_exits_two(tmp_path, capsys):
         ({"epochs": 0}, "config: need at least one epoch"),
         ({"ulp": {"delta": 1.5}}, "config.ulp: delta must lie in [0, 1], got 1.5"),
         ({"eta": -0.1}, "config: eta must be non-negative, got -0.1"),
+        ({"feature_noise": -0.05}, "config: feature_noise must be non-negative, got -0.05"),
         ({"train_scenes": 0}, "config: need at least one training scene"),
         ({"test_scenes": 0}, "config: need at least one test scene"),
         ({"refine_clusters": 0}, "config: refine_clusters must be null or lie in [1, 8], got 0"),

@@ -15,6 +15,7 @@ from ucowod import (
     classification_loss,
     l1_regression_loss,
     label_codes,
+    pair_plan,
     pair_similarity_loss,
     self_label_matrix,
     self_similarity_loss,
@@ -33,6 +34,7 @@ from reference import (
     cosine_matrix_ref,
     l1_loss_ref,
     pair_bce_ref,
+    pair_kernel_ref,
     relative_error,
 )
 
@@ -489,7 +491,7 @@ def matrix_pair_loss(E, labels, lam=None):
 def assert_kernel_matches(E, labels, lam=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        value, grad, positive, negative = pair_similarity_loss(E, *label_codes(labels), lam)
+        value, grad, positive, negative = pair_similarity_loss(E, pair_plan(*label_codes(labels)), lam)
         want_value, want_grad, want_positive, want_negative = matrix_pair_loss(E, labels, lam)
     assert (positive, negative) == (want_positive, want_negative)
     assert value == pytest.approx(want_value, rel=1e-12, abs=1e-12)
@@ -547,8 +549,8 @@ def test_pair_kernel_gradient_is_tangent(seed, n, lam):
     scaled[row] *= c
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        value, grad, positive, negative = pair_similarity_loss(E, *label_codes(labels), lam)
-        s_value, s_grad, s_positive, s_negative = pair_similarity_loss(scaled, *label_codes(labels), lam)
+        value, grad, positive, negative = pair_similarity_loss(E, pair_plan(*label_codes(labels)), lam)
+        s_value, s_grad, s_positive, s_negative = pair_similarity_loss(scaled, pair_plan(*label_codes(labels)), lam)
     along = np.abs((grad * E).sum(axis=1))
     assert (along <= 1e-12 * np.linalg.norm(grad, axis=1) * np.linalg.norm(E, axis=1)).all()
     assert (s_positive, s_negative) == (positive, negative)
@@ -573,13 +575,66 @@ def test_pair_kernel_is_permutation_equivariant(seed, n, tile_rows, lam):
     perm = g.permutation(n)
     with warnings.catch_warnings(), mock.patch.object(losses, "PAIR_TILE_ROWS", tile_rows):
         warnings.simplefilter("ignore", RuntimeWarning)
-        value, grad, positive, negative = pair_similarity_loss(E, *label_codes(labels), lam)
+        value, grad, positive, negative = pair_similarity_loss(E, pair_plan(*label_codes(labels)), lam)
         p_value, p_grad, p_positive, p_negative = pair_similarity_loss(
-            E[perm], *label_codes([labels[i] for i in perm]), lam
+            E[perm], pair_plan(*label_codes([labels[i] for i in perm])), lam
         )
     assert (p_positive, p_negative) == (positive, negative)
     assert p_value == pytest.approx(value, rel=1e-12, abs=1e-12)
     assert np.allclose(p_grad, grad[perm], rtol=1e-9, atol=1e-12 * max(1.0, np.abs(grad).max()))
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 100_000),
+    st.sampled_from([1, 63, 64, 65, 165]),
+    st.sampled_from([1, 3, 8, PAIR_TILE_ROWS]),
+    st.sampled_from(["mixed", "no unknown", "all unknown"]),
+    st.floats(0.0, 0.44),
+)
+def test_pair_kernel_equals_per_call_oracle(seed, n, tile_rows, rows_kind, lam):
+    # the planned kernel is the per-call one with its label-only work moved
+    # into the plan: the same value, gradient and counts to the bit in the
+    # supervised phase, the self phase and the post phase that follows it on
+    # the same plan; the plan keeps the tile size it was built with
+    g = np.random.default_rng(seed)
+    E, labels = pinned_kernel_input(g, n)
+    if rows_kind == "no unknown":
+        labels = [BG if lab.is_unknown else lab for lab in labels]
+    elif rows_kind == "all unknown":
+        labels = [U(2 + int(g.integers(0, 2))) for _ in labels]
+    codes, unknown = label_codes(labels)
+    with mock.patch.object(losses, "PAIR_TILE_ROWS", tile_rows):
+        plan = pair_plan(codes, unknown)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for phase_lam in (None, lam, None):
+            value, grad, positive, negative = pair_similarity_loss(E, plan, phase_lam)
+            want_value, want_grad, want_positive, want_negative = pair_kernel_ref(E, codes, unknown, phase_lam, tile_rows)
+            assert value == want_value and np.array_equal(grad, want_grad)
+            assert (positive, negative) == (want_positive, want_negative)
+
+
+def test_pair_kernel_rejects_a_plan_of_other_rows():
+    plan = pair_plan(*label_codes([K(0), K(1), U(2)]))
+    with pytest.raises(ValueError, match="2 embedding rows but a pair plan for 3"):
+        pair_similarity_loss(np.eye(2), plan)
+
+
+def test_pair_plan_memory_is_linear():
+    # group ids, the unknown mask and one flag per strip: no per-strip mask
+    n = 4096
+    g = np.random.default_rng(0)
+    codes, unknown = label_codes(random_labels(g, n, 3, 8))
+    tracemalloc.start()
+    try:
+        plan = pair_plan(codes, unknown)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the masks of one strip alone would take n * PAIR_TILE_ROWS bytes
+    assert peak < n * PAIR_TILE_ROWS
+    assert len(plan.unknown_pairs) == n // PAIR_TILE_ROWS
+
 
 @pytest.mark.parametrize("lam", [None, 0.2])
 def test_pair_kernel_matches_across_real_tile_boundary(lam):
@@ -592,7 +647,7 @@ def test_pair_kernel_pinned_pairs_pass_no_gradient():
     # rows 0 and 1 are identical (cosine pinned at 1 - eps), row 2 is
     # orthogonal to both (pinned at eps): every pair sits on the clamp
     E = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
-    value, grad, positive, negative = pair_similarity_loss(E, *label_codes([K(0), K(0), K(1)]))
+    value, grad, positive, negative = pair_similarity_loss(E, pair_plan(*label_codes([K(0), K(0), K(1)])))
     assert not grad.any()
     assert (positive, negative) == (5, 4)
     assert value == pytest.approx(-(5 * math.log(1.0 - CLAMP_EPS) + 4 * math.log(1.0 - CLAMP_EPS)) / 9)
@@ -602,7 +657,7 @@ def test_pair_kernel_overlays_self_verdicts():
     # known row 0, unknown rows 1 and 2 whose cosine is set per case
     def counts(cosine, lam):
         E = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, cosine, math.sqrt(1.0 - cosine**2)]])
-        return pair_similarity_loss(E, *label_codes([K(0), U(3), U(4)]), lam)[2:]
+        return pair_similarity_loss(E, pair_plan(*label_codes([K(0), U(3), U(4)])), lam)[2:]
 
     # supervised: the known diagonal is positive, the four known-vs-unknown
     # pairs negative, unknown-unknown pairs undecided
@@ -617,34 +672,34 @@ def test_pair_kernel_overlays_self_verdicts():
 
 def test_pair_kernel_without_selected_pairs_warns():
     E = np.array([[1.0, 0.2], [0.3, 1.0]])
-    codes, unknown = label_codes([U(3), U(4)])
+    plan = pair_plan(*label_codes([U(3), U(4)]))
     with pytest.warns(RuntimeWarning, match="no selected pairs"):
-        value, grad, positive, negative = pair_similarity_loss(E, codes, unknown)
+        value, grad, positive, negative = pair_similarity_loss(E, plan)
     assert value == 0.0 and not grad.any() and (positive, negative) == (0, 0)
     # self-supervised: diagonal pairs are pinned positives, so the loss is
     # the clamp cost plus the band width
-    value, grad, positive, negative = pair_similarity_loss(E, codes, unknown, lam=0.0)
+    value, grad, positive, negative = pair_similarity_loss(E, plan, lam=0.0)
     assert (positive, negative) == (2, 0)
     assert value == pytest.approx(-math.log(1.0 - CLAMP_EPS) + 0.495, abs=1e-12)
     assert not grad.any()
 
 
 def test_pair_kernel_rejects_zero_norm_rows_and_terminated_schedule():
-    codes, unknown = label_codes([K(0), K(1)])
+    plan = pair_plan(*label_codes([K(0), K(1)]))
     with pytest.raises(ValueError, match="zero-norm embedding rows: \\[1\\]"):
-        pair_similarity_loss(np.array([[1.0, 0.0], [0.0, 0.0]]), codes, unknown)
+        pair_similarity_loss(np.array([[1.0, 0.0], [0.0, 0.0]]), plan)
     with pytest.raises(RuntimeError, match="terminated"):
-        pair_similarity_loss(np.eye(2), codes, unknown, lam=0.45)
+        pair_similarity_loss(np.eye(2), plan, lam=0.45)
 
 
 def test_pair_kernel_memory_is_tiled():
     n = 4096
     g = np.random.default_rng(0)
     E = g.normal(0, 1, size=(n, 12))
-    codes, unknown = label_codes(random_labels(g, n, 3, 8))
+    plan = pair_plan(*label_codes(random_labels(g, n, 3, 8)))
     tracemalloc.start()
     try:
-        pair_similarity_loss(E, codes, unknown, lam=0.1)
+        pair_similarity_loss(E, plan, lam=0.1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -282,6 +282,17 @@ def test_refine_input_validation():
         refine(np.zeros((4, 2)), 1, lr=0.0)
     with pytest.raises(ValueError):
         refine(np.zeros((4, 2)), 1, steps=-1)
+    with pytest.raises(ValueError, match="centroids of shape \\(2, 2\\) for 1 clusters of 2-d points"):
+        refine(np.eye(4, 2), 1, centroids=np.zeros((2, 2)))
+
+
+def test_refine_from_given_kmeans_centroids_is_refine():
+    points, _ = gaussian_blobs(11, [[0, 0], [2, 2], [0, 2]], 20, 0.2)
+    fresh = refine(points, 3, steps=100, lr=0.1, seed=4)
+    given = refine(points, 3, steps=100, lr=0.1, seed=4, centroids=kmeans_init(points, 3, seed=4))
+    assert np.array_equal(given.centroids, fresh.centroids)
+    assert np.array_equal(given.embeddings, fresh.embeddings)
+    assert given.kl_history == fresh.kl_history
 
 
 def test_cluster_index_equivariance():
@@ -327,7 +338,7 @@ def test_silhouette_singleton_contributes_zero():
 def test_silhouette_needs_two_clusters():
     # coincident points: every k-means labelling is one cluster, which the
     # sweep does not score, so it falls back to one cluster
-    assert select_cluster_count(np.zeros((5, 2)), 4, seed=0) == 1
+    assert select_cluster_count(np.zeros((5, 2)), 4, seed=0) == (1, None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -381,23 +392,28 @@ def sweep_ref(points, max_clusters, seed):
 def test_select_cluster_count_matches_reference_sweep(seed, n_centers, n_per, sigma, max_clusters):
     g = np.random.default_rng(seed)
     points, _ = gaussian_blobs(seed, g.uniform(-1, 1, size=(n_centers, 3)), n_per, sigma)
-    assert select_cluster_count(points, max_clusters, seed=seed) == sweep_ref(points, max_clusters, seed)
+    k, centroids = select_cluster_count(points, max_clusters, seed=seed)
+    assert k == sweep_ref(points, max_clusters, seed)
+    # the centroids are the sweep's k-means fit of the chosen count
+    assert (centroids is None) == (k == 1)
+    if centroids is not None:
+        assert np.array_equal(centroids, kmeans_init(points, k, seed=seed))
 
 
 def test_select_cluster_count_on_blobs():
     points3, _ = gaussian_blobs(0, [[0, 0], [1, 0], [0, 1]], 25, 0.08)
-    assert select_cluster_count(points3, 8, seed=0) == 3
+    assert select_cluster_count(points3, 8, seed=0)[0] == 3
     points2, _ = gaussian_blobs(1, [[0, 0], [2, 2]], 25, 0.1)
-    assert select_cluster_count(points2, 8, seed=0) == 2
+    assert select_cluster_count(points2, 8, seed=0)[0] == 2
 
 
 def test_select_cluster_count_respects_cap():
     points, _ = gaussian_blobs(0, [[0, 0], [1, 0], [0, 1]], 25, 0.08)
-    assert select_cluster_count(points, 2, seed=0) == 2
+    assert select_cluster_count(points, 2, seed=0)[0] == 2
 
 
 def test_select_cluster_count_degenerate_inputs():
-    assert select_cluster_count(np.zeros((2, 2)), 8, seed=0) == 1
+    assert select_cluster_count(np.zeros((2, 2)), 8, seed=0) == (1, None)
 
 
 @pytest.mark.parametrize("m", [7, 256, 323, 513])

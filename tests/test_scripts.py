@@ -9,7 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_script(name, *args, returncode=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -19,8 +19,8 @@ def run_script(name, *args):
         env=env,
         timeout=300,
     )
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()
+    assert done.returncode == returncode, done.stderr
+    return done.stdout.splitlines() if returncode == 0 else done.stderr.splitlines()
 
 
 def test_run_pipeline_prints_scorecards_and_writes_report(tmp_path):
@@ -54,3 +54,26 @@ def test_sweep_objectness_floor_prints_one_row_per_floor():
     assert float(floor) == 0.3
     assert int(pseudo) > 0
     assert all(0.0 <= float(v) <= 1.0 for v in scores)
+
+
+def test_artifact_digests_print_and_compare(tmp_path):
+    overrides = json.dumps({"epochs": 3})
+    lines = run_script("artifact_digests.py", "--seeds", 0, 1, "--overrides", overrides)
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["overrides"] == {"epochs": 3}
+    artifacts = {"dataset.json", "gt.json", "model.json", "detections.jsonl", "detections_refined.jsonl",
+                 "report.json", "report_refined.json"}
+    assert set(record["digests"]) == {"0", "1"}
+    assert all(set(files) == artifacts for files in record["digests"].values())
+    assert all(len(d) == 64 for files in record["digests"].values() for d in files.values())
+
+    # a second run reproduces every byte; a changed digest is named
+    saved = tmp_path / "digests.json"
+    saved.write_text(lines[0])
+    run_script("artifact_digests.py", "--seeds", 0, 1, "--overrides", overrides, "--compare", saved)
+    record["digests"]["1"]["model.json"] = "0" * 64
+    saved.write_text(json.dumps(record))
+    errors = run_script("artifact_digests.py", "--seeds", 0, 1, "--overrides", overrides, "--compare", saved,
+                        returncode=1)
+    assert errors == [f"seed 1: model.json differs from {saved}"]
