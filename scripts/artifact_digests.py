@@ -5,9 +5,11 @@ change leaves the outputs byte-identical.
 For each seed this runs ``simulate``, ``train``, ``refine`` and ``eval`` (on
 the raw and on the refined detections) through ``ucowod.cli.main`` in a
 temporary directory, with the given RunConfig overrides, and prints one JSON
-line: the overrides and, per seed, the digest of each artifact. Save the
-line from one checkout and pass it to ``--compare`` from another: the
-script then exits 1 and names the first seed and file whose bytes differ.
+line: the overrides and, per seed, the digest of each artifact and the
+scorecard of the refined detections. Save the line from one checkout and
+pass it to ``--compare`` from another: the script then exits 1, names the
+first seed and file whose bytes differ and prints every scorecard value
+that moved, old -> new.
 
     PYTHONPATH=src python scripts/artifact_digests.py --seeds 0 1 2 > before.json
     PYTHONPATH=src python scripts/artifact_digests.py --seeds 0 1 2 --compare before.json
@@ -24,6 +26,8 @@ from pathlib import Path
 
 from ucowod.cli import main as cli_main
 
+SCORECARD = ("map_known", "wi", "a_ose", "uc_map", "uc_recall")
+
 
 def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -33,8 +37,9 @@ def parse_args() -> argparse.Namespace:
     return parser.parse_args()
 
 
-def run_chain(work: Path, seed: int, config_path: Path) -> dict[str, str]:
-    """Run the four stages for one seed in ``work``; the artifact digests."""
+def run_chain(work: Path, seed: int, config_path: Path) -> tuple[dict[str, str], dict]:
+    """Run the four stages for one seed in ``work``; the artifact digests
+    and the refined scorecard."""
     stages = [
         ["simulate", "--out-dir", work, "--seed", seed, "--config", config_path],
         ["train", "--dataset", work / "dataset.json", "--out-dir", work],
@@ -48,7 +53,9 @@ def run_chain(work: Path, seed: int, config_path: Path) -> dict[str, str]:
             code = cli_main([str(a) for a in argv])
         if code != 0:
             raise SystemExit(f"seed {seed}: {argv[0]} exited {code}")
-    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(work.iterdir())}
+    report = json.loads((work / "report_refined.json").read_text())
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(work.iterdir())}
+    return digests, {name: report[name] for name in SCORECARD}
 
 
 def first_difference(digests: dict, before: dict):
@@ -61,18 +68,29 @@ def first_difference(digests: dict, before: dict):
     return None
 
 
+def moved_scores(scorecards: dict, before: dict) -> list[str]:
+    """One line per scorecard value that differs from ``before``."""
+    return [
+        f"seed {seed}: {name} {before[seed].get(name)} -> {scores[name]}"
+        for seed, scores in scorecards.items()
+        if seed in before
+        for name in SCORECARD
+        if scores[name] != before[seed].get(name)
+    ]
+
+
 def main() -> int:
     args = parse_args()
     overrides = json.loads(args.overrides)
-    digests = {}
+    digests, scorecards = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         config_path = Path(tmp) / "overrides.json"
         config_path.write_text(json.dumps(overrides))
         for seed in args.seeds:
             work = Path(tmp) / f"seed{seed}"
             work.mkdir()
-            digests[str(seed)] = run_chain(work, seed, config_path)
-    print(json.dumps({"overrides": overrides, "digests": digests}, sort_keys=True))
+            digests[str(seed)], scorecards[str(seed)] = run_chain(work, seed, config_path)
+    print(json.dumps({"overrides": overrides, "digests": digests, "scorecards": scorecards}, sort_keys=True))
     if args.compare is None:
         return 0
     before = json.loads(Path(args.compare).read_text())
@@ -82,6 +100,8 @@ def main() -> int:
     differ = first_difference(digests, before["digests"])
     if differ is not None:
         print(f"seed {differ[0]}: {differ[1]} differs from {args.compare}", file=sys.stderr)
+        for line in moved_scores(scorecards, before.get("scorecards", {})):
+            print(line, file=sys.stderr)
         return 1
     return 0
 

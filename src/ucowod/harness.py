@@ -440,8 +440,10 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
     ``pair_plan`` and the box targets of the rows that have one; each epoch
     does only the work that depends on the weights. The pair term and its
     gradient come from ``pair_similarity_loss``, which visits each unordered
-    pair once, in 64-row strips of the upper triangle, with O(N * 64)
-    memory; its pair counts still cover all N x N ordered pairs. The
+    pair once, in strips of ``PAIR_TILE_ROWS`` rows sorted by label group,
+    with O(N * PAIR_TILE_ROWS) memory, and outside the self-supervised
+    phase skips the unknown x unknown pairs, which no label decides; its
+    pair counts still cover all N x N ordered pairs. The
     recorded ``model_loss`` excludes the lambda penalty (which carries no
     parameter gradient); divergence to a non-finite loss raises with the
     epoch index.

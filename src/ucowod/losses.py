@@ -15,9 +15,10 @@ Three loss families live here:
   embeddings, supervised by label agreement and, in the self-supervised
   phase, by thresholding the similarities under a closing threshold pair.
   ``pair_similarity_loss``, which training runs, is their definition; it
-  visits each unordered pair once, in row strips of the upper triangle. Its
-  oracles, the cosine matrix and its gradient among them, are in
-  ``tests/reference.py``.
+  visits each unordered pair once, in strips of the rows sorted by label
+  group, so that a label verdict covers a range of columns and unknown x
+  unknown pairs are computed only when thresholds decide them. Its oracles
+  (the cosine matrix and its gradient among them) are in ``tests/reference.py``.
 - an elementwise L1 regression penalty and the weighted total.
 
 Training calls both terms on the same labels every epoch, so what depends on
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import warnings as _warnings
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -327,18 +329,15 @@ class PairPlan:
     """The label-only part of ``pair_similarity_loss`` for one batch, built
     once per training run by ``pair_plan``. Memory is O(N).
 
-    ``group`` holds each row's group id in the smallest integer type, which
-    keeps each strip's comparison cheap: one group per label code and every
-    unknown row in one more, so that equal ids mark the positive pairs, or
-    the undecided ones between two unknown rows.
-    ``unknown_pairs`` says, for each ``tile_rows``-row strip, whether it holds
-    a pair of two unknown rows. ``positive`` and ``negative`` count the
-    label-supervised verdicts over all N x N ordered pairs."""
+    ``order`` sorts the rows by group, background and the known codes in
+    code order and then every unknown row, keeping their order within a
+    group. ``strips`` cuts each group into strips of at most
+    ``PAIR_TILE_ROWS`` rows of that order, as ``(start, end, group_end,
+    unknown)``. ``positive`` and ``negative`` count the label-supervised
+    verdicts over all N x N ordered pairs."""
 
-    group: np.ndarray
-    unknown: np.ndarray
-    tile_rows: int
-    unknown_pairs: tuple[bool, ...]
+    order: np.ndarray
+    strips: tuple[tuple[int, int, int, bool], ...]
     positive: int
     negative: int
 
@@ -349,18 +348,18 @@ def pair_plan(codes: np.ndarray, unknown: np.ndarray) -> PairPlan:
     codes, unknown = np.asarray(codes), np.asarray(unknown, dtype=bool)
     values, group = np.unique(codes, return_inverse=True)
     group[unknown] = len(values)
-    n, tile = len(codes), PAIR_TILE_ROWS
+    n, sizes = len(codes), np.bincount(group, minlength=len(values) + 1).tolist()
+    strips = tuple(
+        (s, min(s + PAIR_TILE_ROWS, end), end, g == len(values))
+        for g, end in enumerate(accumulate(sizes))
+        for s in range(end - sizes[g], end, PAIR_TILE_ROWS)
+    )
     # a pair is positive when both rows share a label code and neither is
     # unknown, undecided when both are unknown, and negative otherwise
-    positive = int((np.bincount(group[~unknown]) ** 2).sum())
-    return PairPlan(
-        group=group.astype(np.min_scalar_type(len(values))),
-        unknown=unknown,
-        tile_rows=tile,
-        unknown_pairs=tuple(bool(unknown[s : s + tile].any() and unknown[s:].any()) for s in range(0, n, tile)),
-        positive=positive,
-        negative=n * n - positive - int(np.count_nonzero(unknown)) ** 2,
-    )
+    positive = sum(size * size for size in sizes[:-1])
+    # the row index makes every sort key distinct, so the default sort is stable
+    order = np.argsort(group * n + np.arange(n))
+    return PairPlan(order=order, strips=strips, positive=positive, negative=n * n - positive - sizes[-1] ** 2)
 
 
 def pair_similarity_loss(
@@ -374,55 +373,54 @@ def pair_similarity_loss(
     wrt the embeddings. Returns (value, gradient, positive and negative
     counts over all N x N ordered pairs).
 
-    S and the pair verdicts are symmetric, so each unordered pair is computed
-    once: the ``plan.tile_rows``-row tile [s, e) is multiplied only against
-    the columns [s, N), and the pair derivatives of that strip are pushed
-    onto both its rows and its columns. The gradient is then projected onto
-    each row's tangent plane in O(N d), once for all tiles. The label-only
-    verdicts and counts come from the plan, so each strip does one group-id
-    comparison, and only with ``lam`` thresholds its unknown x unknown pairs.
-    Memory is O(N * tile_rows)."""
+    The rows are taken in ``plan.order``, and the gradient is returned in
+    the caller's order. S and the verdicts are symmetric, so strip [s, e)
+    meets only the columns [s, N) and passes its derivatives to both. A
+    known or background strip's verdicts are two column ranges: positive up
+    to its group's end, negative after it. An unknown strip's pairs, unknown
+    x unknown, are decided only by ``lam``'s thresholds, so it runs only with
+    ``lam``. Memory is O(N * PAIR_TILE_ROWS)."""
     schedule, eps = DEFAULT_SCHEDULE, CLAMP_EPS
     if lam is not None:
         _require_active(lam)
     unit, norms = _unit_rows(embeddings)
-    n, tile, group, unknown = len(unit), plan.tile_rows, plan.group, plan.unknown
-    if n != len(group):
-        raise ValueError(f"{n} embedding rows but a pair plan for {len(group)}")
+    n = len(unit)
+    if n != len(plan.order):
+        raise ValueError(f"{n} embedding rows but a pair plan for {len(plan.order)}")
+    unit, norms = unit[plan.order], norms[plan.order]
+    # unknown strips run only with lam; every strip that runs reuses two work buffers
+    strips = [strip for strip in plan.strips if lam is not None or not strip[3]]
     acc = np.zeros_like(unit)
-    # two work buffers that every strip reuses, rather than allocating its own
-    raw_buf, upstream_buf = np.empty(tile * n), np.empty(tile * n)
+    size = max(((e - s) * (n - s) for s, e, _, _ in strips), default=0)
+    raw_buf, other_buf = np.empty(size), np.empty(size)
     total, positive, negative = 0.0, plan.positive, plan.negative
-    for s, unknown_pairs in zip(range(0, n, tile), plan.unknown_pairs):
-        e = min(s + tile, n)
-        r = e - s
+    for s, e, group_end, unknown in strips:
+        r, p = e - s, group_end - s
         # the strip [s, e) x [s, n): its r x r diagonal block holds both
         # orders of its pairs, every other entry stands for two ordered pairs
         raw = np.matmul(unit[s:e], unit[s:].T, out=raw_buf[: r * (n - s)].reshape(r, n - s))
         active = (raw > eps) & (raw < 1.0 - eps)  # pinned at the clamp: no gradient
         S = np.clip(raw, eps, 1.0 - eps, out=raw)
-        neg = group[s:e, None] != group[s:]
-        undecided = None
-        if unknown_pairs:
-            undecided = unknown[s:e, None] & unknown[s:]
-            if lam is not None:
-                above = undecided & (S > schedule.upper(lam))
-                below = undecided & (S < schedule.lower(lam))
-                neg |= below
-                undecided &= ~(above | below)
-                positive += 2 * int(np.count_nonzero(above)) - int(np.count_nonzero(above[:, :r]))
-                negative += 2 * int(np.count_nonzero(below)) - int(np.count_nonzero(below[:, :r]))
-            active &= ~undecided
-        # q is -S for positive pairs and 1 - S for negative ones: the pair's
-        # cross-entropy is -log|q| and its derivative wrt S is 1/q
-        q = np.subtract(neg, S, out=S)
-        upstream = np.divide(active, q, out=upstream_buf[: q.size].reshape(q.shape))
+        other = other_buf[: S.size].reshape(S.shape)
+        # q is -S on a positive pair and 1 - S on a negative one: the pair costs
+        # -log x, x = |q| (1 if undecided: log 1 = 0), and its dS derivative is 1/q
+        if unknown:
+            above, below = S > schedule.upper(lam), S < schedule.lower(lam)
+            positive += 2 * int(np.count_nonzero(above)) - int(np.count_nonzero(above[:, :r]))
+            negative += 2 * int(np.count_nonzero(below)) - int(np.count_nonzero(below[:, :r]))
+            decided = above | below
+            q = np.subtract(below, S, out=S)
+            upstream = np.divide(active & decided, q, out=other)
+            x = np.abs(q, out=q)
+            np.copyto(x, 1.0, where=~decided)
+        else:
+            # column slices are strided: subtract on the whole strip, then copy the positive ones
+            x = np.subtract(1.0, S, out=other)
+            x[:, :p] = S[:, :p]
+            upstream = np.divide(active, x, out=S)
+            np.negative(upstream[:, :p], out=upstream[:, :p])
         acc[s:e] += upstream @ unit[s:]
         acc[e:] += upstream[:, r:].T @ unit[s:e]
-        # |q| < 1 on every pair, so undecided ones read 1 and add log 1 = 0
-        x = np.abs(q, out=q)
-        if undecided is not None:
-            np.copyto(x, 1.0, where=undecided)
         log_x = np.log(x, out=x)
         total -= 2.0 * log_x.sum() - log_x[:, :r].sum()
     penalty = 0.0 if lam is None else schedule.penalty(lam)
@@ -436,9 +434,11 @@ def pair_similarity_loss(
     grad = acc - (unit * acc).sum(axis=1)[:, None] * unit
     grad -= (unit * grad).sum(axis=1)[:, None] * unit
     grad /= norms[:, None]
-    # S_ij and S_ji carry the same verdict, so each pair's gradient counts twice
+    # S_ij and S_ji carry the same verdict, so each pair's gradient counts
+    # twice; acc, no longer needed, takes the gradient in the caller's order
     scale = 1.0 / (positive + negative)
-    return total * scale + penalty, grad * (2.0 * scale), positive, negative
+    acc[plan.order] = grad * (2.0 * scale)
+    return total * scale + penalty, acc, positive, negative
 
 
 def l1_regression_loss(

@@ -231,7 +231,9 @@ def refine(
     recomputations each step must not increase the KL value, which a
     deterministic halving backoff of the step size enforces. Refinement
     stops early once the fraction of changed hard assignments between
-    consecutive target recomputations falls below 0.001.
+    consecutive target recomputations falls below 0.001, and it stops
+    without moving when 30 halvings find no step that keeps the KL from
+    rising.
     """
     E = np.array(embeddings, dtype=float)
     if E.ndim != 2 or len(E) == 0:
@@ -262,12 +264,14 @@ def refine(
         for _ in range(30):
             new_e = E - step_lr * grad_e
             new_c = centroids - step_lr * grad_c
-            P = soft_assignment(new_e, new_c)
-            trial_kl = kl_divergence(Q, P)
+            trial_p = soft_assignment(new_e, new_c)
+            trial_kl = kl_divergence(Q, trial_p)
             if trial_kl <= value + 1e-12:
                 break
             step_lr /= 2.0
-        E, centroids = new_e, new_c
+        else:  # no step size kept the KL from rising: stop where it is
+            break
+        E, centroids, P = new_e, new_c, trial_p
         kl_history.append(trial_kl)
         steps_run = step + 1
 

@@ -300,11 +300,12 @@ def pair_bce_ref(similarity, positive, negative):
 
 
 def pair_kernel_ref(embeddings, codes, unknown, lam=None, tile_rows=64):
-    """Exact oracle of ``losses.pair_similarity_loss``: the tiled kernel as it
-    was when it rebuilt its label-only state (group ids, masks and counts)
-    on every call, verbatim but for the package's constants, spelled out
-    with the same arithmetic, and the tile size, passed in. Its value,
-    gradient and counts must equal the planned kernel's to the bit."""
+    """Oracle of ``losses.pair_similarity_loss``: the tiled kernel as it was
+    when it rebuilt its label-only state (group ids, masks and counts) on
+    every call and took the rows in the caller's order, verbatim but for the
+    package's constants, spelled out, and the tile size, passed in. Its
+    counts must equal the planned kernel's exactly; its value and gradient
+    equal them up to the rounding of the kernel's other summation order."""
     eps = 1e-6
     upper = None if lam is None else 0.95 - 1.0 * lam
     lower = None if lam is None else 0.455 + 0.1 * lam

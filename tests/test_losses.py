@@ -593,9 +593,11 @@ def test_pair_kernel_is_permutation_equivariant(seed, n, tile_rows, lam):
 )
 def test_pair_kernel_equals_per_call_oracle(seed, n, tile_rows, rows_kind, lam):
     # the planned kernel is the per-call one with its label-only work moved
-    # into the plan: the same value, gradient and counts to the bit in the
-    # supervised phase, the self phase and the post phase that follows it on
-    # the same plan; the plan keeps the tile size it was built with
+    # into the plan and its rows sorted by group: the same counts, and the
+    # same value and gradient up to the rounding of another summation order,
+    # in the supervised phase, the self phase and the post phase that
+    # follows it on the same plan; the plan keeps the tile size it was built
+    # with
     g = np.random.default_rng(seed)
     E, labels = pinned_kernel_input(g, n)
     if rows_kind == "no unknown":
@@ -610,8 +612,31 @@ def test_pair_kernel_equals_per_call_oracle(seed, n, tile_rows, rows_kind, lam):
         for phase_lam in (None, lam, None):
             value, grad, positive, negative = pair_similarity_loss(E, plan, phase_lam)
             want_value, want_grad, want_positive, want_negative = pair_kernel_ref(E, codes, unknown, phase_lam, tile_rows)
-            assert value == want_value and np.array_equal(grad, want_grad)
             assert (positive, negative) == (want_positive, want_negative)
+            assert value == pytest.approx(want_value, rel=1e-12, abs=1e-12)
+            assert np.allclose(grad, want_grad, rtol=1e-9, atol=1e-12 * max(1.0, np.abs(want_grad).max()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 100_000), st.integers(0, 200), st.sampled_from([1, 3, 8, PAIR_TILE_ROWS]))
+def test_pair_plan_strips_cover_the_rows_by_group(seed, n, tile_rows):
+    # every row once, background and known codes in code order, unknown rows
+    # last, each group in the caller's order; no strip is longer than a tile
+    # or crosses into another group, and only unknown strips are flagged so
+    g = np.random.default_rng(seed)
+    codes, unknown = label_codes(random_labels(g, n, 3, 8))
+    with mock.patch.object(losses, "PAIR_TILE_ROWS", tile_rows):
+        plan = pair_plan(codes, unknown)
+    key = np.where(unknown, codes.max(initial=0) + 1, codes)
+    assert sorted(plan.order.tolist()) == list(range(n))
+    assert plan.order.tolist() == sorted(range(n), key=lambda i: (key[i], i))
+    bounds = [0] + [e for _, e, _, _ in plan.strips]
+    assert [s for s, _, _, _ in plan.strips] == bounds[:-1] and bounds[-1] == n
+    for s, e, group_end, is_unknown in plan.strips:
+        rows = plan.order[s:group_end]
+        assert 0 < e - s <= tile_rows and e <= group_end
+        assert (key[rows] == key[rows[0]]).all() and (group_end == n or key[plan.order[group_end]] != key[rows[0]])
+        assert (unknown[rows] == is_unknown).all()
 
 
 def test_pair_kernel_rejects_a_plan_of_other_rows():
@@ -621,7 +646,7 @@ def test_pair_kernel_rejects_a_plan_of_other_rows():
 
 
 def test_pair_plan_memory_is_linear():
-    # group ids, the unknown mask and one flag per strip: no per-strip mask
+    # the row order and a handful of strips: no per-strip mask
     n = 4096
     g = np.random.default_rng(0)
     codes, unknown = label_codes(random_labels(g, n, 3, 8))
@@ -633,7 +658,30 @@ def test_pair_plan_memory_is_linear():
         tracemalloc.stop()
     # the masks of one strip alone would take n * PAIR_TILE_ROWS bytes
     assert peak < n * PAIR_TILE_ROWS
-    assert len(plan.unknown_pairs) == n // PAIR_TILE_ROWS
+    assert plan.order.shape == (n,)
+    groups = len(np.unique(codes[~unknown])) + 1
+    assert n // PAIR_TILE_ROWS <= len(plan.strips) <= n // PAIR_TILE_ROWS + groups
+
+
+def test_pair_kernel_skips_unknown_pairs_outside_the_self_phase():
+    # all rows unknown: no label decides any pair, so a supervised call does
+    # no pair work at all, not even a strip's buffers; with lam the
+    # thresholds decide them as they always did
+    n = 4096
+    E = np.random.default_rng(0).normal(0, 1, size=(n, 2))
+    codes, unknown = np.full(n, 3), np.ones(n, dtype=bool)
+    plan = pair_plan(codes, unknown)
+    tracemalloc.start()
+    try:
+        with pytest.warns(RuntimeWarning, match="no selected pairs"):
+            value, grad, positive, negative = pair_similarity_loss(E, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 0.0 and not grad.any() and (positive, negative) == (0, 0)
+    # one strip's r x n float64 buffer alone would take 8 * n * PAIR_TILE_ROWS bytes
+    assert peak < n * PAIR_TILE_ROWS
+    assert pair_similarity_loss(E, plan, 0.2)[2:] == pair_kernel_ref(E, codes, unknown, 0.2)[2:]
 
 
 @pytest.mark.parametrize("lam", [None, 0.2])

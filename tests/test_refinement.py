@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -263,6 +264,20 @@ def test_refine_descends_kl():
     points, _ = gaussian_blobs(7, centers, 20, 0.15)
     result = refine(points, 3, steps=200, lr=0.1, seed=0)
     assert result.kl_history[-1] <= result.kl_history[0] + 1e-12
+
+
+def test_refine_stops_rather_than_take_a_rising_step(monkeypatch):
+    # a KL that rises on every evaluation: no halving of the step size finds
+    # a step that does not increase it, so refinement stops with nothing moved
+    points, _ = gaussian_blobs(11, [[0, 0], [2, 2]], 25, 0.2)
+    calls = itertools.count()
+    monkeypatch.setattr(refinement, "kl_divergence", lambda target, assignment: float(next(calls)))
+    centroids = kmeans_init(points, 2, 4)
+    result = refine(points, 2, steps=100, lr=0.1, seed=4)
+    assert result.steps_run == 0 and len(result.kl_history) == 1
+    assert np.array_equal(result.embeddings, points)
+    assert np.array_equal(result.centroids, centroids)
+    assert np.array_equal(result.assignments, soft_assignment(points, centroids).argmax(axis=1))
 
 
 def test_refine_is_deterministic():

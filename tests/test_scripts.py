@@ -67,6 +67,9 @@ def test_artifact_digests_print_and_compare(tmp_path):
     assert set(record["digests"]) == {"0", "1"}
     assert all(set(files) == artifacts for files in record["digests"].values())
     assert all(len(d) == 64 for files in record["digests"].values() for d in files.values())
+    scorecard = {"map_known", "wi", "a_ose", "uc_map", "uc_recall"}
+    assert set(record["scorecards"]) == {"0", "1"}
+    assert all(set(scores) == scorecard for scores in record["scorecards"].values())
 
     # a second run reproduces every byte; a changed digest is named
     saved = tmp_path / "digests.json"
@@ -77,3 +80,11 @@ def test_artifact_digests_print_and_compare(tmp_path):
     errors = run_script("artifact_digests.py", "--seeds", 0, 1, "--overrides", overrides, "--compare", saved,
                         returncode=1)
     assert errors == [f"seed 1: model.json differs from {saved}"]
+
+    # with the digests, every scorecard value that moved is printed, old -> new
+    uc_map = record["scorecards"]["0"]["uc_map"]
+    record["scorecards"]["0"]["uc_map"] = -1.0
+    saved.write_text(json.dumps(record))
+    errors = run_script("artifact_digests.py", "--seeds", 0, 1, "--overrides", overrides, "--compare", saved,
+                        returncode=1)
+    assert errors == [f"seed 1: model.json differs from {saved}", f"seed 0: uc_map -1.0 -> {uc_map}"]
