@@ -267,6 +267,27 @@ class HeadActivations:
     logits: np.ndarray
     deltas: np.ndarray
 
+    @classmethod
+    def empty(cls, rows: int, hidden_dim: int, n_logits: int) -> "HeadActivations":
+        hidden_pre, hidden = np.empty((rows, hidden_dim)), np.empty((rows, hidden_dim))
+        return cls(hidden_pre, hidden, np.empty((rows, n_logits)), np.empty((rows, 4)))
+
+
+@dataclass
+class HiddenGradients:
+    """The N x hidden work arrays of ``ToyHead.gradients``: the GEMM outputs
+    of the hidden layer's gradient from the logits and from the deltas, and
+    the rectifier's mask."""
+
+    from_logits: np.ndarray
+    from_deltas: np.ndarray
+    active: np.ndarray
+
+    @classmethod
+    def empty(cls, rows: int, hidden_dim: int) -> "HiddenGradients":
+        shape = (rows, hidden_dim)
+        return cls(np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
+
 
 @dataclass
 class ToyHead:
@@ -297,15 +318,17 @@ class ToyHead:
     def n_logits(self) -> int:
         return self.w_cls.shape[1]
 
-    def forward(self, features: np.ndarray) -> HeadActivations:
-        hidden_pre = features @ self.w_hidden + self.b_hidden
-        hidden = np.maximum(hidden_pre, 0.0)
-        return HeadActivations(
-            hidden_pre=hidden_pre,
-            hidden=hidden,
-            logits=hidden @ self.w_cls + self.b_cls,
-            deltas=hidden @ self.w_reg + self.b_reg,
-        )
+    def forward(self, features: np.ndarray, out: Optional[HeadActivations] = None) -> HeadActivations:
+        """The activations on ``features``, written into ``out`` (arrays of
+        this call's shapes) when it is given, and returned."""
+        if out is None:
+            out = HeadActivations.empty(len(features), self.w_hidden.shape[1], self.n_logits)
+        hidden_pre = np.matmul(features, self.w_hidden, out=out.hidden_pre)
+        np.add(hidden_pre, self.b_hidden, out=hidden_pre)
+        hidden = np.maximum(hidden_pre, 0.0, out=out.hidden)
+        np.add(np.matmul(hidden, self.w_cls, out=out.logits), self.b_cls, out=out.logits)
+        np.add(np.matmul(hidden, self.w_reg, out=out.deltas), self.b_reg, out=out.deltas)
+        return out
 
     def gradients(
         self,
@@ -313,9 +336,16 @@ class ToyHead:
         acts: HeadActivations,
         grad_logits: np.ndarray,
         grad_deltas: np.ndarray,
+        work: Optional[HiddenGradients] = None,
     ) -> dict[str, np.ndarray]:
-        grad_hidden = grad_logits @ self.w_cls.T + grad_deltas @ self.w_reg.T
-        grad_hidden_pre = grad_hidden * (acts.hidden_pre > 0)
+        """The parameter gradients, given those of the logits and deltas;
+        the N x hidden intermediates go into ``work`` when it is given."""
+        if work is None:
+            work = HiddenGradients.empty(len(features), self.w_hidden.shape[1])
+        grad_hidden = np.matmul(grad_logits, self.w_cls.T, out=work.from_logits)
+        np.add(grad_hidden, np.matmul(grad_deltas, self.w_reg.T, out=work.from_deltas), out=grad_hidden)
+        active = np.greater(acts.hidden_pre, 0, out=work.active)
+        grad_hidden_pre = np.multiply(grad_hidden, active, out=grad_hidden)
         return {
             "w_hidden": features.T @ grad_hidden_pre,
             "b_hidden": grad_hidden_pre.sum(axis=0),
@@ -438,12 +468,16 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
     label-supervised pairs. What depends on the labels alone is built once,
     before the first epoch, in O(N) memory: the ``classification_plan``, the
     ``pair_plan`` and the box targets of the rows that have one; each epoch
-    does only the work that depends on the weights. The pair term and its
-    gradient come from ``pair_similarity_loss``, which visits each unordered
-    pair once, in strips of ``PAIR_TILE_ROWS`` rows sorted by label group,
-    with O(N * PAIR_TILE_ROWS) memory, and outside the self-supervised
-    phase skips the unknown x unknown pairs, which no label decides; its
-    pair counts still cover all N x N ordered pairs. The
+    does only the work that depends on the weights. The head's N x
+    ``HIDDEN_DIM`` arrays, its activations and the work arrays of its
+    gradients, are made once too and written in place by ``ToyHead.forward``
+    and ``ToyHead.gradients``; with the pair plan's strip buffers, which its
+    first call makes, no epoch allocates an array of either size. The pair
+    term and its gradient come from ``pair_similarity_loss``, which visits
+    each unordered pair once, in strips of ``PAIR_TILE_ROWS`` rows sorted by
+    label group, with O(N * PAIR_TILE_ROWS) memory, and outside the
+    self-supervised phase skips the unknown x unknown pairs, which no label
+    decides; its pair counts still cover all N x N ordered pairs. The
     recorded ``model_loss`` excludes the lambda penalty (which carries no
     parameter gradient); divergence to a non-finite loss raises with the
     epoch index.
@@ -453,16 +487,19 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
     pairs = pair_plan(rows.codes, rows.unknown)
     box_targets = rows.delta_targets[rows.has_box_target]
     head = ToyHead.create(config.feature_dim, HIDDEN_DIM, config.head_width(), seed=config.seed)
+    n = len(rows.labels)
+    acts, work = HeadActivations.empty(n, HIDDEN_DIM, head.n_logits), HiddenGradients.empty(n, HIDDEN_DIM)
+    # rows without a box target keep a zero delta gradient in every epoch
+    grad_deltas = np.zeros_like(acts.deltas)
     lam = 0.0
     warmup = config.resolved_warmup()
     history: list[EpochStats] = []
 
     for epoch in range(config.epochs):
-        acts = head.forward(rows.features)
+        head.forward(rows.features, acts)
         cls_value, grad_logits = classification_loss_from_plan(acts.logits, cls_plan)
 
         reg_value, grad_selected = l1_regression_loss(acts.deltas[rows.has_box_target], box_targets)
-        grad_deltas = np.zeros_like(acts.deltas)
         grad_deltas[rows.has_box_target] = grad_selected
 
         self_supervised = epoch >= warmup and not DEFAULT_SCHEDULE.terminated(lam)
@@ -490,7 +527,7 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
         if config.weights.alpha_sim > 0:
             grad_logits = grad_logits + config.weights.alpha_sim * grad_sim
         head.apply_gradients(
-            head.gradients(rows.features, acts, grad_logits, grad_deltas), config.learning_rate, WEIGHT_DECAY
+            head.gradients(rows.features, acts, grad_logits, grad_deltas, work), config.learning_rate, WEIGHT_DECAY
         )
         if self_supervised:
             lam = update_lambda(lam, config.eta)

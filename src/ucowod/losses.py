@@ -25,7 +25,10 @@ Training calls both terms on the same labels every epoch, so what depends on
 the labels alone is built once per run, in O(N) memory: a
 ``ClassificationPlan`` (``classification_plan``) and a ``PairPlan``
 (``pair_plan``), which ``classification_loss_from_plan`` and
-``pair_similarity_loss`` take.
+``pair_similarity_loss`` take. The pair plan also keeps the kernel's
+strip-sized work buffers from its first call on, so a training epoch
+allocates none. The pair value, which the gradient does not read, is a sum
+of logs of products of up to 32 pair terms, one log per 32 pairs.
 
 Every loss returns ``(value, gradient)`` with analytic gradients.
 """
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import warnings as _warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -327,19 +331,29 @@ def self_similarity_loss(
 @dataclass(frozen=True)
 class PairPlan:
     """The label-only part of ``pair_similarity_loss`` for one batch, built
-    once per training run by ``pair_plan``. Memory is O(N).
+    once per training run by ``pair_plan`` in O(N) memory.
 
     ``order`` sorts the rows by group, background and the known codes in
     code order and then every unknown row, keeping their order within a
     group. ``strips`` cuts each group into strips of at most
     ``PAIR_TILE_ROWS`` rows of that order, as ``(start, end, group_end,
     unknown)``. ``positive`` and ``negative`` count the label-supervised
-    verdicts over all N x N ordered pairs."""
+    verdicts over all N x N ordered pairs. ``work_size`` is the entry count
+    of the largest strip of any phase, and ``work`` the kernel's buffers of
+    that size, O(N * PAIR_TILE_ROWS), made on first use and reused by every
+    later call, so a plan serves one call at a time."""
 
     order: np.ndarray
     strips: tuple[tuple[int, int, int, bool], ...]
     positive: int
     negative: int
+    work_size: int
+
+    @cached_property
+    def work(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two float rows, the strip's similarities and its pair terms, and
+        three bool rows, the clamp mask and two verdict masks."""
+        return np.empty((2, self.work_size)), np.empty((3, self.work_size), dtype=bool)
 
 
 def pair_plan(codes: np.ndarray, unknown: np.ndarray) -> PairPlan:
@@ -359,7 +373,21 @@ def pair_plan(codes: np.ndarray, unknown: np.ndarray) -> PairPlan:
     positive = sum(size * size for size in sizes[:-1])
     # the row index makes every sort key distinct, so the default sort is stable
     order = np.argsort(group * n + np.arange(n))
-    return PairPlan(order=order, strips=strips, positive=positive, negative=n * n - positive - sizes[-1] ** 2)
+    work_size = max(((e - s) * (n - s) for s, e, _, _ in strips), default=0)
+    return PairPlan(order, strips, positive, n * n - positive - sizes[-1] ** 2, work_size)
+
+
+def _log_sum(x: np.ndarray, work: np.ndarray) -> float:
+    """The sum of log x over a 2-d array whose entries lie in about
+    [CLAMP_EPS, 1]: the product of each block of 32 rows goes into a row of
+    ``work``, which needs a row per block and ``x``'s width, and only those
+    rows are logged. A product of 32 entries of at least about 1e-6 is at
+    least about 1e-192, so none underflows."""
+    blocks = -(-len(x) // 32)
+    products = work[:blocks, : x.shape[1]]
+    for block in range(blocks):
+        np.multiply.reduce(x[32 * block : 32 * block + 32], axis=0, out=products[block])
+    return float(np.log(products, out=products).sum())
 
 
 def pair_similarity_loss(
@@ -379,7 +407,8 @@ def pair_similarity_loss(
     known or background strip's verdicts are two column ranges: positive up
     to its group's end, negative after it. An unknown strip's pairs, unknown
     x unknown, are decided only by ``lam``'s thresholds, so it runs only with
-    ``lam``. Memory is O(N * PAIR_TILE_ROWS)."""
+    ``lam``. Every strip works in ``plan.work``; the value's logs are taken
+    of products of the strip's pair terms (``_log_sum``)."""
     schedule, eps = DEFAULT_SCHEDULE, CLAMP_EPS
     if lam is not None:
         _require_active(lam)
@@ -388,31 +417,34 @@ def pair_similarity_loss(
     if n != len(plan.order):
         raise ValueError(f"{n} embedding rows but a pair plan for {len(plan.order)}")
     unit, norms = unit[plan.order], norms[plan.order]
-    # unknown strips run only with lam; every strip that runs reuses two work buffers
+    # unknown strips run only with lam
     strips = [strip for strip in plan.strips if lam is not None or not strip[3]]
     acc = np.zeros_like(unit)
-    size = max(((e - s) * (n - s) for s, e, _, _ in strips), default=0)
-    raw_buf, other_buf = np.empty(size), np.empty(size)
+    # a call that runs no strip makes no buffers
+    floats, masks = plan.work if strips else (None, None)
     total, positive, negative = 0.0, plan.positive, plan.negative
     for s, e, group_end, unknown in strips:
-        r, p = e - s, group_end - s
+        r, p, size = e - s, group_end - s, (e - s) * (n - s)
+        raw, other = floats[:, :size].reshape(2, r, n - s)
+        active, scratch, below = masks[:, :size].reshape(3, r, n - s)
         # the strip [s, e) x [s, n): its r x r diagonal block holds both
         # orders of its pairs, every other entry stands for two ordered pairs
-        raw = np.matmul(unit[s:e], unit[s:].T, out=raw_buf[: r * (n - s)].reshape(r, n - s))
-        active = (raw > eps) & (raw < 1.0 - eps)  # pinned at the clamp: no gradient
+        np.matmul(unit[s:e], unit[s:].T, out=raw)
+        # pinned at the clamp: no gradient
+        np.logical_and(np.greater(raw, eps, out=active), np.less(raw, 1.0 - eps, out=scratch), out=active)
         S = np.clip(raw, eps, 1.0 - eps, out=raw)
-        other = other_buf[: S.size].reshape(S.shape)
         # q is -S on a positive pair and 1 - S on a negative one: the pair costs
         # -log x, x = |q| (1 if undecided: log 1 = 0), and its dS derivative is 1/q
         if unknown:
-            above, below = S > schedule.upper(lam), S < schedule.lower(lam)
+            above = np.greater(S, schedule.upper(lam), out=scratch)
             positive += 2 * int(np.count_nonzero(above)) - int(np.count_nonzero(above[:, :r]))
+            np.less(S, schedule.lower(lam), out=below)
             negative += 2 * int(np.count_nonzero(below)) - int(np.count_nonzero(below[:, :r]))
-            decided = above | below
+            decided = np.logical_or(above, below, out=scratch)
             q = np.subtract(below, S, out=S)
-            upstream = np.divide(active & decided, q, out=other)
-            x = np.abs(q, out=q)
-            np.copyto(x, 1.0, where=~decided)
+            upstream = np.divide(np.logical_and(active, decided, out=active), q, out=other)
+            # |q| < 1, so the maximum with the undecided mask sets x = 1 there
+            x = np.maximum(np.abs(q, out=q), np.logical_not(decided, out=below), out=q)
         else:
             # column slices are strided: subtract on the whole strip, then copy the positive ones
             x = np.subtract(1.0, S, out=other)
@@ -421,8 +453,8 @@ def pair_similarity_loss(
             np.negative(upstream[:, :p], out=upstream[:, :p])
         acc[s:e] += upstream @ unit[s:]
         acc[e:] += upstream[:, r:].T @ unit[s:e]
-        log_x = np.log(x, out=x)
-        total -= 2.0 * log_x.sum() - log_x[:, :r].sum()
+        # the derivatives are spent: their buffer takes the products of x
+        total -= 2.0 * _log_sum(x, upstream) - _log_sum(x[:, :r], upstream)
     penalty = 0.0 if lam is None else schedule.penalty(lam)
     if positive + negative == 0:
         _warnings.warn("similarity loss saw no selected pairs", RuntimeWarning)

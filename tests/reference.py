@@ -218,6 +218,34 @@ def uc_recall_ref(dets, gts, permutation, iou_threshold):
 
 
 # ---------------------------------------------------------------------------
+# detection head
+
+
+def head_forward_ref(head, features):
+    """Oracle of ``ToyHead.forward``: the head as it was when every call
+    allocated its activations. Returns (hidden_pre, hidden, logits, deltas)."""
+    hidden_pre = features @ head.w_hidden + head.b_hidden
+    hidden = np.maximum(hidden_pre, 0.0)
+    return hidden_pre, hidden, hidden @ head.w_cls + head.b_cls, hidden @ head.w_reg + head.b_reg
+
+
+def head_gradients_ref(head, features, hidden_pre, hidden, grad_logits, grad_deltas):
+    """Oracle of ``ToyHead.gradients``, allocating as ``head_forward_ref``
+    does. Where ``hidden_pre`` is 0 or negative and the hidden gradient is
+    negative, the rectifier's product is -0.0."""
+    grad_hidden = grad_logits @ head.w_cls.T + grad_deltas @ head.w_reg.T
+    grad_hidden_pre = grad_hidden * (hidden_pre > 0)
+    return {
+        "w_hidden": features.T @ grad_hidden_pre,
+        "b_hidden": grad_hidden_pre.sum(axis=0),
+        "w_cls": hidden.T @ grad_logits,
+        "b_cls": grad_logits.sum(axis=0),
+        "w_reg": hidden.T @ grad_deltas,
+        "b_reg": grad_deltas.sum(axis=0),
+    }
+
+
+# ---------------------------------------------------------------------------
 # losses
 
 

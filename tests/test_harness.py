@@ -26,10 +26,17 @@ from ucowod import (
     supervised_label_matrix,
     train,
 )
-from ucowod.harness import NMS_THRESHOLD
+from ucowod.harness import NMS_THRESHOLD, HeadActivations, HiddenGradients
 from ucowod.io import load_head, save_head
 
-from reference import central_difference, cosine_matrix_ref, nms_ref, relative_error
+from reference import (
+    central_difference,
+    cosine_matrix_ref,
+    head_forward_ref,
+    head_gradients_ref,
+    nms_ref,
+    relative_error,
+)
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +166,53 @@ def test_head_backprop_matches_finite_differences():
 
         fd = central_difference(loss_of, getattr(head, name).copy())
         assert relative_error(grads[name], fd) < 1e-4, name
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_buffered_head_equals_the_allocating_oracle_bit_for_bit():
+    # one set of buffers serves calls on two heads in turn, as training's
+    # epochs do; hidden units whose pre-activation is exactly 0 (a zero
+    # weight column, and a zero feature row where the bias is 0) meet
+    # negative hidden gradients, whose masked product is -0.0
+    g = np.random.default_rng(3)
+    n, feature_dim, hidden_dim, n_logits = 9, 4, 6, 5
+    features = g.normal(0, 1, size=(n, feature_dim))
+    features[2] = 0.0
+    acts, work = HeadActivations.empty(n, hidden_dim, n_logits), HiddenGradients.empty(n, hidden_dim)
+    for seed in (0, 1):
+        head = ToyHead.create(feature_dim, hidden_dim, n_logits, seed=seed)
+        head.w_hidden[:, 1] = 0.0
+        head.b_hidden[:] = np.where(np.arange(hidden_dim) % 2 == 1, 0.0, g.normal(0, 1, hidden_dim))
+        # every hidden gradient of column 1 negative
+        head.w_cls[1] = np.abs(head.w_cls[1])
+        head.w_reg[1] = np.abs(head.w_reg[1])
+        grad_logits = -np.abs(g.normal(0, 1, size=(n, n_logits)))
+        grad_deltas = np.where(g.random((n, 4)) < 0.5, 0.0, -np.abs(g.normal(0, 1, size=(n, 4))))
+
+        assert head.forward(features, acts) is acts
+        want = head_forward_ref(head, features)
+        for got, expected in zip((acts.hidden_pre, acts.hidden, acts.logits, acts.deltas), want):
+            assert same_bits(got, expected)
+        assert (acts.hidden_pre == 0.0).any()
+
+        grads = head.gradients(features, acts, grad_logits, grad_deltas, work)
+        want_grads = head_gradients_ref(head, features, *want[:2], grad_logits, grad_deltas)
+        assert grads.keys() == want_grads.keys()
+        for name, expected in want_grads.items():
+            assert same_bits(grads[name], expected), name
+        # work.from_logits ends as the masked hidden gradient: -0.0 in column 1
+        assert not work.from_logits[:, 1].any() and np.signbit(work.from_logits[:, 1]).all()
+        # the forms that allocate their own arrays are the same computation
+        fresh = head.forward(features)
+        assert fresh is not acts and all(
+            same_bits(got, expected)
+            for got, expected in zip((fresh.hidden_pre, fresh.hidden, fresh.logits, fresh.deltas), want)
+        )
+        fresh_grads = head.gradients(features, fresh, grad_logits, grad_deltas)
+        assert all(same_bits(fresh_grads[name], expected) for name, expected in want_grads.items())
 
 
 def test_weight_decay_shrinks_weight_matrices_only():

@@ -684,6 +684,62 @@ def test_pair_kernel_skips_unknown_pairs_outside_the_self_phase():
     assert pair_similarity_loss(E, plan, 0.2)[2:] == pair_kernel_ref(E, codes, unknown, 0.2)[2:]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 100_000), st.integers(10, 200), st.floats(0.0, 0.44))
+def test_pair_plan_buffers_serve_calls_in_any_phase_order(seed, n_unknown, lam):
+    # a few known and background rows, then the unknown rows, whose strips
+    # are the widest, so only a self-phase call needs the buffers' full
+    # size; each call on the one plan, in whatever phase the call before it
+    # ran, gives what the same call gives on a plan of its own, to the bit
+    g = np.random.default_rng(seed)
+    n_known = int(g.integers(1, 4))
+    E, labels = pinned_kernel_input(g, n_known + n_unknown)
+    labels = [BG if g.random() < 0.5 else K(0) for _ in range(n_known)]
+    labels += [U(2 + int(g.integers(0, 2))) for _ in range(n_unknown)]
+    codes, unknown = label_codes(labels)
+    plan = pair_plan(codes, unknown)
+    n = len(labels)
+    widest = {False: 0, True: 0}
+    for s, e, _, is_unknown in plan.strips:
+        widest[is_unknown] = max(widest[is_unknown], (e - s) * (n - s))
+    assert plan.work_size == widest[True] > widest[False]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for phase_lam in (None, lam, None, lam, lam, None):
+            value, grad, positive, negative = pair_similarity_loss(E, plan, phase_lam)
+            fresh = pair_plan(codes, unknown)
+            want_value, want_grad, want_positive, want_negative = pair_similarity_loss(E, fresh, phase_lam)
+            assert (positive, negative) == (want_positive, want_negative)
+            assert value == want_value and np.array_equal(grad, want_grad)
+
+
+@pytest.mark.parametrize("lam", [None, 0.2])
+def test_pair_kernel_log_products_stay_above_underflow(lam):
+    # 64-row strips of clamp-floor pair terms: a group of 64 orthogonal rows,
+    # whose positive pairs off the diagonal sit at x = eps, and two groups of
+    # 64 copies of one more direction, whose negative pairs sit at
+    # x = 1 - (1 - eps); every other pair sits at x = 1 - eps. A product of
+    # 64 such terms would underflow to 0 and make the value infinite
+    assert PAIR_TILE_ROWS == 64
+    eps = CLAMP_EPS
+    orthogonal = np.eye(65)[:64]
+    copies = np.tile(np.eye(65)[64], (128, 1))
+    labels = [K(0)] * 64 + [K(1)] * 64 + [BG] * 64
+    plan = pair_plan(*label_codes(labels))
+    value, grad, positive, negative = pair_similarity_loss(np.vstack([orthogonal, copies]), plan, lam)
+    floor_positive, floor_negative = 64 * 63, 2 * 64 * 64
+    assert (positive, negative) == (3 * 64 * 64, 192 * 192 - 3 * 64 * 64)
+    log_sum = (
+        floor_positive * math.log(eps)
+        + floor_negative * math.log(1.0 - (1.0 - eps))
+        + (positive + negative - floor_positive - floor_negative) * math.log(1.0 - eps)
+    )
+    penalty = 0.0 if lam is None else PairSelectionSchedule().penalty(lam)
+    assert math.isfinite(value)
+    assert value - penalty == pytest.approx(-log_sum / (positive + negative), rel=1e-12)
+    assert not grad.any()
+
+
 @pytest.mark.parametrize("lam", [None, 0.2])
 def test_pair_kernel_matches_across_real_tile_boundary(lam):
     g = np.random.default_rng(5)
