@@ -336,12 +336,10 @@ class ToyHead:
         acts: HeadActivations,
         grad_logits: np.ndarray,
         grad_deltas: np.ndarray,
-        work: Optional[HiddenGradients] = None,
+        work: HiddenGradients,
     ) -> dict[str, np.ndarray]:
         """The parameter gradients, given those of the logits and deltas;
-        the N x hidden intermediates go into ``work`` when it is given."""
-        if work is None:
-            work = HiddenGradients.empty(len(features), self.w_hidden.shape[1])
+        the N x hidden intermediates go into ``work``."""
         grad_hidden = np.matmul(grad_logits, self.w_cls.T, out=work.from_logits)
         np.add(grad_hidden, np.matmul(grad_deltas, self.w_reg.T, out=work.from_deltas), out=grad_hidden)
         active = np.greater(acts.hidden_pre, 0, out=work.active)
