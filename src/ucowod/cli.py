@@ -6,7 +6,8 @@ detections, ``refine`` relabels unknown detections by cluster, and ``eval``
 scores any detection file against any ground-truth file. Only ``simulate``
 takes ``--config``; ``train`` and ``refine`` run with the config stored in
 ``dataset.json``, overridden only by ``--seed``. Exit codes: 0 on success,
-1 for missing files or runtime failures, 2 for schema violations.
+1 for missing or unreadable files and runtime failures, 2 for schema
+violations, input that is not UTF-8 JSON among them.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except io.SchemaError as exc:
         print(f"error: schema violation: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

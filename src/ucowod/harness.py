@@ -161,10 +161,13 @@ def _sample_box(rng: np.random.Generator, placed: list[Box]) -> Box:
     best = None
     best_overlap = np.inf
     for _ in range(100):
-        w = rng.uniform(8.0, 16.0)
-        h = rng.uniform(8.0, 16.0)
-        cx = rng.uniform(w / 2.0, IMAGE_SIZE - w / 2.0)
-        cy = rng.uniform(h / 2.0, IMAGE_SIZE - h / 2.0)
+        # an attempt's four uniforms in one draw, each mapped as
+        # Generator.uniform maps its draw: low + (high - low) * u
+        u_w, u_h, u_cx, u_cy = rng.random(4).tolist()
+        w = 8.0 + (16.0 - 8.0) * u_w
+        h = 8.0 + (16.0 - 8.0) * u_h
+        cx = w / 2.0 + (IMAGE_SIZE - w / 2.0 - w / 2.0) * u_cx
+        cy = h / 2.0 + (IMAGE_SIZE - h / 2.0 - h / 2.0) * u_cy
         box = Box(cx, cy, w, h)
         overlap = max((iou(box, other) for other in placed), default=0.0)
         if overlap <= 0.1:
@@ -197,7 +200,7 @@ def _build_scene(
     features: list[np.ndarray] = []
 
     def add(box: Box, objectness: float, prototype: np.ndarray) -> None:
-        proposals.append(Proposal(image_id, box, float(np.clip(objectness, 0.0, 1.0))))
+        proposals.append(Proposal(image_id, box, min(max(objectness, 0.0), 1.0)))
         features.append(prototype + config.feature_noise * rng.standard_normal(config.feature_dim))
 
     for class_id, box in zip(object_classes, boxes):

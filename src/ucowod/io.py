@@ -18,6 +18,14 @@ byte-identical files; report floats are rounded to 6 decimal places.
 ``dataset.json`` and ``model.json`` are single-line JSON, written by the C
 encoder that ``json.dumps`` runs when no indent is asked for; ``gt.json`` and
 ``report.json`` stay indented. The readers accept either layout.
+
+The record tables below (``_GROUND_TRUTH``, ``_detection_table``,
+``_dataset_table``, the head's ``_HEAD_SHAPES`` and, for a config, the field
+types of ``RunConfig`` through ``_KINDS``) are the one statement of each
+input format's keys, kinds and ranges. Every reader goes through ``_read``,
+which checks each field over all records in one step and walks the records
+in table order only when a check fails, to name the first offender. Input
+that is not UTF-8 JSON is a schema violation too.
 """
 
 from __future__ import annotations
@@ -27,9 +35,10 @@ import dataclasses
 import json
 import sys
 import typing
-from itertools import chain
+from itertools import chain, islice
+from math import inf
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,6 +50,9 @@ from .pseudo_label import UlpConfig
 
 PathLike = Union[str, Path]
 
+# what parsing raises for bytes that are not UTF-8 or JSON nested too deep
+_UNPARSABLE = (json.JSONDecodeError, UnicodeDecodeError, RecursionError)
+
 
 class SchemaError(ValueError):
     """A record failed validation; the message names the first offender."""
@@ -51,10 +63,6 @@ def _require(condition: bool, where: str, template: str, *args: object) -> None:
     only then, so a valid record pays for no ``repr``."""
     if not condition:
         raise SchemaError(f"{where}: {template.format(*args)}")
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value: object) -> bool:
@@ -74,10 +82,10 @@ def _number_array(values: list) -> Optional[np.ndarray]:
 
 
 def _read_json_object(path: PathLike) -> dict:
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except _UNPARSABLE as exc:
             raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     _require(isinstance(payload, dict), str(path), "top level must be a JSON object")
     return payload
@@ -96,43 +104,189 @@ def _rejected_as_schema(where: str) -> Iterator[None]:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _field(record: dict, key: str, where: str) -> object:
-    _require(key in record, where, "missing key {!r}", key)
-    return record[key]
+# Field kinds. Each takes a column, one key's values over all records, and
+# returns it parsed, or raises ValueError with the message for the column's
+# first value: the message ``_walk`` reports when it checks one record.
 
 
-def _parse_bbox(raw: object, where: str) -> Box:
-    _require(isinstance(raw, list) and len(raw) == 4, where, "bbox must be a list of 4 numbers, got {!r}", raw)
-    _require(all(_is_number(v) for v in raw), where, "bbox values must be finite numbers, got {!r}", raw)
-    cx, cy, w, h = (float(v) for v in raw)
-    _require(w > 0 and h > 0, where, "bbox sides must be positive, got w={}, h={}", w, h)
-    return Box(cx, cy, w, h)
+def _lists(values: list, name: str) -> list:
+    if not set(map(type, values)) <= {list}:
+        raise ValueError(f"{name} must be a list")
+    return values
 
 
-def _parse_int(record: dict, key: str, where: str) -> int:
-    value = _field(record, key, where)
-    _require(_is_int(value), where, "{} must be an integer, got {!r}", key, value)
+# a scalar kind's phrase in messages and its test of a column
+_SCALARS = {
+    "an object": lambda values: set(map(type, values)) <= {dict},
+    "an integer": lambda values: set(map(type, values)) <= {int},
+    "an integer or null": lambda values: set(map(type, values)) <= {int, type(None)},
+    "a finite number": lambda values: _number_array(values) is not None,
+    "a number in [0, 1]": lambda values: _number_array(values) is not None,
+}
+_INT = "an integer"
+
+
+def _scalar(values: list, name: str, kind: str, low: float = -inf, high: float = inf, out_of_range: str = "") -> list:
+    if not _SCALARS[kind](values):
+        raise ValueError(f"{name} must be {kind}, got {values[0]!r}")
+    if out_of_range and values and not low <= min(values) <= max(values) <= high:
+        raise ValueError(out_of_range.format(values[0]))
+    return values
+
+
+def _bbox(values: list, name: str) -> list[Box]:
+    if not (set(map(type, values)) <= {list} and set(map(len, values)) <= {4}):
+        raise ValueError(f"{name} must be a list of 4 numbers, got {values[0]!r}")
+    boxes = _number_array(list(chain.from_iterable(values)))
+    if boxes is None:
+        raise ValueError(f"{name} values must be finite numbers, got {values[0]!r}")
+    boxes = boxes.reshape(-1, 4)
+    if not (boxes[:, 2:] > 0).all():
+        w, h = boxes[0, 2:].tolist()
+        raise ValueError(f"{name} sides must be positive, got w={w}, h={h}")
+    return list(map(Box, *boxes.T.tolist()))
+
+
+def _features(scenes: list, name: str, width: int) -> list[np.ndarray]:
+    """Each scene's features, one row of ``width`` finite numbers per
+    proposal. Rows numpy cannot read raise numpy's own message."""
+    arrays = []
+    for scene in scenes:
+        raw, shape = scene["features"], (len(scene["proposals"]), width)
+        features = np.array(raw, dtype=float)
+        if features.size == 0:
+            features = features.reshape(0, width)
+        if features.shape != shape:
+            raise ValueError(f"features must have shape {shape}, got {features.shape}")
+        if _number_array(list(chain.from_iterable(raw))) is None:
+            raise ValueError("features must be finite numbers")
+        arrays.append(features)
+    return arrays
+
+
+def _closed_object(values: list, name: str, keys: typing.Collection[str]) -> dict:
+    (value,) = values  # a model file holds one head
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {name}: {unknown}")
     return value
+
+
+def _head_array(values: list, name: str, symbols: tuple, dims: dict) -> np.ndarray:
+    """A non-empty array of finite numbers with one dimension per symbol; a
+    symbol's size is set by ``dims`` or by the first array that uses it."""
+    (raw,) = values  # a model file holds one head
+    ndim = len(symbols)
+    rows = [raw] if ndim == 1 else raw
+    ok = isinstance(rows, list) and all(isinstance(row, list) and row for row in rows)
+    array = _number_array(list(chain.from_iterable(rows))) if ok and len(set(map(len, rows))) == 1 else None
+    if array is None:
+        raise ValueError(f"{name} must be a non-empty {ndim}-d array of finite numbers")
+    array = array.reshape((len(rows), -1)[2 - ndim :])
+    expected = tuple(dims.setdefault(s, n) if isinstance(s, str) else s for s, n in zip(symbols, array.shape))
+    if array.shape != expected:
+        raise ValueError(f"{name} must have shape {expected}, got {array.shape}")
+    return array
+
+
+def _config(values: list, name: str) -> RunConfig:
+    (value,) = values  # a dataset holds one config
+    try:
+        return config_from_dict(value)
+    except SchemaError as exc:
+        raise ValueError(str(exc)) from None
+
+
+class _Field(NamedTuple):
+    """One key of a record kind, checked by ``check(values, name, *args)``.
+    With a ``table`` the key holds a list of nested records; its column is
+    (list lengths, the nested records' columns), and a list checked by
+    ``_lists`` names its records by index in messages."""
+
+    key: Optional[str]  # None: the check reads the whole records
+    check: Optional[Callable[..., object]]
+    args: tuple = ()
+    table: tuple = ()
+    or_none: bool = False  # a missing key reads as None
+
+
+def _columns(records: list, table: tuple, prefix: str) -> dict:
+    columns = {}
+    for field in table:
+        values = records if field.key is None else [record[field.key] for record in records]
+        if field.check:
+            columns[field.key] = field.check(values, prefix + (field.key or "record"), *field.args)
+        if field.table:
+            nested = _columns(list(chain.from_iterable(values)), field.table, "")
+            columns[field.key] = (list(map(len, values)), nested)
+    return columns
+
+
+def _walk(record: object, table: tuple, where: str, prefix: str) -> None:
+    """Raise for the first field of ``record`` that fails, in table order."""
+    with _rejected_as_schema(where):
+        for field in table:
+            name = prefix + (field.key or "record")
+            if field.key is None:
+                value = record
+            elif field.or_none:
+                value = record.get(field.key)
+            # an integer is tested with `in` before it is read, other keys are only
+            # read: on a record that is not an object the two raise different errors
+            elif field.args[:1] == (_INT,) and field.key not in record:
+                raise KeyError(field.key)
+            else:
+                value = record[field.key]
+            if field.check:
+                field.check([value], name, *field.args)
+            for index, item in enumerate(value if field.table else ()):
+                _walk(item, field.table, f"{where}: {name}[{index}]" if field.check else where, "")
+
+
+def _read(records: list, table: tuple, where: Callable[[int], str], prefix: str = "") -> dict:
+    """The checked columns of ``table`` over ``records``. Only when a column
+    fails are the records walked one by one, so that the SchemaError names
+    the first offender; ``where(i)`` names record i and ``prefix`` goes
+    before each key."""
+    try:
+        return _columns(records, table, prefix)
+    except (LookupError, TypeError, ValueError, OverflowError):
+        pass
+    for index, record in enumerate(records):
+        _walk(record, table, where(index), prefix)
+    # a backstop: a kind rejects no column whose values it accepts one by one
+    raise SchemaError(f"{where(0)}: the records fail a column check that each passes alone")
+
+
+def _labels(class_ids: list, known_count: int) -> list:
+    """One label per class id; equal ids share the label."""
+    labels = {class_id: label_for_class_id(class_id, known_count) for class_id in set(class_ids)}
+    return [labels[class_id] for class_id in class_ids]
+
+
+_COUNT_RANGE = (_INT, 0, inf, "class counts must be non-negative")
+_ANNOTATION = (
+    _Field(None, _scalar, ("an object",)),
+    _Field("image_id", _scalar, (_INT,)),
+    _Field("class_id", _scalar, (_INT, 0, inf, "class_id must be non-negative, got {}")),
+    _Field("bbox", _bbox, or_none=True),
+)
+_GROUND_TRUTH = (
+    _Field("known_count", _scalar, _COUNT_RANGE),
+    _Field("unknown_slots", _scalar, _COUNT_RANGE),
+    _Field("annotations", _lists, table=_ANNOTATION, or_none=True),
+)
 
 
 def load_ground_truth(path: PathLike) -> tuple[list[GroundTruthObject], int, int]:
     """Read a ground-truth file; returns (objects, known_count, unknown_slots)."""
-    payload = _read_json_object(path)
-    where = str(path)
-    known_count = _parse_int(payload, "known_count", where)
-    unknown_slots = _parse_int(payload, "unknown_slots", where)
-    _require(known_count >= 0 and unknown_slots >= 0, where, "class counts must be non-negative")
-    _require(isinstance(payload.get("annotations"), list), where, "annotations must be a list")
-    objects = []
-    for index, record in enumerate(payload["annotations"]):
-        record_where = f"{path}: annotations[{index}]"
-        _require(isinstance(record, dict), record_where, "record must be an object, got {!r}", record)
-        image_id = _parse_int(record, "image_id", record_where)
-        class_id = _parse_int(record, "class_id", record_where)
-        _require(class_id >= 0, record_where, "class_id must be non-negative, got {}", class_id)
-        box = _parse_bbox(record.get("bbox"), record_where)
-        objects.append(GroundTruthObject(image_id, label_for_class_id(class_id, known_count), box))
-    return objects, known_count, unknown_slots
+    columns = _read([_read_json_object(path)], _GROUND_TRUTH, lambda _: str(path))
+    (known_count,), (unknown_slots,) = columns["known_count"], columns["unknown_slots"]
+    records = columns["annotations"][1]
+    labels = _labels(records["class_id"], known_count)
+    return list(map(GroundTruthObject, records["image_id"], labels, records["bbox"])), known_count, unknown_slots
 
 
 def save_ground_truth(
@@ -153,32 +307,52 @@ def save_ground_truth(
     _dump_json(path, payload)
 
 
+def _detection_table(n_classes: int) -> tuple:
+    return (
+        _Field(None, _scalar, ("an object",)),
+        _Field("image_id", _scalar, (_INT,)),
+        _Field("class_id", _scalar, (_INT, 0, n_classes - 1, f"class_id must lie in [0, {n_classes}), got {{}}")),
+        _Field("bbox", _bbox, or_none=True),
+        _Field("score", _scalar, ("a number in [0, 1]", 0.0, 1.0, "score must be a number in [0, 1], got {!r}")),
+    )
+
+
+# a detection file is checked this many records at a time, so that one
+# chunk's parsed lines, not the whole file's, sit next to the detections
+_CHUNK_RECORDS = 4096
+
+
 def load_detections(path: PathLike, known_count: int, unknown_slots: int) -> list[Detection]:
     """Read a JSON Lines detection file. Predicted class ids must fit inside
-    the known range plus the unknown slots."""
+    the known range plus the unknown slots. Each line is parsed on its own, so
+    a line holding more or less than one JSON value is an error, reported
+    after any schema error on an earlier line."""
     path = Path(path)
-    detections = []
-    with open(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}: line {line_no}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{where}: not valid JSON ({exc})") from exc
-            _require(isinstance(record, dict), where, "record must be an object, got {!r}", record)
-            image_id = _parse_int(record, "image_id", where)
-            class_id = _parse_int(record, "class_id", where)
-            n_classes = known_count + unknown_slots
-            _require(0 <= class_id < n_classes, where, "class_id must lie in [0, {}), got {}", n_classes, class_id)
-            box = _parse_bbox(record.get("bbox"), where)
-            score = _field(record, "score", where)
-            _require(_is_number(score) and 0.0 <= score <= 1.0, where, "score must be a number in [0, 1], got {!r}", score)
-            detections.append(
-                Detection(image_id, label_for_class_id(class_id, known_count), box, float(score))
-            )
+    table = _detection_table(known_count + unknown_slots)
+    detections, records, line_numbers, failure = [], [], [], None
+
+    def add_records() -> None:
+        columns = _read(records, table, lambda i: f"{path}: line {line_numbers[i]}")
+        labels = _labels(columns["class_id"], known_count)
+        detections.extend(map(Detection, columns["image_id"], labels, columns["bbox"], map(float, columns["score"])))
+        records.clear()
+        line_numbers.clear()
+
+    with open(path, encoding="utf-8") as handle:
+        try:
+            for line_number, line in enumerate(handle, start=1):
+                line = line.strip()
+                if line:
+                    records.append(json.loads(line))
+                    line_numbers.append(line_number)
+                if len(records) == _CHUNK_RECORDS:
+                    add_records()
+        except _UNPARSABLE as exc:
+            where = path if isinstance(exc, UnicodeDecodeError) else f"{path}: line {line_number}"
+            failure = (f"{where}: not valid JSON ({exc})", exc)
+    add_records()
+    if failure:
+        raise SchemaError(failure[0]) from failure[1]
     return detections
 
 
@@ -219,19 +393,14 @@ def _dump_json(path: PathLike, payload: dict) -> None:
         handle.write("\n")
 
 
-_VALUE_CHECKS = {
-    int: ("an integer", _is_int),
-    float: ("a finite number", _is_number),
-    Optional[int]: ("an integer or null", lambda v: v is None or _is_int(v)),
-}
+# the kind of each config field type
+_KINDS = {int: _INT, float: "a finite number", Optional[int]: "an integer or null"}
 
 
 def _check_values(cls: type, values: dict, prefix: str = "") -> None:
     """Each value must have its field's type; the message names the dotted key."""
     hints = typing.get_type_hints(cls)
-    for key, value in values.items():
-        kind, ok = _VALUE_CHECKS[hints[key]]
-        _require(ok(value), "config", "{}{} must be {}, got {!r}", prefix, key, kind, value)
+    _read([values], tuple(_Field(key, _scalar, (_KINDS[hints[key]],)) for key in values), lambda _: "config", prefix)
 
 
 def config_from_dict(payload: dict) -> RunConfig:
@@ -279,72 +448,6 @@ def _scene_to_dict(scene: SyntheticScene) -> dict:
     }
 
 
-def _scene_from_columns(payload: dict, config: RunConfig) -> Optional[SyntheticScene]:
-    """The scene, with each column checked in one step: the objectness
-    scores, the boxes of the proposals and ground truth together, the class
-    ids and the features. None if a check fails."""
-    image_id = payload["image_id"]
-    records, gt_records, rows = payload["proposals"], payload["gts"], payload["features"]
-    scores = [r["objectness"] for r in records]
-    bboxes = [r["bbox"] for r in records] + [r["bbox"] for r in gt_records]
-    class_ids = [r["class_id"] for r in gt_records]
-    if not (_is_int(image_id) and set(map(type, class_ids)) <= {int} and _number_array(scores) is not None):
-        return None
-    if not (set(map(type, bboxes)) <= {list} and set(map(len, bboxes)) <= {4} and set(map(type, rows)) <= {list}):
-        return None
-    values = _number_array(list(chain.from_iterable(bboxes)))
-    features = _number_array(list(chain.from_iterable(rows)))
-    if values is None or features is None or len(set(map(len, rows))) > 1:
-        return None
-    values = values.reshape(-1, 4)
-    # no values at all read as (0, F), as they do in the record walk
-    features = features.reshape(len(rows), -1) if features.size else features.reshape(0, config.feature_dim)
-    if not ((values[:, 2:] > 0).all() and features.shape == (len(records), config.feature_dim)):
-        return None
-    boxes = [Box(*box) for box in values.tolist()]
-    proposals = [Proposal(image_id, box, score) for box, score in zip(boxes, scores)]
-    gts = [
-        GroundTruthObject(image_id, label_for_class_id(class_id, config.known_classes), box)
-        for class_id, box in zip(class_ids, boxes[len(records) :])
-    ]
-    return SyntheticScene(image_id, proposals, gts, features)
-
-
-def _check_scene_records(payload: dict, config: RunConfig, where: str) -> None:
-    """Walk a scene record by record and raise for its first offender."""
-    image_id = _parse_int(payload, "image_id", where)
-    proposals = []
-    for record in payload["proposals"]:
-        objectness = record["objectness"]
-        _require(_is_number(objectness), where, "objectness must be a finite number, got {!r}", objectness)
-        proposals.append(Proposal(image_id, _parse_bbox(record["bbox"], where), objectness))
-    for record in payload["gts"]:
-        label = label_for_class_id(_parse_int(record, "class_id", where), config.known_classes)
-        GroundTruthObject(image_id, label, _parse_bbox(record["bbox"], where))
-    raw = payload["features"]
-    features = np.array(raw, dtype=float)
-    if features.size == 0:
-        features = features.reshape(0, config.feature_dim)
-    shape = (len(proposals), config.feature_dim)
-    _require(features.shape == shape, where, "features must have shape {}, got {}", shape, features.shape)
-    _require(all(_is_number(v) for row in raw for v in row), where, "features must be finite numbers")
-
-
-def _scene_from_dict(payload: dict, config: RunConfig, where: str) -> SyntheticScene:
-    """Only a scene that fails a column check is walked record by record,
-    for the first offender's message."""
-    try:
-        scene = _scene_from_columns(payload, config)
-    except (KeyError, TypeError, ValueError):
-        scene = None
-    if scene is None:
-        with _rejected_as_schema(where):
-            _check_scene_records(payload, config, where)
-        # a backstop: the column checks reject nothing that the walk accepts
-        raise SchemaError(f"{where}: scene failed the column checks")
-    return scene
-
-
 def save_dataset(path: PathLike, dataset: SyntheticDataset) -> None:
     """Write ``json.dumps(payload, sort_keys=True)`` and a newline, one scene
     at a time, so that only one scene's lists are held at once."""
@@ -358,20 +461,50 @@ def save_dataset(path: PathLike, dataset: SyntheticDataset) -> None:
         handle.write("}\n")
 
 
+_PROPOSAL = (
+    _Field("objectness", _scalar, ("a finite number", 0.0, 1.0, "objectness must lie in [0, 1], got {}")),
+    _Field("bbox", _bbox),
+)
+_SCENE_GT = (
+    _Field("class_id", _scalar, (_INT, 0, inf, "class id must be non-negative, got {}")),
+    _Field("bbox", _bbox),
+)
+
+
+def _dataset_table(feature_dim: int) -> tuple:
+    """The splits of a dataset, whose config sets the feature width."""
+    scene = (
+        _Field("image_id", _scalar, (_INT,)),
+        _Field("proposals", None, table=_PROPOSAL),
+        _Field("gts", None, table=_SCENE_GT),
+        _Field(None, _features, (feature_dim,)),
+    )
+    return tuple(_Field(split, _lists, table=scene) for split in ("train", "test"))
+
+
+def _scenes(columns: dict, known_classes: int) -> list[SyntheticScene]:
+    """The scenes of one split, from its checked columns."""
+    n_proposals, proposals = columns["proposals"]
+    n_gts, gts = columns["gts"]
+    proposals = iter(zip(proposals["bbox"], proposals["objectness"]))
+    gts = iter(zip(gts["bbox"], _labels(gts["class_id"], known_classes)))
+    return [
+        SyntheticScene(
+            image_id,
+            [Proposal(image_id, box, objectness) for box, objectness in islice(proposals, n)],
+            [GroundTruthObject(image_id, label, box) for box, label in islice(gts, m)],
+            features,
+        )
+        for image_id, n, m, features in zip(columns["image_id"], n_proposals, n_gts, columns[None])
+    ]
+
+
 def load_dataset(path: PathLike) -> SyntheticDataset:
     payload = _read_json_object(path)
-    raw_config = _field(payload, "config", str(path))
-    try:
-        config = config_from_dict(raw_config)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    splits = {}
-    for split in ("train", "test"):
-        scenes = _field(payload, split, str(path))
-        _require(isinstance(scenes, list), str(path), "{} must be a list", split)
-        where = f"{path}: {split}"
-        splits[split] = [_scene_from_dict(s, config, f"{where}[{i}]") for i, s in enumerate(scenes)]
-    return SyntheticDataset(config=config, **splits)
+    where = lambda _: str(path)  # noqa: E731
+    config = _read([payload], (_Field("config", _config),), where)["config"]
+    splits = _read([payload], _dataset_table(config.feature_dim), where)
+    return SyntheticDataset(config=config, **{key: _scenes(splits[key][1], config.known_classes) for key in splits})
 
 
 # array shapes of a head: F inputs, H hidden units, L logits
@@ -391,30 +524,11 @@ def save_head(path: PathLike, head: ToyHead) -> None:
         handle.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _head_array(raw: object, ndim: int, where: str, key: str) -> np.ndarray:
-    """A non-empty 1-d or 2-d JSON array of finite numbers, as floats."""
-    rows = [raw] if ndim == 1 else raw
-    ok = isinstance(rows, list) and all(isinstance(row, list) and row for row in rows)
-    ok = ok and len(set(map(len, rows))) == 1
-    array = _number_array(list(chain.from_iterable(rows))) if ok else None
-    _require(array is not None, where, "{} must be a non-empty {}-d array of finite numbers", key, ndim)
-    return array.reshape((len(rows), -1)[2 - ndim :])
-
-
 def load_head(path: PathLike, config: Optional[RunConfig] = None) -> ToyHead:
     """Read a head. Given the dataset's config, F must be its ``feature_dim``
     and L its ``head_width()``."""
-    payload = _read_json_object(path)
-    where = str(path)
-    arrays = _field(payload, "arrays", where)
-    _require(isinstance(arrays, dict), where, "arrays must be an object, got {!r}", arrays)
-    unknown = sorted(set(arrays) - set(_HEAD_SHAPES))
-    _require(not unknown, where, "unknown arrays: {}", unknown)
+    where = lambda _: str(path)  # noqa: E731
+    arrays = _read([_read_json_object(path)], (_Field("arrays", _closed_object, (_HEAD_SHAPES,)),), where)["arrays"]
     dims = {} if config is None else {"F": config.feature_dim, "L": config.head_width()}
-    parsed = {}
-    for key, symbols in _HEAD_SHAPES.items():
-        parsed[key] = _head_array(_field(arrays, key, where), len(symbols), where, f"arrays.{key}")
-        shape = parsed[key].shape
-        expected = tuple(dims.setdefault(s, n) if isinstance(s, str) else s for s, n in zip(symbols, shape))
-        _require(shape == expected, where, "arrays.{} must have shape {}, got {}", key, expected, shape)
-    return ToyHead(**parsed)
+    table = tuple(_Field(key, _head_array, (symbols, dims)) for key, symbols in _HEAD_SHAPES.items())
+    return ToyHead(**_read([arrays], table, where, "arrays."))

@@ -3,14 +3,28 @@
 Everything here is deliberately written the slow, obvious way: corner
 arithmetic for overlap, O(n^2) suppression loops, exhaustive permutation
 search for the assignment problem, and direct-from-definition
-precision/recall bookkeeping. Nothing imports from the package's own
-metric or loss code, so agreement between the two is meaningful.
+precision/recall bookkeeping. Nothing calls the package's own metric or
+loss code, so agreement between the two is meaningful; the file readers at
+the end build the package's value and config types.
 """
 
+import contextlib
+import dataclasses
 import itertools
+import json
 import math
+import sys
+import typing
+from pathlib import Path
+from typing import Optional
 
 import numpy as np
+
+from ucowod.core import Box, Detection, GroundTruthObject, Proposal, iou, label_for_class_id
+from ucowod.harness import RunConfig, SyntheticDataset, SyntheticScene, ToyHead
+from ucowod.io import SchemaError
+from ucowod.losses import LossWeights
+from ucowod.pseudo_label import UlpConfig
 
 
 # ---------------------------------------------------------------------------
@@ -516,3 +530,255 @@ def kl_soft_assignment_longdouble(Q, E, C, floor=1e-12):
     P = kernel / kernel.sum(axis=1, keepdims=True)
     log_ratio = np.log(np.maximum(Q, floor)) - np.log(np.maximum(P, floor))
     return np.where(Q > 0, Q * log_ratio, 0).sum()
+
+
+# ---------------------------------------------------------------------------
+# synthetic data
+
+
+def sample_box_ref(rng, placed, image_size=100.0):
+    """The box sampler with one ``Generator.uniform`` call per coordinate:
+    a box overlapping ``placed`` by at most 0.1 IoU, or after 100 attempts
+    the least-overlapping candidate."""
+    best, best_overlap = None, np.inf
+    for _ in range(100):
+        w = rng.uniform(8.0, 16.0)
+        h = rng.uniform(8.0, 16.0)
+        cx = rng.uniform(w / 2.0, image_size - w / 2.0)
+        cy = rng.uniform(h / 2.0, image_size - h / 2.0)
+        box = Box(cx, cy, w, h)
+        overlap = max((iou(box, other) for other in placed), default=0.0)
+        if overlap <= 0.1:
+            return box
+        if overlap < best_overlap:
+            best, best_overlap = box, overlap
+    return best
+
+
+# ---------------------------------------------------------------------------
+# file readers: the record-by-record readers that the table-driven ones in
+# ``ucowod.io`` replaced, kept as the oracle for their accept/reject decisions
+# and messages
+
+
+def _ref_require(condition, where, template, *args):
+    if not condition:
+        raise SchemaError(f"{where}: {template.format(*args)}")
+
+
+def _ref_is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _ref_is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _ref_read_json_object(path):
+    with open(path) as handle:
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    _ref_require(isinstance(payload, dict), str(path), "top level must be a JSON object")
+    return payload
+
+
+@contextlib.contextmanager
+def _ref_rejected_as_schema(where):
+    try:
+        yield
+    except SchemaError:
+        raise
+    except KeyError as exc:
+        raise SchemaError(f"{where}: missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+def _ref_field(record, key, where):
+    _ref_require(key in record, where, "missing key {!r}", key)
+    return record[key]
+
+
+def _ref_parse_bbox(raw, where):
+    _ref_require(isinstance(raw, list) and len(raw) == 4, where, "bbox must be a list of 4 numbers, got {!r}", raw)
+    _ref_require(all(_ref_is_number(v) for v in raw), where, "bbox values must be finite numbers, got {!r}", raw)
+    cx, cy, w, h = (float(v) for v in raw)
+    _ref_require(w > 0 and h > 0, where, "bbox sides must be positive, got w={}, h={}", w, h)
+    return Box(cx, cy, w, h)
+
+
+def _ref_parse_int(record, key, where):
+    value = _ref_field(record, key, where)
+    _ref_require(_ref_is_int(value), where, "{} must be an integer, got {!r}", key, value)
+    return value
+
+
+def load_ground_truth_ref(path):
+    """(objects, known_count, unknown_slots), each annotation checked in turn."""
+    payload = _ref_read_json_object(path)
+    where = str(path)
+    known_count = _ref_parse_int(payload, "known_count", where)
+    unknown_slots = _ref_parse_int(payload, "unknown_slots", where)
+    _ref_require(known_count >= 0 and unknown_slots >= 0, where, "class counts must be non-negative")
+    _ref_require(isinstance(payload.get("annotations"), list), where, "annotations must be a list")
+    objects = []
+    for index, record in enumerate(payload["annotations"]):
+        record_where = f"{path}: annotations[{index}]"
+        _ref_require(isinstance(record, dict), record_where, "record must be an object, got {!r}", record)
+        image_id = _ref_parse_int(record, "image_id", record_where)
+        class_id = _ref_parse_int(record, "class_id", record_where)
+        _ref_require(class_id >= 0, record_where, "class_id must be non-negative, got {}", class_id)
+        box = _ref_parse_bbox(record.get("bbox"), record_where)
+        objects.append(GroundTruthObject(image_id, label_for_class_id(class_id, known_count), box))
+    return objects, known_count, unknown_slots
+
+
+def load_detections_ref(path, known_count, unknown_slots):
+    """The detections of a JSON Lines file, each line checked in turn."""
+    path = Path(path)
+    detections = []
+    with open(path) as handle:
+        for line_no, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}: line {line_no}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{where}: not valid JSON ({exc})") from exc
+            _ref_require(isinstance(record, dict), where, "record must be an object, got {!r}", record)
+            image_id = _ref_parse_int(record, "image_id", where)
+            class_id = _ref_parse_int(record, "class_id", where)
+            n_classes = known_count + unknown_slots
+            _ref_require(0 <= class_id < n_classes, where, "class_id must lie in [0, {}), got {}", n_classes, class_id)
+            box = _ref_parse_bbox(record.get("bbox"), where)
+            score = _ref_field(record, "score", where)
+            _ref_require(_ref_is_number(score) and 0.0 <= score <= 1.0, where,
+                         "score must be a number in [0, 1], got {!r}", score)
+            detections.append(
+                Detection(image_id, label_for_class_id(class_id, known_count), box, float(score))
+            )
+    return detections
+
+
+_REF_VALUE_CHECKS = {
+    int: ("an integer", _ref_is_int),
+    float: ("a finite number", _ref_is_number),
+    Optional[int]: ("an integer or null", lambda v: v is None or _ref_is_int(v)),
+}
+
+
+def _ref_check_values(cls, values, prefix=""):
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        kind, ok = _REF_VALUE_CHECKS[hints[key]]
+        _ref_require(ok(value), "config", "{}{} must be {}, got {!r}", prefix, key, kind, value)
+
+
+def config_from_dict_ref(payload):
+    """A RunConfig from a dictionary of overrides of its defaults."""
+    _ref_require(isinstance(payload, dict), "config", "must be an object, got {!r}", payload)
+    payload = dict(payload)
+    known_fields = {f.name for f in dataclasses.fields(RunConfig)}
+    unknown = sorted(set(payload) - known_fields)
+    nested = {key: cls for key, cls in (("ulp", UlpConfig), ("weights", LossWeights)) if key in payload}
+    for key, cls in nested.items():
+        _ref_require(isinstance(payload[key], dict), "config", "{} must be an object, got {!r}", key, payload[key])
+        names = {f.name for f in dataclasses.fields(cls)}
+        unknown += sorted(f"{key}.{name}" for name in set(payload[key]) - names)
+    if unknown:
+        raise SchemaError(f"unknown config keys: {unknown}")
+    _ref_check_values(RunConfig, {k: v for k, v in payload.items() if k not in nested})
+    for key, cls in nested.items():
+        _ref_check_values(cls, payload[key], f"{key}.")
+        with _ref_rejected_as_schema(f"config.{key}"):
+            payload[key] = cls(**payload[key])
+    with _ref_rejected_as_schema("config"):
+        return RunConfig(**payload)
+
+
+def load_config_ref(path):
+    return config_from_dict_ref(_ref_read_json_object(path))
+
+
+def _ref_check_scene_records(payload, config, where):
+    image_id = _ref_parse_int(payload, "image_id", where)
+    proposals = []
+    for record in payload["proposals"]:
+        objectness = record["objectness"]
+        _ref_require(_ref_is_number(objectness), where, "objectness must be a finite number, got {!r}", objectness)
+        proposals.append(Proposal(image_id, _ref_parse_bbox(record["bbox"], where), objectness))
+    gts = []
+    for record in payload["gts"]:
+        label = label_for_class_id(_ref_parse_int(record, "class_id", where), config.known_classes)
+        gts.append(GroundTruthObject(image_id, label, _ref_parse_bbox(record["bbox"], where)))
+    raw = payload["features"]
+    features = np.array(raw, dtype=float)
+    if features.size == 0:
+        features = features.reshape(0, config.feature_dim)
+    shape = (len(proposals), config.feature_dim)
+    _ref_require(features.shape == shape, where, "features must have shape {}, got {}", shape, features.shape)
+    _ref_require(all(_ref_is_number(v) for row in raw for v in row), where, "features must be finite numbers")
+    return SyntheticScene(image_id, proposals, gts, features)
+
+
+def load_dataset_ref(path):
+    """A dataset, each scene walked record by record."""
+    payload = _ref_read_json_object(path)
+    raw_config = _ref_field(payload, "config", str(path))
+    try:
+        config = config_from_dict_ref(raw_config)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    splits = {}
+    for split in ("train", "test"):
+        scenes = _ref_field(payload, split, str(path))
+        _ref_require(isinstance(scenes, list), str(path), "{} must be a list", split)
+        parsed = []
+        for index, scene in enumerate(scenes):
+            where = f"{path}: {split}[{index}]"
+            with _ref_rejected_as_schema(where):
+                parsed.append(_ref_check_scene_records(scene, config, where))
+        splits[split] = parsed
+    return SyntheticDataset(config=config, **splits)
+
+
+_REF_HEAD_SHAPES = {
+    "w_hidden": ("F", "H"),
+    "b_hidden": ("H",),
+    "w_cls": ("H", "L"),
+    "b_cls": ("L",),
+    "w_reg": ("H", 4),
+    "b_reg": (4,),
+}
+
+
+def _ref_head_array(raw, ndim, where, key):
+    rows = [raw] if ndim == 1 else raw
+    ok = isinstance(rows, list) and all(isinstance(row, list) and row for row in rows)
+    ok = ok and len(set(map(len, rows))) == 1
+    values = list(itertools.chain.from_iterable(rows)) if ok else []
+    ok = ok and all(_ref_is_number(v) for v in values)
+    _ref_require(ok, where, "{} must be a non-empty {}-d array of finite numbers", key, ndim)
+    return np.array(values, dtype=float).reshape((len(rows), -1)[2 - ndim :])
+
+
+def load_head_ref(path, config=None):
+    """A head; given a config, F must be its feature_dim and L its head_width()."""
+    payload = _ref_read_json_object(path)
+    where = str(path)
+    arrays = _ref_field(payload, "arrays", where)
+    _ref_require(isinstance(arrays, dict), where, "arrays must be an object, got {!r}", arrays)
+    unknown = sorted(set(arrays) - set(_REF_HEAD_SHAPES))
+    _ref_require(not unknown, where, "unknown arrays: {}", unknown)
+    dims = {} if config is None else {"F": config.feature_dim, "L": config.head_width()}
+    parsed = {}
+    for key, symbols in _REF_HEAD_SHAPES.items():
+        parsed[key] = _ref_head_array(_ref_field(arrays, key, where), len(symbols), where, f"arrays.{key}")
+        shape = parsed[key].shape
+        expected = tuple(dims.setdefault(s, n) if isinstance(s, str) else s for s, n in zip(symbols, shape))
+        _ref_require(shape == expected, where, "arrays.{} must have shape {}, got {}", key, expected, shape)
+    return ToyHead(**parsed)

@@ -26,7 +26,7 @@ from ucowod import (
     supervised_label_matrix,
     train,
 )
-from ucowod.harness import NMS_THRESHOLD, HeadActivations, HiddenGradients
+from ucowod.harness import NMS_THRESHOLD, HeadActivations, HiddenGradients, _sample_box
 from ucowod.io import load_head, save_head
 
 from reference import (
@@ -36,6 +36,7 @@ from reference import (
     head_gradients_ref,
     nms_ref,
     relative_error,
+    sample_box_ref,
 )
 
 
@@ -94,6 +95,22 @@ def test_dataset_generation_is_deterministic():
         assert scene_a.proposals == scene_b.proposals
         assert scene_a.gts == scene_b.gts
         assert np.array_equal(scene_a.features, scene_b.features)
+
+
+def test_box_sampler_draws_like_one_uniform_call_per_coordinate():
+    # every attempt overlaps one of these boxes, so the 100-attempt fallback runs too
+    crowded = [Box(10.0 + 10.0 * i, 10.0 + 10.0 * j, 20.0, 20.0) for i in range(9) for j in range(9)]
+    for seed in range(200):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        placed = []
+        for _ in range(6):
+            box = _sample_box(fast, placed)
+            assert box == sample_box_ref(slow, placed)
+            assert all(type(v) is float for v in (box.cx, box.cy, box.w, box.h))
+            placed.append(box)
+        if seed < 10:
+            assert _sample_box(fast, crowded) == sample_box_ref(slow, crowded)
+        assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_zero_noise_features_sit_on_prototypes():

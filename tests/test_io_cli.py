@@ -627,3 +627,47 @@ def test_eval_out_creates_missing_parent_directories(tmp_path):
     out_path = tmp_path / "nodir" / "sub" / "report.json"
     assert run_cli("eval", "--gt", gt_path, "--det", det_path, "--out", out_path) == 0
     assert json.loads(out_path.read_text())["uc_map"] == 1.0
+
+
+@pytest.fixture(scope="module")
+def chain_dir(tmp_path_factory):
+    """A simulated and trained tiny run: every input file kind of the CLI."""
+    return small_run(tmp_path_factory.mktemp("chain"))
+
+
+# the command that reads each input file kind, given the run and the file
+READS = {
+    "config": lambda run, path: ["simulate", "--out-dir", run / "out", "--config", path],
+    "dataset": lambda run, path: ["train", "--dataset", path, "--out-dir", run / "out"],
+    "model": lambda run, path: ["refine", "--dataset", run / "dataset.json", "--model", path, "--out-dir", run / "out"],
+    "gt": lambda run, path: ["eval", "--gt", path, "--det", run / "detections.jsonl", "--out", run / "out" / "r.json"],
+    "det": lambda run, path: ["eval", "--gt", run / "gt.json", "--det", path, "--out", run / "out" / "r.json"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READS))
+def test_undecodable_input_exits_two_naming_the_file(chain_dir, tmp_path, capsys, kind):
+    path = tmp_path / f"{kind}.bin"
+    path.write_bytes(b"\xff")
+    capsys.readouterr()
+    assert run_cli(*READS[kind](chain_dir, path)) == 2
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert capsys.readouterr().err == f"error: schema violation: {path}: not valid JSON ({reason})\n"
+
+
+@pytest.mark.parametrize("kind", sorted(READS))
+def test_json_nested_too_deep_exits_two_naming_the_file(chain_dir, tmp_path, capsys, kind):
+    path = tmp_path / f"{kind}.json"
+    path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    capsys.readouterr()
+    assert run_cli(*READS[kind](chain_dir, path)) == 2
+    where = f"{path}: line 1" if kind == "det" else str(path)
+    assert capsys.readouterr().err.startswith(f"error: schema violation: {where}: not valid JSON (maximum recursion")
+
+
+@pytest.mark.parametrize("kind", sorted(READS))
+def test_a_directory_given_as_an_input_file_exits_one(chain_dir, tmp_path, capsys, kind):
+    capsys.readouterr()
+    assert run_cli(*READS[kind](chain_dir, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
