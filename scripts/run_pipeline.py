@@ -47,7 +47,7 @@ def main() -> None:
     describe("raw", raw)
 
     outcome = refine_pipeline(trained.head, dataset, config)
-    refined = evaluate(dataset.test_ground_truth(), outcome.detections, config.eval_config())
+    refined = evaluate(dataset.test_ground_truth(), outcome.detections)
     describe("refined", refined)
     print(
         f"refinement relabeled {len(outcome.refined_indices)} unknown detections "

@@ -17,7 +17,7 @@ from .core import (
     Proposal,
     iou,
     label_for_class_id,
-    to_corners,
+    pairwise_iou,
 )
 from .harness import (
     RefineOutcome,

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import isfinite
-from typing import Optional
+from typing import Optional, Sequence
 
-Corners = tuple[float, float, float, float]
+import numpy as np
 
 
 class LabelKind(Enum):
@@ -39,30 +39,39 @@ class Box:
         if not (self.w > 0 and self.h > 0):
             raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-
-def to_corners(box: Box) -> Corners:
-    """Return the ``(xmin, ymin, xmax, ymax)`` view of a center-format box."""
-    half_w = box.w / 2.0
-    half_h = box.h / 2.0
-    return (box.cx - half_w, box.cy - half_h, box.cx + half_w, box.cy + half_h)
+    @staticmethod
+    def array(boxes: Sequence[Box]) -> np.ndarray:
+        """The ``(cx, cy, w, h)`` rows of ``boxes`` as an (n, 4) float array."""
+        # a list per column converts faster than a tuple per box
+        columns = [[b.cx for b in boxes], [b.cy for b in boxes], [b.w for b in boxes], [b.h for b in boxes]]
+        return np.array(columns, dtype=float).T
 
 
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes, in [0, 1]."""
-    ax0, ay0, ax1, ay1 = to_corners(a)
-    bx0, by0, bx1, by1 = to_corners(b)
-    inter_w = min(ax1, bx1) - max(ax0, bx0)
-    inter_h = min(ay1, by1) - max(ay0, by0)
+    inter_w = min(a.cx + a.w / 2.0, b.cx + b.w / 2.0) - max(a.cx - a.w / 2.0, b.cx - b.w / 2.0)
+    inter_h = min(a.cy + a.h / 2.0, b.cy + b.h / 2.0) - max(a.cy - a.h / 2.0, b.cy - b.h / 2.0)
     if inter_w <= 0 or inter_h <= 0:
         return 0.0
     inter = inter_w * inter_h
-    union = a.area + b.area - inter
+    union = a.w * a.h + b.w * b.h - inter
     # corner round-trips can leave the ratio a few ulp above 1
     return min(inter / union, 1.0)
+
+
+def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every box in ``a`` against every box in ``b``: ``Box.array``
+    rows shaped (n, 4) and (m, 4) give the (n, m) matrix, and leading axes
+    broadcast, so (..., n, 4) and (..., m, 4) give (..., n, m). Each entry
+    takes ``iou``'s float steps in ``iou``'s order, so it equals ``iou`` of
+    its two boxes bit for bit and no threshold comparison can tell them apart.
+    """
+    a, b = a[..., :, None, :], b[..., None, :, :]
+    half_a, half_b = a[..., 2:] / 2.0, b[..., 2:] / 2.0
+    sides = np.minimum(a[..., :2] + half_a, b[..., :2] + half_b) - np.maximum(a[..., :2] - half_a, b[..., :2] - half_b)
+    inter = np.where((sides > 0).all(axis=-1), sides[..., 0] * sides[..., 1], 0.0)
+    union = (a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3]) - inter
+    return np.minimum(inter / union, 1.0)
 
 
 @dataclass(frozen=True)

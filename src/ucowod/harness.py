@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Box, ClassLabel, Detection, GroundTruthObject, Proposal, iou, label_for_class_id
+from .core import Box, ClassLabel, Detection, GroundTruthObject, Proposal, iou, label_for_class_id, pairwise_iou
 from .losses import (
     DEFAULT_SCHEDULE,
     LossWeights,
@@ -44,7 +44,7 @@ from .losses import (
     total_training_loss,
     update_lambda,
 )
-from .metrics import EvalConfig, EvalReport, evaluate, nms
+from .metrics import EvalReport, evaluate, nms
 from .pseudo_label import UlpConfig, select_pseudo_labels
 from .refinement import RefineResult, refine, select_cluster_count
 
@@ -116,9 +116,6 @@ class RunConfig:
 
     def head_width(self) -> int:
         return self.known_classes + self.unknown_slots + 1
-
-    def eval_config(self) -> EvalConfig:
-        return EvalConfig()
 
 
 @dataclass
@@ -383,10 +380,8 @@ class TrainingRows:
 def build_training_rows(dataset: SyntheticDataset, config: RunConfig) -> TrainingRows:
     """Assign every training proposal a target: the best-overlapping known or
     pseudo ground truth at IoU ``TARGET_IOU``, else background."""
-    features = []
     labels: list[ClassLabel] = []
     deltas = []
-    mask = []
     n_pseudo = 0
     for scene in dataset.train:
         known = [g for g in scene.gts if g.label.is_known]
@@ -397,37 +392,21 @@ def build_training_rows(dataset: SyntheticDataset, config: RunConfig) -> Trainin
             )
         n_pseudo += len(pseudo)
         candidates = known + pseudo
-        for row, proposal in enumerate(scene.proposals):
-            best = None
-            best_overlap = 0.0
-            for gt in candidates:
-                overlap = iou(proposal.box, gt.box)
-                if overlap >= TARGET_IOU and overlap > best_overlap:
-                    best, best_overlap = gt, overlap
-            features.append(scene.features[row])
-            if best is None:
-                labels.append(ClassLabel.background())
-                deltas.append(np.zeros(4))
-                mask.append(False)
-            else:
-                labels.append(best.label)
-                deltas.append(
-                    np.array(
-                        [
-                            best.box.cx - proposal.box.cx,
-                            best.box.cy - proposal.box.cy,
-                            best.box.w - proposal.box.w,
-                            best.box.h - proposal.box.h,
-                        ]
-                    )
-                )
-                mask.append(True)
+        boxes, targets = Box.array([p.box for p in scene.proposals]), Box.array([g.box for g in candidates])
+        overlap = pairwise_iou(boxes, targets)
+        # argmax takes the first best candidate, as a loop keeping only a strictly better one would
+        best = overlap.argmax(axis=1) if candidates else np.zeros(len(boxes), dtype=int)
+        hit = overlap.max(axis=1, initial=0.0) >= TARGET_IOU
+        labels += [candidates[j].label if h else ClassLabel.background() for j, h in zip(best, hit)]
+        scene_deltas = np.zeros_like(boxes)
+        scene_deltas[hit] = targets[best[hit]] - boxes[hit]
+        deltas.append(scene_deltas)
     codes, unknown = label_codes(labels)
     return TrainingRows(
-        features=np.array(features),
+        features=np.concatenate([scene.features for scene in dataset.train]),
         labels=tuple(labels),
-        delta_targets=np.array(deltas),
-        has_box_target=np.array(mask, dtype=bool),
+        delta_targets=np.concatenate(deltas),
+        has_box_target=np.array([not label.is_background for label in labels], dtype=bool),
         n_pseudo=n_pseudo,
         codes=codes,
         unknown=unknown,
@@ -560,17 +539,12 @@ def detect_with_embeddings(
             (row for row, slot in enumerate(predicted) if slot != background),
             key=lambda row: (predicted[row], -scores[row], row),
         )
+        boxes = Box.array([proposal.box for proposal in scene.proposals]) + acts.deltas
+        boxes[:, 2:] = np.maximum(boxes[:, 2:], 1e-3)
         candidates = []
         for row in rows:
-            proposal, d = scene.proposals[row], acts.deltas[row]
-            box = Box(
-                proposal.box.cx + d[0],
-                proposal.box.cy + d[1],
-                max(proposal.box.w + d[2], 1e-3),
-                max(proposal.box.h + d[3], 1e-3),
-            )
             label = label_for_class_id(int(predicted[row]), config.known_classes)
-            candidates.append(Detection(scene.image_id, label, box, float(scores[row])))
+            candidates.append(Detection(scene.image_id, label, Box(*boxes[row]), float(scores[row])))
         for kept in _suppress_per_class(candidates):
             detections.append(candidates[kept])
             embeddings.append(acts.logits[rows[kept]])
@@ -587,7 +561,7 @@ def train_and_score(config: RunConfig) -> tuple[SyntheticDataset, TrainResult, E
     dataset = generate_dataset(config)
     trained = train(config, dataset)
     detections = detect(trained.head, dataset.test, config)
-    return dataset, trained, evaluate(dataset.test_ground_truth(), detections, config.eval_config())
+    return dataset, trained, evaluate(dataset.test_ground_truth(), detections)
 
 
 @dataclass

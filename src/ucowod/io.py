@@ -50,8 +50,10 @@ from .pseudo_label import UlpConfig
 
 PathLike = Union[str, Path]
 
-# what parsing raises for bytes that are not UTF-8 or JSON nested too deep
-_UNPARSABLE = (json.JSONDecodeError, UnicodeDecodeError, RecursionError)
+# what parsing raises for bytes that are not UTF-8 or JSON, or an integer past
+# the 4300-digit conversion limit (ValueErrors, like SchemaError, so a catch of
+# these wraps the parse alone), and for JSON nested too deep
+_UNPARSABLE = (ValueError, RecursionError)
 
 
 class SchemaError(ValueError):
@@ -343,13 +345,16 @@ def load_detections(path: PathLike, known_count: int, unknown_slots: int) -> lis
             for line_number, line in enumerate(handle, start=1):
                 line = line.strip()
                 if line:
-                    records.append(json.loads(line))
+                    try:
+                        records.append(json.loads(line))
+                    except _UNPARSABLE as exc:
+                        failure = (f"{path}: line {line_number}: not valid JSON ({exc})", exc)
+                        break
                     line_numbers.append(line_number)
                 if len(records) == _CHUNK_RECORDS:
                     add_records()
-        except _UNPARSABLE as exc:
-            where = path if isinstance(exc, UnicodeDecodeError) else f"{path}: line {line_number}"
-            failure = (f"{where}: not valid JSON ({exc})", exc)
+        except UnicodeDecodeError as exc:
+            failure = (f"{path}: not valid JSON ({exc})", exc)
     add_records()
     if failure:
         raise SchemaError(failure[0]) from failure[1]

@@ -3,18 +3,21 @@
 Matching convention used throughout: detections are processed in descending
 score order (ties broken by ascending insertion index) and each detection
 greedily claims the highest-IoU still-unmatched ground-truth object of its
-class in its image, provided the IoU reaches the threshold. Every ground
-truth is matched at most once.
+class in its image, the lowest index among equal IoUs, provided the IoU
+reaches the threshold and is above 0. Every ground truth is matched at most
+once. Each matching reads its IoUs from one ``pairwise_iou`` call, each
+detection against its own image's ground truth; only ``nms`` calls ``iou``.
 
 Metrics:
 
-- ``nms``: greedy non-maximum suppression over scored boxes.
+- ``nms``: greedy non-maximum suppression over scored boxes, each against
+  the boxes kept so far.
 - ``average_precision``: all-point interpolated AP for one class.
 - ``match_known_detections``: matches each known class once; its
   ``MatchResult`` carries the TP flags and per-class AP that ``map_known``,
   ``absolute_open_set_error`` and ``wilderness_impact`` all read.
 - ``absolute_open_set_error``: unknown ground-truth objects swallowed by
-  known-labeled false positives.
+  known-labeled false positives of their image.
 - ``wilderness_impact``: open-set error rate relative to known predictions.
 - ``hungarian_assign``: maximum-gain assignment (rectangular allowed), by
   Crouse's shortest-augmenting-path method (after Jonker and Volgenant).
@@ -27,13 +30,15 @@ Metrics:
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .core import Box, Detection, GroundTruthObject, iou
+from .core import Box, Detection, GroundTruthObject, iou, pairwise_iou
 
 def nms(scored_boxes: Sequence[tuple[Box, float]], iou_threshold: float) -> list[int]:
     """Greedy non-maximum suppression.
@@ -62,6 +67,25 @@ def _by_class(items: Sequence, known: bool) -> dict[int, list]:
     return groups
 
 
+def _own_image_iou(items: Sequence, others: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """IoU of each of ``items`` against the ``others`` of its own image only:
+    row i holds its image's ``others`` in ascending order, padded to the
+    widest image with IoU -1, which no threshold admits. The second array
+    holds each entry's index into ``others``, -1 in the padding."""
+    by_image: dict[int, list[int]] = {}
+    for j, other in enumerate(others):
+        by_image.setdefault(other.image_id, []).append(j)
+    width = max(map(len, by_image.values()), default=0)
+    # a row of indices per image, then one of padding alone for images without others
+    slots = np.array([js + [-1] * (width - len(js)) for js in [*by_image.values(), []]], dtype=int)
+    number = {image_id: row for row, image_id in enumerate(by_image)}
+    index = slots[[number.get(item.image_id, -1) for item in items]]
+    boxes = Box.array([other.box for other in others])[index]
+    overlap = pairwise_iou(Box.array([item.box for item in items])[:, None], boxes)[:, 0]
+    overlap[index < 0] = -1.0
+    return overlap, index
+
+
 def _greedy_match(
     dets: Sequence[Detection],
     gts: Sequence[GroundTruthObject],
@@ -70,30 +94,26 @@ def _greedy_match(
     """Match one class's detections against one class's ground truth.
 
     Returns the detections in processing (descending score) order and their
-    true-positive flags in the same order.
+    true-positive flags in the same order. Images match independently, so
+    step k matches the k-th ranked detection of every image at once.
     """
-    ranked = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    gt_by_image: dict[int, list[int]] = {}
-    for j, gt in enumerate(gts):
-        gt_by_image.setdefault(gt.image_id, []).append(j)
-    taken = [False] * len(gts)
-    hits = []
-    for i in ranked:
-        det = dets[i]
-        best_j = None
-        best_iou = 0.0
-        for j in gt_by_image.get(det.image_id, ()):
-            if taken[j]:
-                continue
-            overlap = iou(det.box, gts[j].box)
-            # lowest gt index wins IoU ties because iteration is ascending
-            if overlap >= iou_threshold and overlap > best_iou:
-                best_iou = overlap
-                best_j = j
-        if best_j is not None:
-            taken[best_j] = True
-        hits.append(best_j is not None)
-    return [dets[i] for i in ranked], hits
+    ranked = [dets[i] for i in sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))]
+    if not (dets and gts):
+        return ranked, [False] * len(ranked)
+    overlap, index = _own_image_iou(ranked, gts)
+    counters = defaultdict(itertools.count)
+    step = [next(counters[det.image_id]) for det in ranked]
+    taken = np.zeros(len(gts), dtype=bool)
+    hits = np.zeros(len(ranked), dtype=bool)
+    for rows in np.split(np.argsort(step, kind="stable"), np.cumsum(np.bincount(step))[:-1]):
+        free = np.where(taken[index[rows]], -1.0, overlap[rows])
+        # argmax takes the first, so the lowest gt index wins IoU ties
+        best = free.argmax(axis=1)
+        value = free.max(axis=1)
+        hit = (value >= iou_threshold) & (value > 0)
+        hits[rows[hit]] = True
+        taken[index[rows[hit], best[hit]]] = True
+    return ranked, hits.tolist()
 
 
 def _interpolated_ap(hits: Sequence[bool], npos: int) -> float:
@@ -101,16 +121,13 @@ def _interpolated_ap(hits: Sequence[bool], npos: int) -> float:
     ground-truth objects; 0 without ground truth or detections."""
     if npos == 0 or not hits:
         return 0.0
-    tp = np.array(hits, dtype=float)
-    cum_tp = np.cumsum(tp)
-    cum_fp = np.cumsum(1.0 - tp)
+    cum_tp = np.cumsum(hits, dtype=float)
     recall = cum_tp / npos
-    precision = cum_tp / np.maximum(cum_tp + cum_fp, 1e-12)
+    # the k-th detection's precision is over the k detections so far
+    precision = cum_tp / np.arange(1, len(hits) + 1)
     # monotone precision envelope over the recall curve
     mrec = np.concatenate(([0.0], recall, [1.0]))
-    mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(np.concatenate(([0.0], precision, [0.0]))[::-1])[::-1]
     steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 
@@ -177,15 +194,9 @@ def absolute_open_set_error(
     """Count unknown ground-truth objects covered by a known-labeled
     detection that is not a true positive for any known object. Each unknown
     ground truth is counted at most once."""
-    false_known: dict[int, list[Box]] = {}
-    for det, hit in zip(match.detections, match.is_tp):
-        if not hit:
-            false_known.setdefault(det.image_id, []).append(det.box)
-    return sum(
-        any(iou(box, gt.box) >= iou_threshold for box in false_known.get(gt.image_id, ()))
-        for gt in gts
-        if gt.label.is_unknown
-    )
+    false_known = [det for det, hit in zip(match.detections, match.is_tp) if not hit]
+    overlap, _ = _own_image_iou([gt for gt in gts if gt.label.is_unknown], false_known)
+    return int(np.count_nonzero((overlap >= iou_threshold).any(axis=1)))
 
 
 def wilderness_impact(match: MatchResult, open_set_errors: int) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ClassLabel, GroundTruthObject, Proposal, iou
+from .core import Box, ClassLabel, GroundTruthObject, Proposal, pairwise_iou
 from .metrics import nms
 
 
@@ -64,11 +64,9 @@ def select_pseudo_labels(
             raise ValueError("known_gts must be known-labeled")
 
     kept = nms([(p.box, p.objectness) for p in proposals], config.nms_threshold)
-    background = [
-        i
-        for i in kept
-        if all(iou(proposals[i].box, g.box) < config.known_overlap_threshold for g in known_gts)
-    ]
+    overlap = pairwise_iou(Box.array([proposals[i].box for i in kept]), Box.array([g.box for g in known_gts]))
+    clear = (overlap < config.known_overlap_threshold).all(axis=1)
+    background = [i for i, ok in zip(kept, clear) if ok]
     top = sorted(background, key=lambda i: (-proposals[i].objectness, i))[: config.top_k]
     selected = [i for i in top if proposals[i].objectness > config.delta]
     return [

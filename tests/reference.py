@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ucowod.core import Box, Detection, GroundTruthObject, Proposal, iou, label_for_class_id
+from ucowod.core import Box, ClassLabel, Detection, GroundTruthObject, Proposal, iou, label_for_class_id
 from ucowod.harness import RunConfig, SyntheticDataset, SyntheticScene, ToyHead
 from ucowod.io import SchemaError
 from ucowod.losses import LossWeights
@@ -553,6 +553,53 @@ def sample_box_ref(rng, placed, image_size=100.0):
         if overlap < best_overlap:
             best, best_overlap = box, overlap
     return best
+
+
+def pseudo_labels_ref(proposals, known_gts, config, unknown_id):
+    """Pseudo-label selection with the suppression oracle and one IoU per
+    proposal and known box: kept proposals clear of every known box, the
+    ``top_k`` by objectness (ties by index), those above the floor."""
+    kept = nms_ref([(p.box, p.objectness) for p in proposals], config.nms_threshold)
+    clear = [
+        i for i in kept if all(iou_ref(proposals[i].box, g.box) < config.known_overlap_threshold for g in known_gts)
+    ]
+    top = sorted(clear, key=lambda i: (-proposals[i].objectness, i))[: config.top_k]
+    return [
+        GroundTruthObject(proposals[i].image_id, ClassLabel.unknown(unknown_id), proposals[i].box)
+        for i in top
+        if proposals[i].objectness > config.delta
+    ]
+
+
+def training_rows_ref(dataset, config, target_iou=0.5):
+    """Training targets by the per-pair loop: each proposal takes the first
+    known or pseudo ground truth of the highest IoU at or above
+    ``target_iou`` and its box-delta target, else background and zeros.
+    Returns features, labels, delta targets, target mask and the number of
+    pseudo labels."""
+    features, labels, deltas, mask, n_pseudo = [], [], [], [], 0
+    for scene in dataset.train:
+        known = [g for g in scene.gts if g.label.is_known]
+        pseudo = []
+        if config.unknown_slots > 0:
+            pseudo = pseudo_labels_ref(scene.proposals, known, config.ulp, config.known_classes)
+        n_pseudo += len(pseudo)
+        for row, proposal in enumerate(scene.proposals):
+            best, best_overlap = None, 0.0
+            for gt in known + pseudo:
+                overlap = iou(proposal.box, gt.box)
+                if overlap >= target_iou and overlap > best_overlap:
+                    best, best_overlap = gt, overlap
+            features.append(scene.features[row])
+            mask.append(best is not None)
+            if best is None:
+                labels.append(ClassLabel.background())
+                deltas.append(np.zeros(4))
+            else:
+                labels.append(best.label)
+                b, p = best.box, proposal.box
+                deltas.append(np.array([b.cx - p.cx, b.cy - p.cy, b.w - p.w, b.h - p.h]))
+    return np.array(features), tuple(labels), np.array(deltas), np.array(mask, dtype=bool), n_pseudo
 
 
 # ---------------------------------------------------------------------------

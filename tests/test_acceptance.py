@@ -265,9 +265,9 @@ def test_acceptance_6_refinement_efficacy():
         dataset = generate_dataset(config)
         trained = train(config, dataset)
         gts = dataset.test_ground_truth()
-        before = evaluate(gts, detect(trained.head, dataset.test, config), config.eval_config())
+        before = evaluate(gts, detect(trained.head, dataset.test, config))
         outcome = refine_pipeline(trained.head, dataset, config)
-        after = evaluate(gts, outcome.detections, config.eval_config())
+        after = evaluate(gts, outcome.detections)
         assert after.uc_map >= before.uc_map - 1e-12, f"seed {seed}"
 
     assert time.monotonic() - start < 30.0
@@ -286,7 +286,6 @@ def test_acceptance_7_ablation_directions():
         report = evaluate(
             dataset.test_ground_truth(),
             detect(trained.head, dataset.test, config),
-            config.eval_config(),
         )
         return report.uc_map
 
@@ -300,7 +299,6 @@ def test_acceptance_7_ablation_directions():
     report = evaluate(
         dataset.test_ground_truth(),
         detect(trained.head, dataset.test, config),
-        config.eval_config(),
     )
     assert report.uc_recall == 0.0
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ucowod import (
     Box,
@@ -9,7 +9,7 @@ from ucowod import (
     LabelKind,
     iou,
     label_for_class_id,
-    to_corners,
+    pairwise_iou,
 )
 
 from reference import iou_ref
@@ -48,12 +48,33 @@ def test_iou_matches_reference(a, b):
     assert iou(a, b) == pytest.approx(iou_ref(a, b), abs=1e-12)
 
 
-def test_to_corners_symmetric_box():
-    assert to_corners(Box(0, 0, 2, 2)) == (-1, -1, 1, 1)
+def wide_boxes():
+    """Boxes from a thousandth to a thousand units a side, anywhere in +-1000."""
+    spans = st.floats(-1e3, 1e3, allow_nan=False)
+    return st.builds(Box, spans, spans, st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
 
 
-def test_to_corners_hand_arithmetic():
-    assert to_corners(Box(5, 3, 4, 2)) == (3, 2, 7, 4)
+UNIT = Box(0.0, 0.0, 2.0, 2.0)
+
+
+@given(st.lists(wide_boxes(), max_size=6), st.lists(wide_boxes(), max_size=6))
+@example([UNIT], [UNIT])  # identical
+@example([UNIT], [Box(0.25, -0.5, 0.5, 0.5), Box(0.0, 0.0, 4.0, 4.0)])  # nested either way
+# edge- and corner-touching
+@example([UNIT], [Box(2.0, 0.0, 2.0, 2.0), Box(0.0, -2.0, 2.0, 2.0), Box(2.0, 2.0, 2.0, 2.0)])
+@example([UNIT, Box(0.1, 0.2, 0.3, 0.4)], [Box(10.0, 10.0, 2.0, 2.0), Box(-7.5, 0.0, 1.0, 9.0)])  # disjoint
+# extreme aspect ratios, crossing and apart
+@example([Box(0.0, 0.0, 1e-3, 1e3), Box(5.0, 5.0, 1e3, 1e-3)], [Box(0.0, 0.0, 1e3, 1e-3), UNIT])
+@example([Box(0.1, 0.2, 0.3, 0.7)], [])
+def test_pairwise_iou_is_iou_bit_for_bit(a, b):
+    matrix = pairwise_iou(Box.array(a), Box.array(b))
+    expected = np.array([[iou(x, y) for y in b] for x in a]).reshape(len(a), len(b))
+    assert matrix.shape == (len(a), len(b))
+    # bytes, not ==: a -0.0 or a ulp of difference would show
+    assert matrix.tobytes() == expected.tobytes()
+    # batched: each box of a against a (len(a), len(b)) stack of b, one row each
+    stacked = np.broadcast_to(Box.array(b), (len(a), len(b), 4))
+    assert pairwise_iou(Box.array(a)[:, None], stacked)[:, 0].tobytes() == expected.tobytes()
 
 
 def test_box_rejects_nonpositive_size():

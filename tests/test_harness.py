@@ -7,8 +7,12 @@ from scipy.special import softmax
 from ucowod import (
     Box,
     ClassLabel,
+    GroundTruthObject,
     LossWeights,
+    Proposal,
     RunConfig,
+    SyntheticDataset,
+    SyntheticScene,
     ToyHead,
     UlpConfig,
     build_training_rows,
@@ -26,6 +30,7 @@ from ucowod import (
     supervised_label_matrix,
     train,
 )
+from ucowod import harness, metrics, pseudo_label
 from ucowod.harness import NMS_THRESHOLD, HeadActivations, HiddenGradients, _sample_box
 from ucowod.io import load_head, save_head
 
@@ -37,6 +42,7 @@ from reference import (
     nms_ref,
     relative_error,
     sample_box_ref,
+    training_rows_ref,
 )
 
 
@@ -302,6 +308,61 @@ def test_no_unknown_slots_means_no_pseudo_labels():
     assert not any(l.is_unknown for l in rows.labels)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"seed": 0},
+        {"seed": 1},
+        {"seed": 2},
+        {"seed": 3, "ulp": UlpConfig(known_overlap_threshold=0.1, top_k=3)},
+        # scenes without known objects: no candidates at all
+        {"seed": 4, "known_classes": 1, "unknown_slots": 0, "min_objects": 1, "max_objects": 2},
+    ],
+)
+def test_training_rows_equal_the_per_pair_loop(overrides):
+    config = RunConfig(**overrides)
+    dataset = generate_dataset(config)
+    rows = build_training_rows(dataset, config)
+    features, labels, deltas, mask, n_pseudo = training_rows_ref(dataset, config)
+    assert rows.labels == labels
+    assert rows.n_pseudo == n_pseudo
+    for got, want in ((rows.features, features), (rows.delta_targets, deltas), (rows.has_box_target, mask)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_training_target_at_exactly_the_iou_threshold():
+    # a 1 x 2 proposal inside a 2 x 2 object overlaps it by exactly 1/2
+    config = RunConfig(unknown_slots=0)
+    gts = [GroundTruthObject(0, ClassLabel.known(1), Box(0.0, 0.0, 2.0, 2.0))]
+    proposals = [Proposal(0, Box(0.5, 0.0, 1.0, 2.0), 0.9), Proposal(0, Box(5.0, 5.0, 1.0, 1.0), 0.9)]
+    scene = SyntheticScene(0, proposals, gts, np.zeros((2, config.feature_dim)))
+    rows = build_training_rows(SyntheticDataset([scene], [], config), config)
+    assert rows.labels == (ClassLabel.known(1), ClassLabel.background())
+    assert rows.delta_targets.tolist() == [[-0.5, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
+    assert rows.has_box_target.tolist() == [True, False]
+
+
+def test_scoring_and_target_assignment_make_no_scalar_iou_call(default_run, monkeypatch):
+    """``evaluate``, ``build_training_rows`` and its known-overlap filter
+    compare boxes through ``pairwise_iou`` only. Suppression, which compares
+    one box with the boxes kept so far, is the scalar caller left; the
+    suppression oracle stands in for it here."""
+    config, dataset, result = default_run
+    gts, detections = dataset.test_ground_truth(), detect(result.head, dataset.test, config)
+    report, rows = evaluate(gts, detections), build_training_rows(dataset, config)
+
+    def refuse(a, b):
+        raise AssertionError("scalar iou called")
+
+    for module in (harness, metrics, pseudo_label):
+        monkeypatch.setattr(module, "iou", refuse, raising=False)
+    monkeypatch.setattr(pseudo_label, "nms", nms_ref)
+    assert evaluate(gts, detections) == report
+    again = build_training_rows(dataset, config)
+    assert again.labels == rows.labels and again.delta_targets.tobytes() == rows.delta_targets.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # training
 
@@ -430,9 +491,7 @@ def test_divergent_training_raises_with_epoch_index():
 
 def test_trained_head_scores_well_on_test_split(default_run):
     config, dataset, result = default_run
-    report = evaluate(
-        dataset.test_ground_truth(), detect(result.head, dataset.test, config), config.eval_config()
-    )
+    report = evaluate(dataset.test_ground_truth(), detect(result.head, dataset.test, config))
     assert report.map_known >= 0.9
     assert report.uc_recall > 0.0
 
@@ -486,13 +545,13 @@ def test_refine_single_cluster_collapses_ids_and_keeps_recall():
     dataset = generate_dataset(config)
     result = train(config, dataset)
     gts = dataset.test_ground_truth()
-    before = evaluate(gts, detect(result.head, dataset.test, config), config.eval_config())
+    before = evaluate(gts, detect(result.head, dataset.test, config))
 
     outcome = refine_pipeline(result.head, dataset, dataclasses.replace(config, refine_clusters=1))
     assert len(set(outcome.result.assignments.tolist())) == 1
     ids = {d.label.class_id for d in outcome.detections if d.label.is_unknown}
     assert ids == {config.known_classes}
-    after = evaluate(gts, outcome.detections, config.eval_config())
+    after = evaluate(gts, outcome.detections)
     assert after.uc_recall == pytest.approx(before.uc_recall, abs=1e-12)
 
 

@@ -665,6 +665,30 @@ def test_json_nested_too_deep_exits_two_naming_the_file(chain_dir, tmp_path, cap
     assert capsys.readouterr().err.startswith(f"error: schema violation: {where}: not valid JSON (maximum recursion")
 
 
+# where the chain run keeps each input file kind
+SOURCES = {
+    "config": lambda run: run.parent / "config.json",
+    "dataset": lambda run: run / "dataset.json",
+    "model": lambda run: run / "model.json",
+    "gt": lambda run: run / "gt.json",
+    "det": lambda run: run / "detections.jsonl",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READS))
+def test_integer_past_the_digit_limit_exits_two_naming_the_file(chain_dir, tmp_path, capsys, kind):
+    source = SOURCES[kind](chain_dir)
+    path = tmp_path / source.name
+    # the file's first number becomes an integer of 5000 digits; json stops at 4300
+    path.write_text(re.sub(r"-?\d+(\.\d+)?([eE][-+]?\d+)?", "1" * 5000, source.read_text(), count=1))
+    capsys.readouterr()
+    assert run_cli(*READS[kind](chain_dir, path)) == 2
+    where = f"{path}: line 1" if kind == "det" else str(path)
+    assert capsys.readouterr().err.startswith(
+        f"error: schema violation: {where}: not valid JSON (Exceeds the limit (4300 digits)"
+    )
+
+
 @pytest.mark.parametrize("kind", sorted(READS))
 def test_a_directory_given_as_an_input_file_exits_one(chain_dir, tmp_path, capsys, kind):
     capsys.readouterr()

@@ -164,6 +164,23 @@ def test_ap_hand_computed_five_sixths():
     assert average_precision(dets, gts, 0.5) == pytest.approx(5 / 6, abs=1e-12)
 
 
+def test_ap_at_threshold_zero_still_needs_overlap():
+    # a same-image detection that does not touch the object is a false
+    # positive even when any IoU reaches the threshold
+    gts = [known_gt(0, 0, Box(0, 0, 2, 2))]
+    apart = known_det(0, 0, Box(10, 10, 2, 2), 0.9)
+    assert average_precision([apart], gts, 0.0) == 0.0
+    assert average_precision([apart, known_det(0, 0, Box(0.5, 0, 2, 2), 0.8)], gts, 0.0) == 0.5
+
+
+def test_ap_lowest_ground_truth_index_wins_iou_ties():
+    # the detection overlaps both objects by 1/3; the first takes it, so the
+    # second detection, which fits only the first object, finds it taken
+    gts = [known_gt(0, 0, Box(-1, 0, 2, 2)), known_gt(0, 0, Box(1, 0, 2, 2))]
+    dets = [known_det(0, 0, Box(0, 0, 2, 2), 0.9), known_det(0, 0, Box(-1, 0, 2, 2), 0.8)]
+    assert average_precision(dets, gts, 0.3) == 0.5
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10_000))
 def test_ap_matches_reference_on_random_problems(seed):
