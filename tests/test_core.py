@@ -48,6 +48,34 @@ def test_iou_matches_reference(a, b):
     assert iou(a, b) == pytest.approx(iou_ref(a, b), abs=1e-12)
 
 
+def corner_probe_ious(box, probes):
+    """``iou`` of ``box`` against each probe, after checking that ``pairwise_iou``
+    gives the same row bit for bit. The corner arithmetic lives in these two."""
+    values = [iou(box, p) for p in probes]
+    assert pairwise_iou(Box.array([box]), Box.array(probes))[0].tobytes() == np.array(values).tobytes()
+    return values
+
+
+def test_to_corners_symmetric_box():
+    # corners (-1, -1, 1, 1): a 2x2 probe centred on each corner overlaps it
+    # by 1x1 (IoU 1/7); a probe one side-length away only touches an edge
+    box = Box(0, 0, 2, 2)
+    on_corners = [Box(x, y, 2, 2) for x in (-1, 1) for y in (-1, 1)]
+    assert corner_probe_ious(box, on_corners) == [1.0 / 7.0] * 4
+    touching = [Box(-2, 0, 2, 2), Box(2, 0, 2, 2), Box(0, -2, 2, 2), Box(0, 2, 2, 2)]
+    assert corner_probe_ious(box, touching) == [0.0] * 4
+
+
+def test_to_corners_hand_arithmetic():
+    # corners (3, 2, 7, 4): each 2x2 probe centred on a corner overlaps by 1x1,
+    # union 8 + 4 - 1 = 11; probes touching the edges x=3, x=7, y=2, y=4 score 0
+    box = Box(5, 3, 4, 2)
+    on_corners = [Box(x, y, 2, 2) for x in (3, 7) for y in (2, 4)]
+    assert corner_probe_ious(box, on_corners) == [1.0 / 11.0] * 4
+    touching = [Box(2, 3, 2, 2), Box(8, 3, 2, 2), Box(5, 1, 2, 2), Box(5, 5, 2, 2)]
+    assert corner_probe_ious(box, touching) == [0.0] * 4
+
+
 def wide_boxes():
     """Boxes from a thousandth to a thousand units a side, anywhere in +-1000."""
     spans = st.floats(-1e3, 1e3, allow_nan=False)
