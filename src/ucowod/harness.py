@@ -260,106 +260,102 @@ def generate_dataset(config: RunConfig) -> SyntheticDataset:
     return SyntheticDataset(train=splits["train"], test=splits["test"], config=config)
 
 
+def with_ones(features: np.ndarray) -> np.ndarray:
+    """The head's input rows, [features | 1]: their last column meets the
+    bias row of ``ToyHead.w1``."""
+    return np.concatenate((features, np.ones((len(features), 1))), axis=1)
+
+
 @dataclass
 class HeadActivations:
-    hidden_pre: np.ndarray
+    """The head's activations on N rows: ``hidden``, the rectified hidden
+    layer with a last column of ones, and ``outputs``, the logits and box
+    deltas side by side."""
+
     hidden: np.ndarray
-    logits: np.ndarray
-    deltas: np.ndarray
+    outputs: np.ndarray
 
     @classmethod
     def empty(cls, rows: int, hidden_dim: int, n_logits: int) -> "HeadActivations":
-        hidden_pre, hidden = np.empty((rows, hidden_dim)), np.empty((rows, hidden_dim))
-        return cls(hidden_pre, hidden, np.empty((rows, n_logits)), np.empty((rows, 4)))
+        return cls(np.ones((rows, hidden_dim + 1)), np.empty((rows, n_logits + 4)))
+
+    @property
+    def logits(self) -> np.ndarray:
+        return self.outputs[:, :-4]
+
+    @property
+    def deltas(self) -> np.ndarray:
+        return self.outputs[:, -4:]
 
 
 @dataclass
 class HiddenGradients:
-    """The N x hidden work arrays of ``ToyHead.gradients``: the GEMM outputs
-    of the hidden layer's gradient from the logits and from the deltas, and
-    the rectifier's mask."""
+    """The N x hidden work arrays of ``ToyHead.gradients``: the hidden
+    layer's gradient and the rectifier's mask."""
 
-    from_logits: np.ndarray
-    from_deltas: np.ndarray
+    hidden: np.ndarray
     active: np.ndarray
 
     @classmethod
     def empty(cls, rows: int, hidden_dim: int) -> "HiddenGradients":
-        shape = (rows, hidden_dim)
-        return cls(np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
+        return cls(np.empty((rows, hidden_dim)), np.empty((rows, hidden_dim), dtype=bool))
 
 
 @dataclass
 class ToyHead:
-    """Two-layer embedding head: shared hidden layer with a rectifier,
-    then a classification output (one logit per known class, unknown slot,
-    and background) and a box-delta output."""
+    """Two-layer embedding head: a shared hidden layer with a rectifier, then
+    one output layer of logits (one per known class, unknown slot, and
+    background) and four box deltas. Each layer is one matrix whose last row
+    is its bias: ``w1`` is (F + 1) x H and ``w2`` (H + 1) x (L + 4), logits
+    in columns [0, L)."""
 
-    w_hidden: np.ndarray
-    b_hidden: np.ndarray
-    w_cls: np.ndarray
-    b_cls: np.ndarray
-    w_reg: np.ndarray
-    b_reg: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
 
     @classmethod
     def create(cls, feature_dim: int, hidden_dim: int, n_logits: int, seed: int = 0) -> "ToyHead":
+        """Standard-normal weights, zero hidden and box biases and logit
+        biases of scale 0.01, drawn as the hidden weights, the logit weights,
+        the logit biases and the box weights, in turn."""
         rng = np.random.default_rng(seed)
-        return cls(
-            w_hidden=rng.standard_normal((feature_dim, hidden_dim)),
-            b_hidden=np.zeros(hidden_dim),
-            w_cls=rng.standard_normal((hidden_dim, n_logits)),
-            b_cls=0.01 * rng.standard_normal(n_logits),
-            w_reg=rng.standard_normal((hidden_dim, 4)),
-            b_reg=np.zeros(4),
-        )
+        w1, w2 = np.zeros((feature_dim + 1, hidden_dim)), np.zeros((hidden_dim + 1, n_logits + 4))
+        w1[:-1] = rng.standard_normal((feature_dim, hidden_dim))
+        w2[:-1, :n_logits] = rng.standard_normal((hidden_dim, n_logits))
+        w2[-1, :n_logits] = 0.01 * rng.standard_normal(n_logits)
+        w2[:-1, n_logits:] = rng.standard_normal((hidden_dim, 4))
+        return cls(w1, w2)
 
     @property
     def n_logits(self) -> int:
-        return self.w_cls.shape[1]
+        return self.w2.shape[1] - 4
 
-    def forward(self, features: np.ndarray, out: Optional[HeadActivations] = None) -> HeadActivations:
-        """The activations on ``features``, written into ``out`` (arrays of
-        this call's shapes) when it is given, and returned."""
+    def forward(self, inputs: np.ndarray, out: Optional[HeadActivations] = None) -> HeadActivations:
+        """The activations on ``inputs`` (``with_ones`` rows), written into
+        ``out`` (arrays of this call's shapes) when it is given, and
+        returned."""
         if out is None:
-            out = HeadActivations.empty(len(features), self.w_hidden.shape[1], self.n_logits)
-        hidden_pre = np.matmul(features, self.w_hidden, out=out.hidden_pre)
-        np.add(hidden_pre, self.b_hidden, out=hidden_pre)
-        hidden = np.maximum(hidden_pre, 0.0, out=out.hidden)
-        np.add(np.matmul(hidden, self.w_cls, out=out.logits), self.b_cls, out=out.logits)
-        np.add(np.matmul(hidden, self.w_reg, out=out.deltas), self.b_reg, out=out.deltas)
+            out = HeadActivations.empty(len(inputs), self.w1.shape[1], self.n_logits)
+        hidden = out.hidden[:, :-1]
+        np.maximum(np.matmul(inputs, self.w1, out=hidden), 0.0, out=hidden)
+        np.matmul(out.hidden, self.w2, out=out.outputs)
         return out
 
     def gradients(
-        self,
-        features: np.ndarray,
-        acts: HeadActivations,
-        grad_logits: np.ndarray,
-        grad_deltas: np.ndarray,
-        work: HiddenGradients,
-    ) -> dict[str, np.ndarray]:
-        """The parameter gradients, given those of the logits and deltas;
+        self, inputs: np.ndarray, acts: HeadActivations, grad_outputs: np.ndarray, work: HiddenGradients
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The gradients of ``w1`` and ``w2``, given that of ``acts.outputs``;
         the N x hidden intermediates go into ``work``."""
-        grad_hidden = np.matmul(grad_logits, self.w_cls.T, out=work.from_logits)
-        np.add(grad_hidden, np.matmul(grad_deltas, self.w_reg.T, out=work.from_deltas), out=grad_hidden)
-        active = np.greater(acts.hidden_pre, 0, out=work.active)
-        grad_hidden_pre = np.multiply(grad_hidden, active, out=grad_hidden)
-        return {
-            "w_hidden": features.T @ grad_hidden_pre,
-            "b_hidden": grad_hidden_pre.sum(axis=0),
-            "w_cls": acts.hidden.T @ grad_logits,
-            "b_cls": grad_logits.sum(axis=0),
-            "w_reg": acts.hidden.T @ grad_deltas,
-            "b_reg": grad_deltas.sum(axis=0),
-        }
+        grad_hidden = np.matmul(grad_outputs, self.w2[:-1].T, out=work.hidden)
+        # the rectifier passes gradient where its output is positive
+        np.multiply(grad_hidden, np.greater(acts.hidden[:, :-1], 0.0, out=work.active), out=grad_hidden)
+        return inputs.T @ grad_hidden, acts.hidden.T @ grad_outputs
 
-    def apply_gradients(self, grads: dict[str, np.ndarray], learning_rate: float, weight_decay: float) -> None:
-        """One descent step; weight decay applies to the weight matrices only."""
-        for name, grad in grads.items():
-            value = getattr(self, name)
-            if name.startswith("w_"):
-                grad = grad + weight_decay * value
-            setattr(self, name, value - learning_rate * grad)
+    def apply_gradients(self, grads: tuple[np.ndarray, np.ndarray], learning_rate: float, weight_decay: float) -> None:
+        """One descent step, in place, on ``w1`` and ``w2`` and on their
+        gradients; weight decay applies to the weight rows, not the bias rows."""
+        for weights, grad in zip((self.w1, self.w2), grads):
+            grad[:-1] += weight_decay * weights[:-1]
+            weights -= learning_rate * grad
 
 
 @dataclass(frozen=True)
@@ -447,17 +443,16 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
     threshold schedule terminates, after which it falls back to the
     label-supervised pairs. What depends on the labels alone is built once,
     before the first epoch, in O(N) memory: the ``classification_plan``, the
-    ``pair_plan`` and the box targets of the rows that have one; each epoch
-    does only the work that depends on the weights. The head's N x
-    ``HIDDEN_DIM`` arrays, its activations and the work arrays of its
-    gradients, are made once too and written in place by ``ToyHead.forward``
-    and ``ToyHead.gradients``; with the pair plan's strip buffers, which its
-    first call makes, no epoch allocates an array of either size. The pair
-    term and its gradient come from ``pair_similarity_loss``, which visits
-    each unordered pair once, in strips of ``PAIR_TILE_ROWS`` rows sorted by
-    label group, with O(N * PAIR_TILE_ROWS) memory, and outside the
-    self-supervised phase skips the unknown x unknown pairs, which no label
-    decides; its pair counts still cover all N x N ordered pairs. The
+    ``pair_plan`` and the box targets of the rows that have one. So are the
+    head's input rows, activations and gradient work arrays, and the
+    gradient of its outputs, into whose columns each epoch writes the
+    classification gradient plus the weighted pair gradient, and the box
+    rows' L1 gradient. With the pair plan's strip buffers, no epoch
+    allocates an N x ``HIDDEN_DIM`` or strip-sized array. The pair term comes
+    from ``pair_similarity_loss``: one visit per unordered pair, in strips
+    of ``PAIR_TILE_ROWS`` rows sorted by label group; outside the
+    self-supervised phase it skips the unknown x unknown pairs, which no
+    label decides, but its counts cover all N x N ordered pairs. The
     recorded ``model_loss`` excludes the lambda penalty (which carries no
     parameter gradient); divergence to a non-finite loss raises with the
     epoch index.
@@ -467,17 +462,19 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
     pairs = pair_plan(rows.codes, rows.unknown)
     box_targets = rows.delta_targets[rows.has_box_target]
     head = ToyHead.create(config.feature_dim, HIDDEN_DIM, config.head_width(), seed=config.seed)
-    n = len(rows.labels)
+    n, inputs = len(rows.labels), with_ones(rows.features)
     acts, work = HeadActivations.empty(n, HIDDEN_DIM, head.n_logits), HiddenGradients.empty(n, HIDDEN_DIM)
-    # rows without a box target keep a zero delta gradient in every epoch
-    grad_deltas = np.zeros_like(acts.deltas)
+    # the gradient of the head's outputs; rows without a box target keep a
+    # zero delta gradient in every epoch
+    grad_outputs = np.zeros_like(acts.outputs)
+    grad_logits, grad_deltas = grad_outputs[:, :-4], grad_outputs[:, -4:]
     lam = 0.0
     warmup = config.resolved_warmup()
     history: list[EpochStats] = []
 
     for epoch in range(config.epochs):
-        head.forward(rows.features, acts)
-        cls_value, grad_logits = classification_loss_from_plan(acts.logits, cls_plan)
+        head.forward(inputs, acts)
+        cls_value, grad_cls = classification_loss_from_plan(acts.logits, cls_plan)
 
         reg_value, grad_selected = l1_regression_loss(acts.deltas[rows.has_box_target], box_targets)
         grad_deltas[rows.has_box_target] = grad_selected
@@ -504,11 +501,8 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
             )
         )
 
-        if config.weights.alpha_sim > 0:
-            grad_logits = grad_logits + config.weights.alpha_sim * grad_sim
-        head.apply_gradients(
-            head.gradients(rows.features, acts, grad_logits, grad_deltas, work), config.learning_rate, WEIGHT_DECAY
-        )
+        np.add(grad_cls, np.multiply(grad_sim, config.weights.alpha_sim, out=grad_logits), out=grad_logits)
+        head.apply_gradients(head.gradients(inputs, acts, grad_outputs, work), config.learning_rate, WEIGHT_DECAY)
         if self_supervised:
             lam = update_lambda(lam, config.eta)
 
@@ -532,7 +526,7 @@ def detect_with_embeddings(
     for scene in scenes:
         if not scene.proposals:
             continue
-        acts = head.forward(scene.features)
+        acts = head.forward(with_ones(scene.features))
         probs = softmax(acts.logits, axis=1)
         predicted, scores = probs.argmax(axis=1), probs.max(axis=1)
         rows = sorted(

@@ -204,14 +204,15 @@ def _config(values: list, name: str) -> RunConfig:
 class _Field(NamedTuple):
     """One key of a record kind, checked by ``check(values, name, *args)``.
     With a ``table`` the key holds a list of nested records; its column is
-    (list lengths, the nested records' columns), and a list checked by
-    ``_lists`` names its records by index in messages."""
+    (list lengths, the nested records' columns), and unless ``unnamed`` is
+    set, messages name those records by index."""
 
     key: Optional[str]  # None: the check reads the whole records
     check: Optional[Callable[..., object]]
     args: tuple = ()
     table: tuple = ()
     or_none: bool = False  # a missing key reads as None
+    unnamed: bool = False  # a nested record's messages name only the outer record
 
 
 def _columns(records: list, table: tuple, prefix: str) -> dict:
@@ -244,7 +245,7 @@ def _walk(record: object, table: tuple, where: str, prefix: str) -> None:
             if field.check:
                 field.check([value], name, *field.args)
             for index, item in enumerate(value if field.table else ()):
-                _walk(item, field.table, f"{where}: {name}[{index}]" if field.check else where, "")
+                _walk(item, field.table, where if field.unnamed else f"{where}: {name}[{index}]", "")
 
 
 def _read(records: list, table: tuple, where: Callable[[int], str], prefix: str = "") -> dict:
@@ -480,8 +481,8 @@ def _dataset_table(feature_dim: int) -> tuple:
     """The splits of a dataset, whose config sets the feature width."""
     scene = (
         _Field("image_id", _scalar, (_INT,)),
-        _Field("proposals", None, table=_PROPOSAL),
-        _Field("gts", None, table=_SCENE_GT),
+        _Field("proposals", _lists, table=_PROPOSAL, unnamed=True),
+        _Field("gts", _lists, table=_SCENE_GT, unnamed=True),
         _Field(None, _features, (feature_dim,)),
     )
     return tuple(_Field(split, _lists, table=scene) for split in ("train", "test"))
@@ -524,7 +525,10 @@ _HEAD_SHAPES = {
 
 
 def save_head(path: PathLike, head: ToyHead) -> None:
-    payload = {"arrays": {name: getattr(head, name).tolist() for name in _HEAD_SHAPES}}
+    # the arrays of _HEAD_SHAPES, in its order: each bias is its matrix's last row
+    w1, w2, n = head.w1, head.w2, head.n_logits
+    arrays = (w1[:-1], w1[-1], w2[:-1, :n], w2[-1, :n], w2[:-1, n:], w2[-1, n:])
+    payload = {"arrays": {name: array.tolist() for name, array in zip(_HEAD_SHAPES, arrays)}}
     with open(path, "w") as handle:
         handle.write(json.dumps(payload, sort_keys=True) + "\n")
 
@@ -536,4 +540,6 @@ def load_head(path: PathLike, config: Optional[RunConfig] = None) -> ToyHead:
     arrays = _read([_read_json_object(path)], (_Field("arrays", _closed_object, (_HEAD_SHAPES,)),), where)["arrays"]
     dims = {} if config is None else {"F": config.feature_dim, "L": config.head_width()}
     table = tuple(_Field(key, _head_array, (symbols, dims)) for key, symbols in _HEAD_SHAPES.items())
-    return ToyHead(**_read([arrays], table, where, "arrays."))
+    arrays = _read([arrays], table, where, "arrays.")
+    w2 = np.block([[arrays["w_cls"], arrays["w_reg"]], [arrays["b_cls"], arrays["b_reg"]]])
+    return ToyHead(np.vstack((arrays["w_hidden"], arrays["b_hidden"])), w2)

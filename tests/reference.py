@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+from hypothesis import settings
 
 from ucowod.core import Box, ClassLabel, Detection, GroundTruthObject, Proposal, iou, label_for_class_id
 from ucowod.harness import RunConfig, SyntheticDataset, SyntheticScene, ToyHead
@@ -76,11 +77,12 @@ def match_flags_ref(dets, gts, iou_threshold):
     flags = []
     for i in order:
         det = dets[i]
-        best_j, best_iou = None, -1.0
+        best_j, best_iou = None, 0.0
         for j, gt in enumerate(gts):
             if j in taken or gt.image_id != det.image_id:
                 continue
             v = iou_ref(det.box, gt.box)
+            # a hit needs the boxes to overlap, even at threshold 0
             if v >= iou_threshold and v > best_iou:
                 best_j, best_iou = j, v
         if best_j is not None:
@@ -138,12 +140,13 @@ def known_tp_detections_ref(dets, gts, iou_threshold):
         taken = set()
         for k in order:
             i, det = cls_dets[k]
-            best_j, best_iou = None, iou_threshold
+            best_j, best_iou = None, 0.0
             for j, gt in enumerate(cls_gts):
                 if j in taken or gt.image_id != det.image_id:
                     continue
                 v = iou_ref(det.box, gt.box)
-                if v >= iou_threshold and (best_j is None or v > best_iou):
+                # a hit needs the boxes to overlap, even at threshold 0
+                if v >= iou_threshold and v > best_iou:
                     best_j, best_iou = j, v
             if best_j is not None:
                 taken.add(best_j)
@@ -235,28 +238,53 @@ def uc_recall_ref(dets, gts, permutation, iou_threshold):
 # detection head
 
 
-def head_forward_ref(head, features):
-    """Oracle of ``ToyHead.forward``: the head as it was when every call
-    allocated its activations. Returns (hidden_pre, hidden, logits, deltas)."""
-    hidden_pre = features @ head.w_hidden + head.b_hidden
-    hidden = np.maximum(hidden_pre, 0.0)
-    return hidden_pre, hidden, hidden @ head.w_cls + head.b_cls, hidden @ head.w_reg + head.b_reg
-
-
-def head_gradients_ref(head, features, hidden_pre, hidden, grad_logits, grad_deltas):
-    """Oracle of ``ToyHead.gradients``, allocating as ``head_forward_ref``
-    does. Where ``hidden_pre`` is 0 or negative and the hidden gradient is
-    negative, the rectifier's product is -0.0."""
-    grad_hidden = grad_logits @ head.w_cls.T + grad_deltas @ head.w_reg.T
-    grad_hidden_pre = grad_hidden * (hidden_pre > 0)
+def head_create_ref(feature_dim, hidden_dim, n_logits, seed):
+    """The six arrays of a new head as ``ToyHead.create`` drew them when it
+    held them apart, in the names of ``model.json``."""
+    rng = np.random.default_rng(seed)
     return {
-        "w_hidden": features.T @ grad_hidden_pre,
-        "b_hidden": grad_hidden_pre.sum(axis=0),
-        "w_cls": hidden.T @ grad_logits,
-        "b_cls": grad_logits.sum(axis=0),
-        "w_reg": hidden.T @ grad_deltas,
-        "b_reg": grad_deltas.sum(axis=0),
+        "w_hidden": rng.standard_normal((feature_dim, hidden_dim)),
+        "b_hidden": np.zeros(hidden_dim),
+        "w_cls": rng.standard_normal((hidden_dim, n_logits)),
+        "b_cls": 0.01 * rng.standard_normal(n_logits),
+        "w_reg": rng.standard_normal((hidden_dim, 4)),
+        "b_reg": np.zeros(4),
     }
+
+
+def fold_ref(arrays):
+    """The head whose six arrays, in the names of ``model.json``, are
+    ``arrays``: each layer's bias is the last row of its matrix, and the
+    logits come before the deltas."""
+    w1 = np.concatenate([arrays["w_hidden"], arrays["b_hidden"][None, :]])
+    w2 = np.concatenate([arrays["w_cls"], arrays["w_reg"]], axis=1)
+    b2 = np.concatenate([arrays["b_cls"], arrays["b_reg"]])
+    return ToyHead(w1, np.concatenate([w2, b2[None, :]]))
+
+
+def head_forward_ref(arrays, features):
+    """The head on the six arrays of ``model.json``, each bias added after
+    its GEMM. Returns (hidden, logits, deltas)."""
+    hidden = np.maximum(features @ arrays["w_hidden"] + arrays["b_hidden"], 0.0)
+    return hidden, hidden @ arrays["w_cls"] + arrays["b_cls"], hidden @ arrays["w_reg"] + arrays["b_reg"]
+
+
+def folded_forward_ref(head, features):
+    """Oracle of ``ToyHead.forward``, allocating every array: the input and
+    the rectified hidden layer each get a column of ones. Returns
+    (inputs, hidden, outputs)."""
+    ones = np.ones((len(features), 1))
+    inputs = np.hstack([features, ones])
+    hidden = np.hstack([np.maximum(inputs @ head.w1, 0.0), ones])
+    return inputs, hidden, hidden @ head.w2
+
+
+def folded_gradients_ref(head, inputs, hidden, grad_outputs):
+    """Oracle of ``ToyHead.gradients``, allocating as ``folded_forward_ref``
+    does. Where a hidden unit is 0 and its gradient is negative, the
+    rectifier's product is -0.0."""
+    grad_hidden = (grad_outputs @ head.w2[:-1].T) * (hidden[:, :-1] > 0)
+    return inputs.T @ grad_hidden, hidden.T @ grad_outputs
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +513,16 @@ def best_permutation_accuracy(assignments, truth):
             hits = sum(1 for a, t in zip(assignments, truth) if pairing.get(t) == a)
         best = max(best, hits)
     return best / len(truth)
+
+
+# ---------------------------------------------------------------------------
+# property tests
+
+
+def examples(n):
+    """A test's example count: ``n`` under the default of 100 examples,
+    scaled with the loaded hypothesis profile's own count."""
+    return n * settings.default.max_examples // 100
 
 
 # ---------------------------------------------------------------------------
@@ -754,11 +792,13 @@ def load_config_ref(path):
 def _ref_check_scene_records(payload, config, where):
     image_id = _ref_parse_int(payload, "image_id", where)
     proposals = []
+    _ref_require(isinstance(payload["proposals"], list), where, "proposals must be a list")
     for record in payload["proposals"]:
         objectness = record["objectness"]
         _ref_require(_ref_is_number(objectness), where, "objectness must be a finite number, got {!r}", objectness)
         proposals.append(Proposal(image_id, _ref_parse_bbox(record["bbox"], where), objectness))
     gts = []
+    _ref_require(isinstance(payload["gts"], list), where, "gts must be a list")
     for record in payload["gts"]:
         label = label_for_class_id(_ref_parse_int(record, "class_id", where), config.known_classes)
         gts.append(GroundTruthObject(image_id, label, _ref_parse_bbox(record["bbox"], where)))
@@ -828,4 +868,4 @@ def load_head_ref(path, config=None):
         shape = parsed[key].shape
         expected = tuple(dims.setdefault(s, n) if isinstance(s, str) else s for s, n in zip(symbols, shape))
         _ref_require(shape == expected, where, "arrays.{} must have shape {}, got {}", key, expected, shape)
-    return ToyHead(**parsed)
+    return fold_ref(parsed)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ucowod import (
     detect_with_embeddings,
     evaluate,
     generate_dataset,
+    l1_regression_loss,
     refine_pipeline,
     select_pseudo_labels,
     self_label_matrix,
@@ -31,14 +33,17 @@ from ucowod import (
     train,
 )
 from ucowod import harness, metrics, pseudo_label
-from ucowod.harness import NMS_THRESHOLD, HeadActivations, HiddenGradients, _sample_box
+from ucowod.harness import NMS_THRESHOLD, HeadActivations, HiddenGradients, _sample_box, with_ones
 from ucowod.io import load_head, save_head
 
 from reference import (
     central_difference,
     cosine_matrix_ref,
+    folded_forward_ref,
+    fold_ref,
+    folded_gradients_ref,
+    head_create_ref,
     head_forward_ref,
-    head_gradients_ref,
     nms_ref,
     relative_error,
     sample_box_ref,
@@ -163,36 +168,65 @@ def test_every_scene_pairs_features_with_proposals(default_run):
 # toy head
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_head_serialization_round_trip(tmp_path):
     head = ToyHead.create(feature_dim=5, hidden_dim=7, n_logits=6, seed=2)
+    head.w1[-1] = np.linspace(-1.0, 1.0, 7)  # non-zero biases in every row that holds one
+    head.w2[-1] = np.linspace(-1.0, 1.0, 10)
     save_head(tmp_path / "model.json", head)
     clone = load_head(tmp_path / "model.json")
-    for name in ("w_hidden", "b_hidden", "w_cls", "b_cls", "w_reg", "b_reg"):
-        assert np.array_equal(getattr(head, name), getattr(clone, name))
+    assert same_bits(clone.w1, head.w1) and same_bits(clone.w2, head.w2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+def test_create_draws_the_six_arrays_of_the_separate_head(seed, tmp_path):
+    # the same numbers in the same order as when each array was its own field
+    head = ToyHead.create(feature_dim=16, hidden_dim=128, n_logits=12, seed=seed)
+    want = head_create_ref(feature_dim=16, hidden_dim=128, n_logits=12, seed=seed)
+    folded = fold_ref(want)
+    assert same_bits(head.w1, folded.w1) and same_bits(head.w2, folded.w2)
+    # and model.json holds them under their names
+    save_head(tmp_path / "model.json", head)
+    arrays = json.loads((tmp_path / "model.json").read_text())["arrays"]
+    assert arrays.keys() == want.keys()
+    for name, expected in want.items():
+        assert same_bits(np.array(arrays[name]), expected), name
 
 
 def test_head_backprop_matches_finite_differences():
+    # a classification term on the logits and an L1 term on the deltas of the
+    # rows with a box target reach every entry of both matrices, bias rows included
     g = np.random.default_rng(0)
     head = ToyHead.create(feature_dim=3, hidden_dim=4, n_logits=5, seed=1)
+    head.w1[-1] = g.normal(0, 1, 4)
+    head.w2[-1, 5:] = g.normal(0, 1, 4)
     features = g.normal(0, 1, size=(6, 3))
     labels = [ClassLabel.known(0), ClassLabel.known(1), ClassLabel.unknown(2),
               ClassLabel.background(), ClassLabel.known(1), ClassLabel.unknown(3)]
+    boxed = np.array([True, True, False, False, True, True])
+    box_targets = g.normal(0, 1, size=(4, 4))
 
-    acts = head.forward(features)
-    _, grad_logits = classification_loss(acts.logits, labels, known_count=2)
-    grads = head.gradients(features, acts, grad_logits, np.zeros_like(acts.deltas), HiddenGradients.empty(6, 4))
+    def loss_and_gradient(probe):
+        acts = probe.forward(with_ones(features))
+        cls_value, grad_logits = classification_loss(acts.logits, labels, known_count=2)
+        reg_value, grad_boxed = l1_regression_loss(acts.deltas[boxed], box_targets)
+        grad_outputs = np.zeros_like(acts.outputs)
+        grad_outputs[:, :5] = grad_logits
+        grad_outputs[boxed, 5:] = grad_boxed
+        return cls_value + reg_value, acts, grad_outputs
 
-    for name in ("w_hidden", "b_hidden", "w_cls", "b_cls"):
+    _, acts, grad_outputs = loss_and_gradient(head)
+    grads = head.gradients(with_ones(features), acts, grad_outputs, HiddenGradients.empty(6, 4))
+    for name, grad in zip(("w1", "w2"), grads):
         def loss_of(param, name=name):
-            probe = dataclasses.replace(head, **{name: param})
-            return classification_loss(probe.forward(features).logits, labels, 2)[0]
+            return loss_and_gradient(dataclasses.replace(head, **{name: param}))[0]
 
         fd = central_difference(loss_of, getattr(head, name).copy())
-        assert relative_error(grads[name], fd) < 1e-4, name
-
-
-def same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert grad.shape == fd.shape and (fd[-1] != 0).any(), name
+        assert relative_error(grad, fd) < 1e-4, name
 
 
 def test_buffered_head_equals_the_allocating_oracle_bit_for_bit():
@@ -204,47 +238,63 @@ def test_buffered_head_equals_the_allocating_oracle_bit_for_bit():
     n, feature_dim, hidden_dim, n_logits = 9, 4, 6, 5
     features = g.normal(0, 1, size=(n, feature_dim))
     features[2] = 0.0
+    inputs = with_ones(features)
     acts, work = HeadActivations.empty(n, hidden_dim, n_logits), HiddenGradients.empty(n, hidden_dim)
     for seed in (0, 1):
         head = ToyHead.create(feature_dim, hidden_dim, n_logits, seed=seed)
-        head.w_hidden[:, 1] = 0.0
-        head.b_hidden[:] = np.where(np.arange(hidden_dim) % 2 == 1, 0.0, g.normal(0, 1, hidden_dim))
+        head.w1[:, 1] = 0.0
+        head.w1[-1] = np.where(np.arange(hidden_dim) % 2 == 1, 0.0, g.normal(0, 1, hidden_dim))
         # every hidden gradient of column 1 negative
-        head.w_cls[1] = np.abs(head.w_cls[1])
-        head.w_reg[1] = np.abs(head.w_reg[1])
-        grad_logits = -np.abs(g.normal(0, 1, size=(n, n_logits)))
-        grad_deltas = np.where(g.random((n, 4)) < 0.5, 0.0, -np.abs(g.normal(0, 1, size=(n, 4))))
+        head.w2[1] = np.abs(head.w2[1])
+        grad_outputs = -np.abs(g.normal(0, 1, size=(n, n_logits + 4)))
+        grad_outputs[:, n_logits:][g.random((n, 4)) < 0.5] = 0.0
 
-        assert head.forward(features, acts) is acts
-        want = head_forward_ref(head, features)
-        for got, expected in zip((acts.hidden_pre, acts.hidden, acts.logits, acts.deltas), want):
+        assert head.forward(inputs, acts) is acts
+        want_inputs, want_hidden, want_outputs = folded_forward_ref(head, features)
+        assert same_bits(inputs, want_inputs)
+        assert same_bits(acts.hidden, want_hidden) and same_bits(acts.outputs, want_outputs)
+        assert (acts.hidden[:, :-1] == 0.0).any()
+
+        grads = head.gradients(inputs, acts, grad_outputs, work)
+        want_grads = folded_gradients_ref(head, want_inputs, want_hidden, grad_outputs)
+        assert len(grads) == len(want_grads) == 2
+        for got, expected in zip(grads, want_grads):
             assert same_bits(got, expected)
-        assert (acts.hidden_pre == 0.0).any()
-
-        grads = head.gradients(features, acts, grad_logits, grad_deltas, work)
-        want_grads = head_gradients_ref(head, features, *want[:2], grad_logits, grad_deltas)
-        assert grads.keys() == want_grads.keys()
-        for name, expected in want_grads.items():
-            assert same_bits(grads[name], expected), name
-        # work.from_logits ends as the masked hidden gradient: -0.0 in column 1
-        assert not work.from_logits[:, 1].any() and np.signbit(work.from_logits[:, 1]).all()
+        # work.hidden ends as the masked hidden gradient: -0.0 in column 1
+        assert not work.hidden[:, 1].any() and np.signbit(work.hidden[:, 1]).all()
         # the form that allocates its own arrays is the same computation
-        fresh = head.forward(features)
-        assert fresh is not acts and all(
-            same_bits(got, expected)
-            for got, expected in zip((fresh.hidden_pre, fresh.hidden, fresh.logits, fresh.deltas), want)
-        )
+        fresh = head.forward(inputs)
+        assert fresh is not acts and same_bits(fresh.hidden, want_hidden) and same_bits(fresh.outputs, want_outputs)
+
+
+def test_folded_forward_is_the_six_array_head_to_a_few_ulp():
+    # a bias summed inside the GEMM rounds differently from one added after it
+    g = np.random.default_rng(5)
+    for seed in range(4):
+        arrays = head_create_ref(feature_dim=16, hidden_dim=128, n_logits=12, seed=seed)
+        for name in ("b_hidden", "b_cls", "b_reg"):
+            arrays[name] = g.normal(0, 1, arrays[name].shape)
+        head = fold_ref(arrays)
+        features = g.normal(0, 1, size=(50, 16))
+        acts = head.forward(with_ones(features))
+        want_hidden, want_logits, want_deltas = head_forward_ref(arrays, features)
+        for got, expected in ((acts.hidden[:, :-1], want_hidden), (acts.logits, want_logits),
+                              (acts.deltas, want_deltas)):
+            # 8 ulp of the output's largest entry
+            bound = 8 * np.finfo(float).eps * np.abs(expected).max()
+            assert np.abs(got - expected).max() <= bound
+        assert (acts.hidden[:, -1] == 1.0).all()
 
 
 def test_weight_decay_shrinks_weight_matrices_only():
+    # the bias rows of both matrices keep their values
     head = ToyHead.create(feature_dim=3, hidden_dim=4, n_logits=5, seed=0)
-    before_w = head.w_cls.copy()
-    before_b = head.b_cls.copy()
-    zero = {name: np.zeros_like(getattr(head, name))
-            for name in ("w_hidden", "b_hidden", "w_cls", "b_cls", "w_reg", "b_reg")}
-    head.apply_gradients(zero, learning_rate=0.5, weight_decay=0.1)
-    assert np.allclose(head.w_cls, before_w * (1.0 - 0.5 * 0.1), atol=1e-15)
-    assert np.array_equal(head.b_cls, before_b)
+    head.w1[-1], head.w2[-1] = 1.0, 1.0
+    before = head.w1.copy(), head.w2.copy()
+    head.apply_gradients((np.zeros_like(head.w1), np.zeros_like(head.w2)), learning_rate=0.5, weight_decay=0.1)
+    for after, weights in zip((head.w1, head.w2), before):
+        assert np.allclose(after[:-1], weights[:-1] * (1.0 - 0.5 * 0.1), atol=1e-15)
+        assert np.array_equal(after[-1], weights[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +423,7 @@ def test_known_only_config_reduces_to_accurate_classifier():
                        train_scenes=12, test_scenes=6)
     dataset = generate_dataset(config)
     result = train(config, dataset)
-    logits = result.head.forward(result.rows.features).logits
+    logits = result.head.forward(with_ones(result.rows.features)).logits
     predicted = logits.argmax(axis=1)
     background = config.head_width() - 1
     wanted = np.array(
@@ -412,7 +462,7 @@ def test_history_pair_counts_match_label_matrices():
         if stats.phase == "self":
             # the same run stopped before this epoch holds the epoch's head
             head = train(dataclasses.replace(config, epochs=stats.epoch), dataset).head
-            S = cosine_matrix_ref(head.forward(result.rows.features).logits)
+            S = cosine_matrix_ref(head.forward(with_ones(result.rows.features)).logits)
             own = self_label_matrix(S, labels, stats.lam)
             positive, negative = positive | own.positive, negative | own.negative
         assert (stats.positive, stats.negative) == (positive.sum(), negative.sum())
@@ -467,7 +517,7 @@ def test_train_builds_pair_state_once(monkeypatch):
 def test_classification_loss_from_plan_is_classification_loss(default_run):
     config, _, result = default_run
     rows = result.rows
-    logits = result.head.forward(rows.features).logits
+    logits = result.head.forward(with_ones(rows.features)).logits
     value, grad = classification_loss(logits, rows.labels, config.known_classes)
     plan = classification_plan(rows.codes, rows.unknown, config.known_classes, config.head_width())
     planned_value, planned_grad = classification_loss_from_plan(logits, plan)
@@ -577,7 +627,7 @@ def test_detect_with_embeddings_matches_slot_by_slot_reference(default_run):
     head = result.head
     want, want_rows, candidates = [], [], 0
     for scene in dataset.test:
-        acts = head.forward(scene.features)
+        acts = head.forward(with_ones(scene.features))
         probs = softmax(acts.logits, axis=1)
         for slot in range(config.head_width() - 1):
             rows = [row for row in range(len(probs)) if probs[row].argmax() == slot]

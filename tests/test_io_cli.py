@@ -149,8 +149,8 @@ def test_head_round_trip(tmp_path):
     save_head(path, head)
     assert list(json.loads(path.read_text())) == ["arrays"]
     loaded = load_head(path)
-    for name in ("w_hidden", "b_hidden", "w_cls", "b_cls", "w_reg", "b_reg"):
-        assert np.array_equal(getattr(loaded, name), getattr(head, name)), name
+    assert np.array_equal(loaded.w1, head.w1) and np.array_equal(loaded.w2, head.w2)
+    assert sorted(json.loads(path.read_text())["arrays"]) == ["b_cls", "b_hidden", "b_reg", "w_cls", "w_hidden", "w_reg"]
 
 
 def test_config_from_dict_overrides_and_rejects_unknown_keys():
@@ -386,6 +386,10 @@ def test_train_on_non_finite_or_boolean_dataset_box_exits_two(tmp_path, capsys):
         ("train", lambda s: s["proposals"][0].update(objectness=float("nan")),
          "objectness must be a finite number, got nan"),
         ("train", lambda s: s["features"][0].pop(), ""),  # numpy's own message follows
+        # not lists: read as a scene without objects or proposals, they would train
+        ("test", lambda s: s.update(gts={}), "gts must be a list"),
+        ("train", lambda s: s.update(gts=""), "gts must be a list"),
+        ("train", lambda s: s.update(proposals={}, features=[[]]), "proposals must be a list"),
     ):
         payload = json.loads(json.dumps(original))
         mutate(payload[split][0])
@@ -615,7 +619,7 @@ def test_refine_with_malformed_model_exits_two(tmp_path, capsys):
 def test_load_head_checks_shapes_against_each_other_only_without_config(tmp_path):
     path = tmp_path / "model.json"
     save_head(path, ToyHead.create(feature_dim=4, hidden_dim=6, n_logits=7, seed=3))
-    assert load_head(path).w_hidden.shape == (4, 6)
+    assert load_head(path).w1.shape == (5, 6)
     with pytest.raises(SchemaError, match=r"arrays.w_hidden must have shape \(16, 6\), got \(4, 6\)"):
         load_head(path, RunConfig())
 

@@ -12,6 +12,8 @@ from ucowod import (
     select_pseudo_labels,
 )
 
+from reference import examples
+
 
 def proposal(box, objectness, image_id=0):
     return Proposal(image_id=image_id, box=box, objectness=objectness)
@@ -98,7 +100,7 @@ def random_problem(seed):
     return proposals, gts
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(st.integers(0, 100_000))
 def test_selection_invariants(seed):
     proposals, gts = random_problem(seed)
@@ -121,7 +123,7 @@ def test_selection_invariants(seed):
                 assert iou(a.box, b.box) <= config.nms_threshold
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(st.integers(0, 100_000))
 def test_raising_floor_never_yields_more(seed):
     proposals, gts = random_problem(seed)

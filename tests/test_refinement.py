@@ -19,6 +19,7 @@ from ucowod import refinement
 from reference import (
     best_permutation_accuracy,
     central_difference,
+    examples,
     kl_ref,
     kl_soft_assignment_longdouble,
     relative_error,
@@ -116,7 +117,7 @@ def test_soft_assignment_requires_centroids():
         soft_assignment(np.zeros((2, 3)), np.zeros((0, 3)))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(st.integers(0, 100_000))
 def test_soft_assignment_matches_reference_and_rows_sum_to_one(seed):
     g = np.random.default_rng(seed)
@@ -157,7 +158,7 @@ def test_target_rejects_empty_cluster():
         target_distribution(P)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(st.integers(0, 100_000))
 def test_target_matches_reference_and_rows_sum_to_one(seed):
     g = np.random.default_rng(seed)
@@ -167,7 +168,7 @@ def test_target_matches_reference_and_rows_sum_to_one(seed):
     assert np.allclose(Q.sum(axis=1), 1.0, atol=1e-9)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(st.integers(0, 100_000))
 def test_target_preserves_argmax_under_equal_frequencies(seed):
     g = np.random.default_rng(seed)
@@ -202,7 +203,7 @@ def test_kl_rejects_negative_and_mismatched():
         kl_divergence(np.ones((1, 2)), np.ones((2, 2)))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(st.integers(0, 100_000))
 def test_kl_matches_reference_and_is_nonnegative(seed):
     g = np.random.default_rng(seed)
@@ -214,7 +215,7 @@ def test_kl_matches_reference_and_is_nonnegative(seed):
     assert kl_divergence(Q, Q) == 0.0
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(st.integers(0, 100_000))
 @example(seed=10834)
 @example(seed=9157)
@@ -356,7 +357,7 @@ def test_silhouette_needs_two_clusters():
     assert select_cluster_count(np.zeros((5, 2)), 4, seed=0) == (1, None)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(
     seed=st.integers(0, 10_000),
     labels=st.lists(st.integers(0, 7), min_size=1, max_size=40),
@@ -396,7 +397,7 @@ def sweep_ref(points, max_clusters, seed):
     return max(k for k, score in scores.items() if score >= best - 0.1 * abs(best))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(
     seed=st.integers(0, 10_000),
     n_centers=st.integers(1, 6),
