@@ -37,19 +37,13 @@ from .harness import (
 )
 from .losses import (
     LossWeights,
-    PairLabelMatrix,
     PairSelectionSchedule,
-    classification_loss,
     classification_loss_from_plan,
     classification_plan,
     l1_regression_loss,
     label_codes,
     pair_plan,
     pair_similarity_loss,
-    self_label_matrix,
-    self_similarity_loss,
-    similarity_loss,
-    supervised_label_matrix,
     total_training_loss,
     update_lambda,
 )

@@ -4,22 +4,25 @@ Logit layout: a head over ``C`` known classes with ``U`` unknown slots emits
 vectors of width ``C + U + 1``; slots ``[0, C)`` are known classes, slots
 ``[C, C + U)`` are unknown classes, and the last slot is background.
 
-Three loss families live here:
+Three loss families live here, each defined once, by the code training runs:
 
-- ``classification_loss``: cross-entropy where known and background rows see
-  only the known+background slots, while unknown-labeled rows are trained on
-  the single highest-scoring unknown slot. The restriction is implemented by
-  masking invisible slots to a large negative logit before the softmax, which
-  drives their probability (and gradient) to exactly zero in float64.
-- pairwise similarity losses over the clamped cosine similarities of the
-  embeddings, supervised by label agreement and, in the self-supervised
-  phase, by thresholding the similarities under a closing threshold pair.
-  ``pair_similarity_loss``, which training runs, is their definition; it
-  visits each unordered pair once, in strips of the rows sorted by label
-  group, so that a label verdict covers a range of columns and unknown x
-  unknown pairs are computed only when thresholds decide them. Its oracles
-  (the cosine matrix and its gradient among them) are in ``tests/reference.py``.
+- ``classification_loss_from_plan``: cross-entropy where known and background
+  rows see only the known+background slots, while unknown-labeled rows are
+  trained on the single highest-scoring unknown slot. The restriction is
+  implemented by masking invisible slots to a large negative logit before the
+  softmax, which drives their probability (and gradient) to exactly zero in
+  float64.
+- ``pair_similarity_loss``: binary cross-entropy over the clamped cosine
+  similarities of the embeddings, supervised by label agreement and, in the
+  self-supervised phase, by thresholding the similarities under a closing
+  threshold pair. It visits each unordered pair once, in strips of the rows
+  sorted by label group, so that a label verdict covers a range of columns
+  and unknown x unknown pairs are computed only when thresholds decide them.
 - an elementwise L1 regression penalty and the weighted total.
+
+Their oracles, the row-by-row cross-entropy and the dense forms of the pair
+term (the cosine matrix, the pair verdicts and the pair cross-entropy, with
+gradients), are in ``tests/reference.py``.
 
 Training calls both terms on the same labels every epoch, so what depends on
 the labels alone is built once per run, in O(N) memory: a
@@ -58,37 +61,13 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-def classification_loss(
-    logits: np.ndarray,
-    labels: Sequence[ClassLabel],
-    known_count: int,
-) -> tuple[float, np.ndarray]:
-    """Unknown-aware cross-entropy, averaged over rows.
-
-    Known and background rows are scored over the ``C + 1`` known+background
-    slots. Unknown-labeled rows (the pseudo ground truth) contribute
-    ``-log p`` of their highest-scoring unknown slot, so only that slot
-    receives gradient. Returns ``(mean loss, gradient wrt logits)``.
-    """
-    Z = np.asarray(logits, dtype=float)
-    if Z.ndim != 2:
-        raise ValueError(f"logits must be 2-d, got shape {Z.shape}")
-    n, width = Z.shape
-    if n == 0:
-        raise ValueError("empty batch")
-    if len(labels) != n:
-        raise ValueError(f"{n} logit rows but {len(labels)} labels")
-    plan = classification_plan(*label_codes(labels), known_count, width)
-    return classification_loss_from_plan(Z, plan)
-
-
 @dataclass(frozen=True)
 class ClassificationPlan:
-    """The label-only part of ``classification_loss`` for one batch, built
-    once per training run by ``classification_plan``: the slots every row
-    sees (the known classes and background), each row's target slot (an
-    unknown row's is replaced on each call by its best unknown slot), the
-    unknown rows and the row index. Memory is O(N)."""
+    """The label-only part of ``classification_loss_from_plan`` for one
+    batch, built once per training run by ``classification_plan``: the
+    slots every row sees (the known classes and background), each row's
+    target slot (an unknown row's is replaced on each call by its best
+    unknown slot), the unknown rows and the row index. Memory is O(N)."""
 
     known_count: int
     visible: np.ndarray
@@ -127,9 +106,14 @@ def classification_plan(
 
 
 def classification_loss_from_plan(logits: np.ndarray, plan: ClassificationPlan) -> tuple[float, np.ndarray]:
-    """``classification_loss`` of ``logits`` for the rows ``plan`` was built
-    for, so that training checks and indexes the labels once, not every
-    epoch."""
+    """Unknown-aware cross-entropy of ``logits``, averaged over the rows
+    ``plan`` was built for, and its gradient wrt the logits.
+
+    Known and background rows are scored over the ``C + 1`` known+background
+    slots. Unknown-labeled rows (the pseudo ground truth) contribute
+    ``-log p`` of their highest-scoring unknown slot, so only that slot
+    receives gradient. The plan holds the label checks and indexes, so that
+    training builds them once, not every epoch."""
     Z = np.asarray(logits, dtype=float)
     n = len(plan.rows)
     if Z.shape != (n, len(plan.visible)):
@@ -169,41 +153,6 @@ def _unit_rows(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if dead.size:
         raise ValueError(f"zero-norm embedding rows: {dead.tolist()}")
     return E / norms[:, None], norms
-
-
-@dataclass(frozen=True)
-class PairLabelMatrix:
-    """Tri-state pair supervision: each ordered pair is positive (same
-    class), negative (different class), or not selected (no verdict)."""
-
-    positive: np.ndarray
-    negative: np.ndarray
-
-    def __post_init__(self) -> None:
-        pos, neg = self.positive, self.negative
-        if pos.shape != neg.shape or pos.ndim != 2 or pos.shape[0] != pos.shape[1]:
-            raise ValueError("pair matrices must be square and same-shaped")
-        if (pos & neg).any():
-            raise ValueError("a pair cannot be both positive and negative")
-        if not (pos == pos.T).all() or not (neg == neg.T).all():
-            raise ValueError("pair matrices must be symmetric")
-
-    @property
-    def selected(self) -> np.ndarray:
-        return self.positive | self.negative
-
-
-def supervised_label_matrix(labels: Sequence[ClassLabel]) -> PairLabelMatrix:
-    """Pair supervision from labels alone.
-
-    Pairs of equal non-unknown labels are positive, pairs of differing labels
-    are negative, and unknown-unknown pairs carry no verdict because no true
-    unknown identity is available at training time.
-    """
-    codes, is_unknown = label_codes(labels)
-    positive = (codes[:, None] == codes[None, :]) & np.outer(~is_unknown, ~is_unknown)
-    negative = ~np.outer(is_unknown, is_unknown) & ~positive
-    return PairLabelMatrix(positive=positive, negative=negative)
 
 
 class PairSelectionSchedule:
@@ -264,68 +213,11 @@ def _require_active(lam: float) -> None:
         )
 
 
-def update_lambda(
-    lam: float, eta: float, schedule: PairSelectionSchedule = DEFAULT_SCHEDULE
-) -> float:
+def update_lambda(lam: float, eta: float) -> float:
     """One gradient-descent step of ``lam`` against the band-width penalty."""
     if eta < 0:
         raise ValueError(f"eta must be non-negative, got {eta}")
-    return lam - eta * schedule.penalty_slope()
-
-
-def self_label_matrix(
-    similarity: np.ndarray, labels: Sequence[ClassLabel], lam: float
-) -> PairLabelMatrix:
-    """Self-supervised verdicts for unknown-unknown pairs.
-
-    Similarities above the upper threshold become positive, below the lower
-    threshold negative; the band between stays unselected. Raises once the
-    schedule has terminated.
-    """
-    _require_active(lam)
-    S = np.asarray(similarity, dtype=float)
-    is_unknown = label_codes(labels)[1]
-    both_unknown = np.outer(is_unknown, is_unknown)
-    positive = both_unknown & (S > DEFAULT_SCHEDULE.upper(lam))
-    negative = both_unknown & (S < DEFAULT_SCHEDULE.lower(lam))
-    return PairLabelMatrix(positive=positive, negative=negative)
-
-
-def similarity_loss(
-    pair_labels: PairLabelMatrix, similarity: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Binary cross-entropy over selected pairs, mean-reduced.
-
-    Positive pairs are pushed toward similarity 1, negative pairs toward 0.
-    Returns ``(value, gradient wrt the similarity matrix)``; unselected
-    entries get zero gradient. With no selected pairs the loss is 0 and a
-    RuntimeWarning is issued.
-    """
-    S = np.asarray(similarity, dtype=float)
-    selected = pair_labels.selected
-    n_selected = int(selected.sum())
-    if n_selected == 0:
-        _warnings.warn("similarity loss saw no selected pairs", RuntimeWarning)
-        return 0.0, np.zeros_like(S)
-    if ((S <= 0.0) | (S >= 1.0))[selected].any():
-        raise ValueError("selected similarities must lie strictly inside (0, 1); clamp first")
-    M = pair_labels.positive.astype(float)
-    terms = -(M * np.log(S) + (1.0 - M) * np.log(1.0 - S))
-    loss = float(terms[selected].sum() / n_selected)
-    grad = np.where(selected, (-M / S + (1.0 - M) / (1.0 - S)) / n_selected, 0.0)
-    return loss, grad
-
-
-def self_similarity_loss(
-    pair_labels: PairLabelMatrix, similarity: np.ndarray, lam: float
-) -> tuple[float, np.ndarray]:
-    """Pair cross-entropy plus the threshold band-width penalty.
-
-    The penalty depends only on ``lam``, so the gradient wrt the similarity
-    matrix is the plain pair-loss gradient.
-    """
-    base, grad = similarity_loss(pair_labels, similarity)
-    return base + DEFAULT_SCHEDULE.penalty(lam), grad
+    return lam - eta * DEFAULT_SCHEDULE.penalty_slope()
 
 
 @dataclass(frozen=True)
@@ -395,11 +287,20 @@ def pair_similarity_loss(
     plan: PairPlan,
     lam: Optional[float] = None,
 ) -> tuple[float, np.ndarray, int, int]:
-    """Training's pair term: the ``similarity_loss`` (``self_similarity_loss``
-    given ``lam``) of the clamped cosine similarities of ``embeddings`` under
-    the label matrices of the rows ``plan`` was built for, and its gradient
-    wrt the embeddings. Returns (value, gradient, positive and negative
-    counts over all N x N ordered pairs).
+    """Training's pair term: binary cross-entropy over the selected ordered
+    pairs of the clamped cosine similarities S of ``embeddings``, averaged
+    over those pairs, and its gradient wrt the embeddings. Returns (value,
+    gradient, positive and negative counts over all N x N ordered pairs).
+
+    Among the rows ``plan`` was built for, a pair of equal labels, neither
+    unknown, is positive (pushed toward S = 1), a pair of differing labels
+    negative (toward S = 0), and an unknown x unknown pair has no verdict.
+    Given ``lam``, unknown x unknown pairs above the schedule's upper
+    threshold turn positive and those below its lower threshold negative,
+    and the value gains the band-width penalty, which depends on ``lam``
+    alone; a terminated schedule raises. Pairs pinned at the clamp pass no
+    gradient. With no selected pair it warns and returns the penalty (0
+    without ``lam``) and a zero gradient.
 
     The rows are taken in ``plan.order``, and the gradient is returned in
     the caller's order. S and the verdicts are symmetric, so strip [s, e)

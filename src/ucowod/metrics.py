@@ -193,10 +193,11 @@ def absolute_open_set_error(
 ) -> int:
     """Count unknown ground-truth objects covered by a known-labeled
     detection that is not a true positive for any known object. Each unknown
-    ground truth is counted at most once."""
+    ground truth is counted at most once; covering needs the boxes to
+    overlap, even at threshold 0, as matching does."""
     false_known = [det for det, hit in zip(match.detections, match.is_tp) if not hit]
     overlap, _ = _own_image_iou([gt for gt in gts if gt.label.is_unknown], false_known)
-    return int(np.count_nonzero((overlap >= iou_threshold).any(axis=1)))
+    return int(np.count_nonzero(((overlap >= iou_threshold) & (overlap > 0)).any(axis=1)))
 
 
 def wilderness_impact(match: MatchResult, open_set_errors: int) -> float:

@@ -164,7 +164,9 @@ def a_ose_ref(dets, gts, iou_threshold):
         if not gt.label.is_unknown:
             continue
         for det in danger:
-            if det.image_id == gt.image_id and iou_ref(det.box, gt.box) >= iou_threshold:
+            v = iou_ref(det.box, gt.box) if det.image_id == gt.image_id else 0.0
+            # covering needs the boxes to overlap, even at threshold 0
+            if v >= iou_threshold and v > 0:
                 count += 1
                 break
     return count
@@ -352,21 +354,48 @@ def cosine_grad_ref(rows, upstream, eps=1e-6):
     return (G @ unit - (G * raw).sum(axis=1, keepdims=True) * unit) / norms[:, None]
 
 
+def pair_verdicts_ref(codes, unknown, similarity=None, lam=None):
+    """Dense pair verdicts, entry by entry: a pair of equal codes, neither
+    unknown, is positive, a pair of differing labels negative, and an
+    unknown x unknown pair undecided, unless ``lam`` is given: then it is
+    positive above ``0.95 - lam`` and negative below ``0.455 + 0.1 lam`` in
+    ``similarity``. Returns the positive and negative masks."""
+    n = len(codes)
+    positive, negative = np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            if unknown[i] and unknown[j]:
+                if lam is not None:
+                    positive[i, j] = similarity[i, j] > 0.95 - lam
+                    negative[i, j] = similarity[i, j] < 0.455 + 0.1 * lam
+            elif unknown[i] or unknown[j] or codes[i] != codes[j]:
+                negative[i, j] = True
+            else:
+                positive[i, j] = True
+    return positive, negative
+
+
 def pair_bce_ref(similarity, positive, negative):
     """Mean binary cross entropy over the selected entries of a similarity
-    matrix; positive/negative are boolean masks over the full matrix."""
+    matrix, and its gradient wrt the matrix; positive/negative are boolean
+    masks over the full matrix. Without a selected entry both are zero."""
     S = np.asarray(similarity, dtype=float)
     total, count = 0.0, 0
+    grad = np.zeros_like(S)
     n = len(S)
     for i in range(n):
         for j in range(n):
             if positive[i][j]:
                 total += -math.log(S[i, j])
+                grad[i, j] = -1.0 / S[i, j]
                 count += 1
             elif negative[i][j]:
                 total += -math.log(1 - S[i, j])
+                grad[i, j] = 1.0 / (1 - S[i, j])
                 count += 1
-    return total / count if count else 0.0
+    if not count:
+        return 0.0, grad
+    return total / count, grad / count
 
 
 def pair_kernel_ref(embeddings, codes, unknown, lam=None, tile_rows=64):

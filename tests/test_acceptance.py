@@ -24,7 +24,8 @@ from ucowod import (
     Proposal,
     RunConfig,
     UlpConfig,
-    classification_loss,
+    classification_loss_from_plan,
+    classification_plan,
     detect,
     evaluate,
     generate_dataset,
@@ -32,14 +33,13 @@ from ucowod import (
     iou,
     kl_divergence,
     kl_loss,
+    label_codes,
+    pair_plan,
+    pair_similarity_loss,
     refine,
     refine_pipeline,
     select_pseudo_labels,
-    self_label_matrix,
-    self_similarity_loss,
-    similarity_loss,
     soft_assignment,
-    supervised_label_matrix,
     target_distribution,
     train,
     uc_map,
@@ -153,39 +153,42 @@ def test_acceptance_3_analytic_gradients_match_finite_differences():
                 row = logits[i, known_count : known_count + unknown_count]
                 if np.ptp(row) < 1e-3:  # keep the argmax stable under probing
                     logits[i, known_count] += 1.0
-        _, grad = classification_loss(logits, labels, known_count)
-        fd = central_difference(lambda z: classification_loss(z, labels, known_count)[0],
-                                logits.copy())
+        plan = classification_plan(*label_codes(labels), known_count, width)
+        _, grad = classification_loss_from_plan(logits, plan)
+        fd = central_difference(lambda z: classification_loss_from_plan(z, plan)[0], logits.copy())
         assert relative_error(grad, fd) < 1e-4
 
+    # the pair terms are probed over the embeddings, whose positive entries
+    # keep every off-diagonal cosine clear of the clamp
     for seed in range(100):
         g = np.random.default_rng(1000 + seed)
         n = int(g.integers(3, 7))
         labels = [ClassLabel.known(int(g.integers(0, 2))) for _ in range(n - 1)]
         labels.append(ClassLabel.background())
-        M = supervised_label_matrix(labels)
-        S = np.clip((g.uniform(0, 1, (n, n)) + g.uniform(0, 1, (n, n)).T) / 2, 0.1, 0.9)
-        S = (S + S.T) / 2
-        _, grad = similarity_loss(M, S)
-        fd = central_difference(lambda s: similarity_loss(M, s)[0], S.copy())
+        plan = pair_plan(*label_codes(labels))
+        E = g.uniform(0.1, 1.0, size=(n, 4))
+        _, grad, _, _ = pair_similarity_loss(E, plan)
+        fd = central_difference(lambda e: pair_similarity_loss(e, plan)[0], E.copy())
         assert relative_error(grad, fd) < 1e-4
 
+    schedule = PairSelectionSchedule()
     for seed in range(100):
         g = np.random.default_rng(2000 + seed)
         n = int(g.integers(3, 7))
-        labels = [ClassLabel.unknown(2 + int(g.integers(0, 3))) for _ in range(n)]
-        S = np.clip((g.uniform(0, 1, (n, n)) + g.uniform(0, 1, (n, n)).T) / 2, 0.1, 0.9)
-        S = (S + S.T) / 2
-        np.fill_diagonal(S, 0.97)
+        plan = pair_plan(*label_codes([ClassLabel.unknown(2 + int(g.integers(0, 3))) for _ in range(n)]))
         lam = float(g.uniform(0.0, 0.3))
-        # the pair verdicts are a data-selection step: hold them fixed while
-        # probing the similarity entries
-        M = self_label_matrix(S, labels, lam)
-        if not M.selected.any():
-            S[0, 1] = S[1, 0] = 0.97
-            M = self_label_matrix(S, labels, lam)
-        _, grad = self_similarity_loss(M, S, lam)
-        fd = central_difference(lambda s: self_similarity_loss(M, s, lam)[0], S.copy())
+        thresholds = np.array([schedule.lower(lam), schedule.upper(lam)])
+        # the pair verdicts are a data-selection step: draw embeddings whose
+        # verdicts the probe cannot flip, with at least one pair decided
+        while True:
+            E = g.uniform(0.0, 1.0, size=(n, 4))
+            unit = E / np.linalg.norm(E, axis=1, keepdims=True)
+            cosines = (unit @ unit.T)[~np.eye(n, dtype=bool)]
+            clear = np.abs(cosines[:, None] - thresholds).min() > 1e-3
+            if clear and ((cosines < thresholds[0]) | (cosines > thresholds[1])).any():
+                break
+        _, grad, _, _ = pair_similarity_loss(E, plan, lam)
+        fd = central_difference(lambda e: pair_similarity_loss(e, plan, lam)[0], E.copy())
         assert relative_error(grad, fd) < 1e-4
 
     for seed in range(100):
@@ -211,7 +214,7 @@ def test_acceptance_4_threshold_schedule_closed_form():
 
     lam, steps = 0.0, 0
     while not schedule.terminated(lam):
-        nxt = update_lambda(lam, 0.01, schedule)
+        nxt = update_lambda(lam, 0.01)
         assert schedule.penalty(lam) - schedule.penalty(nxt) == pytest.approx(
             0.0121, abs=1e-12
         )

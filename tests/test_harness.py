@@ -18,7 +18,6 @@ from ucowod import (
     UlpConfig,
     build_training_rows,
     class_prototypes,
-    classification_loss,
     classification_loss_from_plan,
     classification_plan,
     detect,
@@ -26,10 +25,9 @@ from ucowod import (
     evaluate,
     generate_dataset,
     l1_regression_loss,
+    label_codes,
     refine_pipeline,
     select_pseudo_labels,
-    self_label_matrix,
-    supervised_label_matrix,
     train,
 )
 from ucowod import harness, metrics, pseudo_label
@@ -38,6 +36,7 @@ from ucowod.io import load_head, save_head
 
 from reference import (
     central_difference,
+    classification_loss_ref,
     cosine_matrix_ref,
     folded_forward_ref,
     fold_ref,
@@ -45,6 +44,7 @@ from reference import (
     head_create_ref,
     head_forward_ref,
     nms_ref,
+    pair_verdicts_ref,
     relative_error,
     sample_box_ref,
     training_rows_ref,
@@ -208,10 +208,11 @@ def test_head_backprop_matches_finite_differences():
               ClassLabel.background(), ClassLabel.known(1), ClassLabel.unknown(3)]
     boxed = np.array([True, True, False, False, True, True])
     box_targets = g.normal(0, 1, size=(4, 4))
+    plan = classification_plan(*label_codes(labels), 2, 5)
 
     def loss_and_gradient(probe):
         acts = probe.forward(with_ones(features))
-        cls_value, grad_logits = classification_loss(acts.logits, labels, known_count=2)
+        cls_value, grad_logits = classification_loss_from_plan(acts.logits, plan)
         reg_value, grad_boxed = l1_regression_loss(acts.deltas[boxed], box_targets)
         grad_outputs = np.zeros_like(acts.outputs)
         grad_outputs[:, :5] = grad_logits
@@ -455,16 +456,14 @@ def test_history_pair_counts_match_label_matrices():
     dataset = generate_dataset(config)
     result = train(config, dataset)
     assert [h.phase for h in result.history] == ["supervised"] * 3 + ["self"] * 5 + ["post"] * 2
-    labels = result.rows.labels
-    supervised = supervised_label_matrix(labels)
+    rows = result.rows
     for stats in result.history:
-        positive, negative = supervised.positive, supervised.negative
+        S, lam = None, None
         if stats.phase == "self":
             # the same run stopped before this epoch holds the epoch's head
             head = train(dataclasses.replace(config, epochs=stats.epoch), dataset).head
-            S = cosine_matrix_ref(head.forward(with_ones(result.rows.features)).logits)
-            own = self_label_matrix(S, labels, stats.lam)
-            positive, negative = positive | own.positive, negative | own.negative
+            S, lam = cosine_matrix_ref(head.forward(with_ones(rows.features)).logits), stats.lam
+        positive, negative = pair_verdicts_ref(rows.codes, rows.unknown, S, lam)
         assert (stats.positive, stats.negative) == (positive.sum(), negative.sum())
 
 
@@ -518,10 +517,9 @@ def test_classification_loss_from_plan_is_classification_loss(default_run):
     config, _, result = default_run
     rows = result.rows
     logits = result.head.forward(with_ones(rows.features)).logits
-    value, grad = classification_loss(logits, rows.labels, config.known_classes)
     plan = classification_plan(rows.codes, rows.unknown, config.known_classes, config.head_width())
-    planned_value, planned_grad = classification_loss_from_plan(logits, plan)
-    assert planned_value == value and np.array_equal(planned_grad, grad)
+    value, grad = classification_loss_from_plan(logits, plan)
+    assert value == pytest.approx(classification_loss_ref(logits, rows.labels, config.known_classes), abs=1e-10)
     # the plan is not changed by a call: a second call gives the same result
     again_value, again_grad = classification_loss_from_plan(logits, plan)
     assert again_value == value and np.array_equal(again_grad, grad)

@@ -10,17 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 from ucowod import (
     ClassLabel,
     LossWeights,
-    PairLabelMatrix,
     PairSelectionSchedule,
-    classification_loss,
+    classification_loss_from_plan,
+    classification_plan,
     l1_regression_loss,
     label_codes,
     pair_plan,
     pair_similarity_loss,
-    self_label_matrix,
-    self_similarity_loss,
-    similarity_loss,
-    supervised_label_matrix,
     total_training_loss,
     update_lambda,
 )
@@ -36,6 +32,7 @@ from reference import (
     l1_loss_ref,
     pair_bce_ref,
     pair_kernel_ref,
+    pair_verdicts_ref,
     relative_error,
 )
 
@@ -61,11 +58,18 @@ def random_labels(g, n, known_count=2, unknown_count=2):
 # classification loss
 
 
+def planned_loss(logits, labels, known_count):
+    """The classification term as training computes it: a plan for the
+    labels, then the loss of the logits under it."""
+    plan = classification_plan(*label_codes(labels), known_count, logits.shape[1])
+    return classification_loss_from_plan(logits, plan)
+
+
 def test_known_row_with_certain_prediction_costs_nothing():
     # visible slots are the known class and background; 200 logits of margin
     # put all probability mass on the target
     logits = np.array([[100.0, 5.0, -3.0, -100.0]])
-    loss, _ = classification_loss(logits, [K(0)], known_count=1)
+    loss, _ = planned_loss(logits, [K(0)], known_count=1)
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
@@ -75,7 +79,7 @@ def test_pseudo_row_cost_is_neg_log_best_unknown_probability():
     # softmax puts exactly e^{-1} on the best unknown slot.
     a = math.log((math.e - 1.0) / 2.0)
     logits = np.array([[a, 0.0, -50.0, a]])
-    loss, grad = classification_loss(logits, [U(1)], known_count=1)
+    loss, grad = planned_loss(logits, [U(1)], known_count=1)
     assert loss == pytest.approx(1.0, abs=1e-12)
     # the non-maximal unknown slot is invisible: exactly zero gradient
     assert grad[0, 2] == 0.0
@@ -83,7 +87,7 @@ def test_pseudo_row_cost_is_neg_log_best_unknown_probability():
 
 def test_background_row_uses_last_slot():
     logits = np.array([[-100.0, -5.0, 4.0, 100.0]])
-    loss, _ = classification_loss(logits, [BG], known_count=1)
+    loss, _ = planned_loss(logits, [BG], known_count=1)
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
@@ -91,29 +95,30 @@ def test_known_rows_never_see_unknown_slots():
     # enormous unknown logits must not disturb a known row, and the masked
     # slots must receive exactly zero gradient
     logits = np.array([[2.0, 1.0, 1e3, 1e3, 0.5]])
-    loss, grad = classification_loss(logits, [K(0)], known_count=2)
+    loss, grad = planned_loss(logits, [K(0)], known_count=2)
     want = classification_loss_ref(logits, [K(0)], known_count=2)
     assert loss == pytest.approx(want, abs=1e-12)
     assert grad[0, 2] == 0.0 and grad[0, 3] == 0.0
 
 
 def test_classification_loss_input_validation():
-    logits = np.array([[0.0, 0.0, 0.0]])
-    with pytest.raises(ValueError, match="empty batch"):
-        classification_loss(np.zeros((0, 3)), [], known_count=1)
-    with pytest.raises(ValueError, match="1 logit rows but 2 labels"):
-        classification_loss(logits, [K(0), K(1)], known_count=1)
+    def plan(labels, known_count, width=3):
+        return classification_plan(*label_codes(labels), known_count, width)
+
     with pytest.raises(ValueError, match=r"known id 5 out of range \[0, 1\)"):
-        classification_loss(logits, [K(5)], known_count=1)
+        plan([K(5)], known_count=1)
     with pytest.raises(ValueError, match="no unknown slots"):
         # width 3 with 2 known classes leaves no unknown slot for a pseudo row
-        classification_loss(logits, [U(2)], known_count=2)
+        plan([U(2)], known_count=2)
     # the first offending row names the error
-    pair = np.zeros((2, 3))
     with pytest.raises(ValueError, match="no unknown slots"):
-        classification_loss(pair, [U(2), K(7)], known_count=2)
+        plan([U(2), K(7)], known_count=2)
     with pytest.raises(ValueError, match="known id 7"):
-        classification_loss(pair, [K(7), U(2)], known_count=2)
+        plan([K(7), U(2)], known_count=2)
+    with pytest.raises(ValueError, match="logit width 2 too small for 2 known classes"):
+        plan([K(0)], known_count=2, width=2)
+    with pytest.raises(ValueError, match=r"logits of shape \(1, 4\) for a plan of 2 rows and 3 slots"):
+        classification_loss_from_plan(np.zeros((1, 4)), plan([K(0), BG], known_count=1))
 
 
 @settings(max_examples=examples(100), deadline=None)
@@ -124,7 +129,7 @@ def test_classification_loss_matches_rowwise_reference(seed):
     n = int(g.integers(1, 8))
     logits = g.normal(0, 2, size=(n, known_count + unknown_count + 1))
     labels = random_labels(g, n, known_count, unknown_count)
-    got, _ = classification_loss(logits, labels, known_count)
+    got, _ = planned_loss(logits, labels, known_count)
     want = classification_loss_ref(logits, labels, known_count)
     assert got == pytest.approx(want, abs=1e-10)
 
@@ -143,9 +148,9 @@ def test_classification_gradient_matches_finite_differences(seed):
             row = logits[i, known_count : known_count + unknown_count]
             if np.ptp(row) < 1e-3:
                 logits[i, known_count] += 1.0
-    _, grad = classification_loss(logits, labels, known_count)
+    _, grad = planned_loss(logits, labels, known_count)
     fd = central_difference(
-        lambda z: classification_loss(z, labels, known_count)[0], logits.copy()
+        lambda z: planned_loss(z, labels, known_count)[0], logits.copy()
     )
     assert relative_error(grad, fd) < 1e-4
 
@@ -155,13 +160,13 @@ def test_classification_invariant_to_permuting_unknown_slots():
     known_count, unknown_count = 2, 3
     logits = g.normal(0, 1, size=(5, known_count + unknown_count + 1))
     labels = random_labels(g, 5, known_count, unknown_count)
-    base, _ = classification_loss(logits, labels, known_count)
+    base, _ = planned_loss(logits, labels, known_count)
     for perm in ([1, 2, 0], [2, 0, 1], [2, 1, 0]):
         shuffled = logits.copy()
         shuffled[:, known_count : known_count + unknown_count] = logits[
             :, [known_count + p for p in perm]
         ]
-        value, _ = classification_loss(shuffled, labels, known_count)
+        value, _ = planned_loss(shuffled, labels, known_count)
         assert value == pytest.approx(base, abs=1e-12)
 
 
@@ -185,72 +190,62 @@ def test_similarity_hand_value():
 
 
 # ---------------------------------------------------------------------------
-# pair label matrices
+# pair verdicts
+
+
+def kernel(E, labels, lam=None):
+    """Training's pair term on embeddings ``E`` for rows of ``labels``."""
+    return pair_similarity_loss(np.asarray(E, dtype=float), pair_plan(*label_codes(labels)), lam)
+
+
+def at_cosine(cosine):
+    """Two unit rows at the given cosine."""
+    return np.array([[1.0, 0.0], [cosine, math.sqrt(1.0 - cosine**2)]])
 
 
 def test_supervised_pairs_same_known_label_positive():
-    M = supervised_label_matrix([K(1), K(1)])
-    assert M.positive[0, 1] and not M.negative[0, 1]
+    # the two pinned diagonal pairs and both orders of the off-diagonal pair
+    assert kernel(at_cosine(0.5), [K(1), K(1)])[2:] == (4, 0)
 
 
 def test_supervised_pairs_known_background_negative():
-    M = supervised_label_matrix([K(0), BG])
-    assert M.negative[0, 1] and not M.positive[0, 1]
+    assert kernel(at_cosine(0.5), [K(0), BG])[2:] == (2, 2)
 
 
 def test_supervised_pairs_unknown_unknown_not_selected():
-    M = supervised_label_matrix([U(3), U(3)])
-    assert not M.selected[0, 1]
+    with pytest.warns(RuntimeWarning, match="no selected pairs"):
+        assert kernel(at_cosine(0.5), [U(3), U(3)])[2:] == (0, 0)
 
 
 def test_supervised_pairs_known_unknown_negative_even_with_equal_ids():
-    M = supervised_label_matrix([K(3), U(3)])
-    assert M.negative[0, 1]
+    # the known diagonal is positive, the unknown one undecided
+    assert kernel(at_cosine(0.5), [K(3), U(3)])[2:] == (1, 2)
 
 
 def test_supervised_pairs_background_background_positive():
-    M = supervised_label_matrix([BG, BG])
-    assert M.positive[0, 1]
-
-
-def test_pair_matrix_validation():
-    with pytest.raises(ValueError):
-        PairLabelMatrix(
-            positive=np.array([[True, True], [True, True]]),
-            negative=np.array([[False, True], [True, False]]),
-        )
-    with pytest.raises(ValueError):
-        PairLabelMatrix(
-            positive=np.array([[False, True], [False, False]]),
-            negative=np.zeros((2, 2), dtype=bool),
-        )
+    assert kernel(at_cosine(0.5), [BG, BG])[2:] == (4, 0)
 
 
 def test_self_labels_at_lambda_zero():
-    labels = [U(3), U(4), U(5)]
-    S = np.full((3, 3), 0.7)
-    S[0, 1] = S[1, 0] = 0.99  # above TH(0) = 0.95
-    S[0, 2] = S[2, 0] = 0.40  # below TL(0) = 0.455
-    M = self_label_matrix(S, labels, lam=0.0)
-    assert M.positive[0, 1] and not M.negative[0, 1]
-    assert M.negative[0, 2] and not M.positive[0, 2]
-    assert not M.selected[1, 2]  # 0.7 sits inside the undecided band
+    # the pinned unknown diagonal turns positive; the off-diagonal pair is
+    # above TH(0) = 0.95, below TL(0) = 0.455, or inside the undecided band
+    labels = [U(3), U(4)]
+    assert kernel(at_cosine(0.99), labels, lam=0.0)[2:] == (4, 0)
+    assert kernel(at_cosine(0.40), labels, lam=0.0)[2:] == (2, 2)
+    assert kernel(at_cosine(0.7), labels, lam=0.0)[2:] == (2, 0)
 
 
 def test_self_labels_only_touch_unknown_pairs():
+    # the known row pairs with nothing new; only the unknown diagonal
+    # self-pair clears the threshold
     labels = [K(0), U(3)]
-    S = np.full((2, 2), 0.99)
-    M = self_label_matrix(S, labels, lam=0.0)
-    # the known row pairs with nothing; only the unknown diagonal self-pair
-    # clears the threshold
-    assert not M.selected[0].any()
-    assert not M.selected[1, 0]
+    assert kernel(at_cosine(0.99), labels)[2:] == (1, 2)
+    assert kernel(at_cosine(0.99), labels, lam=0.0)[2:] == (2, 2)
 
 
 def test_self_labeling_raises_after_termination():
-    S = np.full((2, 2), 0.7)
     with pytest.raises(RuntimeError, match="terminated"):
-        self_label_matrix(S, [U(3), U(4)], lam=0.45)
+        kernel(at_cosine(0.7), [U(3), U(4)], lam=0.45)
 
 
 @settings(max_examples=examples(100), deadline=None)
@@ -258,51 +253,35 @@ def test_self_labeling_raises_after_termination():
 def test_selected_pairs_grow_with_lambda(seed, lam, bump):
     g = np.random.default_rng(seed)
     n = int(g.integers(2, 7))
+    E = g.normal(0, 1, size=(n, 3))
     labels = [U(3 + int(g.integers(0, 3))) for _ in range(n)]
-    S = np.clip((g.uniform(0, 1, (n, n)) + g.uniform(0, 1, (n, n)).T) / 2, 0.01, 0.99)
-    S = (S + S.T) / 2
-    early = self_label_matrix(S, labels, lam)
-    late = self_label_matrix(S, labels, lam + bump)
-    assert not (early.selected & ~late.selected).any()
+    early = kernel(E, labels, lam)[2:]
+    late = kernel(E, labels, lam + bump)[2:]
+    assert late[0] >= early[0] and late[1] >= early[1]
 
 
 # ---------------------------------------------------------------------------
-# similarity losses
-
-
-def positives_only(n, pairs):
-    pos = np.zeros((n, n), dtype=bool)
-    for i, j in pairs:
-        pos[i, j] = pos[j, i] = True
-    return PairLabelMatrix(positive=pos, negative=np.zeros((n, n), dtype=bool))
+# pair similarity loss
 
 
 def test_similarity_loss_positive_pair_near_one_is_near_zero():
-    S = np.full((2, 2), 1.0 - CLAMP_EPS)
-    loss, _ = similarity_loss(positives_only(2, [(0, 1)]), S)
+    # identical directions: every pair is pinned at 1 - eps
+    loss, _, _, _ = kernel([[1.0, 0.0], [2.0, 0.0]], [K(0), K(0)])
     assert loss == pytest.approx(0.0, abs=1e-5)
 
 
 def test_similarity_loss_positive_pair_at_half_is_log_two():
-    S = np.full((2, 2), 0.5)
-    loss, _ = similarity_loss(positives_only(2, [(0, 1)]), S)
-    assert loss == pytest.approx(math.log(2.0), abs=1e-12)
+    # the diagonal is pinned at the clamp, and all 4 ordered pairs count
+    loss, _, _, _ = kernel(at_cosine(0.5), [K(0), K(0)])
+    want = (2.0 * math.log(2.0) - 2.0 * math.log(1.0 - CLAMP_EPS)) / 4.0
+    assert loss == pytest.approx(want, abs=1e-12)
 
 
 def test_similarity_loss_no_pairs_warns_and_returns_zero():
-    M = PairLabelMatrix(
-        positive=np.zeros((2, 2), dtype=bool), negative=np.zeros((2, 2), dtype=bool)
-    )
-    with pytest.warns(RuntimeWarning):
-        loss, grad = similarity_loss(M, np.full((2, 2), 0.5))
+    with pytest.warns(RuntimeWarning, match="no selected pairs"):
+        loss, grad, _, _ = kernel(at_cosine(0.5), [U(3), U(4)])
     assert loss == 0.0
     assert not grad.any()
-
-
-def test_similarity_loss_rejects_unclamped_entries():
-    S = np.array([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(ValueError):
-        similarity_loss(positives_only(2, [(0, 1)]), S)
 
 
 @settings(max_examples=examples(100), deadline=None)
@@ -310,55 +289,51 @@ def test_similarity_loss_rejects_unclamped_entries():
 def test_similarity_loss_matches_reference(seed):
     g = np.random.default_rng(seed)
     n = int(g.integers(2, 7))
-    labels = random_labels(g, n)
-    M = supervised_label_matrix(labels)
-    S = np.clip((g.uniform(0, 1, (n, n)) + g.uniform(0, 1, (n, n)).T) / 2, 0.05, 0.95)
-    S = (S + S.T) / 2
+    E = g.normal(0, 1, size=(n, 4))
+    codes, unknown = label_codes(random_labels(g, n))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        got, _ = similarity_loss(M, S)
-    want = pair_bce_ref(S, M.positive, M.negative)
+        got, _, _, _ = pair_similarity_loss(E, pair_plan(codes, unknown))
+    want, _ = pair_bce_ref(cosine_matrix_ref(E), *pair_verdicts_ref(codes, unknown))
     assert got == pytest.approx(want, abs=1e-10)
 
 
 @settings(max_examples=examples(40), deadline=None)
 @given(st.integers(0, 100_000))
 def test_similarity_loss_gradient_matches_finite_differences(seed):
+    # positive entries keep every off-diagonal cosine clear of the clamp
     g = np.random.default_rng(seed)
     n = int(g.integers(2, 6))
-    labels = random_labels(g, n)
-    M = supervised_label_matrix(labels)
-    if not M.selected.any():
+    E = g.uniform(0.1, 1.0, size=(n, 4))
+    plan = pair_plan(*label_codes(random_labels(g, n)))
+    if plan.positive + plan.negative == 0:
         return
-    S = np.clip((g.uniform(0, 1, (n, n)) + g.uniform(0, 1, (n, n)).T) / 2, 0.1, 0.9)
-    S = (S + S.T) / 2
-    _, grad = similarity_loss(M, S)
-    fd = central_difference(lambda s: similarity_loss(M, s)[0], S.copy())
+    _, grad, _, _ = pair_similarity_loss(E, plan)
+    fd = central_difference(lambda e: pair_similarity_loss(e, plan)[0], E.copy())
     assert relative_error(grad, fd) < 1e-4
 
 
 def test_full_chain_gradient_through_embeddings():
-    # loss as a function of raw embeddings: cosine matrix -> pair BCE
+    # the reference chain as a function of raw embeddings: cosine matrix ->
+    # pair BCE, its gradient taken back through the cosine matrix
     g = np.random.default_rng(11)
     E = g.normal(0, 1, size=(5, 4))
-    labels = random_labels(g, 5)
-    M = supervised_label_matrix(labels)
+    positive, negative = pair_verdicts_ref(*label_codes(random_labels(g, 5)))
 
     def full(embeddings):
-        return similarity_loss(M, cosine_matrix_ref(embeddings))[0]
+        return pair_bce_ref(cosine_matrix_ref(embeddings), positive, negative)[0]
 
-    _, gS = similarity_loss(M, cosine_matrix_ref(E))
+    _, gS = pair_bce_ref(cosine_matrix_ref(E), positive, negative)
     gE = cosine_grad_ref(E, gS)
     fd = central_difference(full, E.copy())
     assert relative_error(gE, fd) < 1e-4
 
 
 def test_self_similarity_loss_no_pairs_is_band_width():
-    labels = [U(3), U(4)]
-    S = np.full((2, 2), 0.7)
-    M = self_label_matrix(S, labels, lam=0.0)
-    with pytest.warns(RuntimeWarning):
-        loss, _ = self_similarity_loss(M, S, lam=0.0)
+    # with lam every row's diagonal self-pair is decided, so only an empty
+    # batch selects no pair
+    with pytest.warns(RuntimeWarning, match="no selected pairs"):
+        loss, _, _, _ = kernel(np.zeros((0, 2)), [], lam=0.0)
     assert loss == pytest.approx(0.495, abs=1e-12)
 
 
@@ -370,12 +345,12 @@ def test_band_width_penalty_vanishes_at_crossing():
 
 
 def test_penalty_leaves_similarity_gradient_untouched():
-    labels = [U(3), U(4), U(5)]
-    S = np.full((3, 3), 0.97)
-    np.fill_diagonal(S, 0.99)
-    M = self_label_matrix(S, labels, lam=0.0)
-    base, g_base = similarity_loss(M, S)
-    with_penalty, g_pen = self_similarity_loss(M, S, lam=0.1)
+    # no unknown rows: lam decides no pair, and only adds the band width
+    g = np.random.default_rng(3)
+    E = g.normal(0, 1, size=(6, 4))
+    labels = [K(0), K(1), BG, K(0), BG, K(1)]
+    base, g_base, _, _ = kernel(E, labels)
+    with_penalty, g_pen, _, _ = kernel(E, labels, lam=0.1)
     assert np.array_equal(g_base, g_pen)
     assert with_penalty == pytest.approx(base + PairSelectionSchedule().penalty(0.1), abs=1e-12)
 
@@ -398,7 +373,7 @@ def test_schedule_terminates_in_exactly_41_steps():
     lam = 0.0
     for step in range(41):
         assert not schedule.terminated(lam)
-        lam = update_lambda(lam, 0.01, schedule)
+        lam = update_lambda(lam, 0.01)
     assert schedule.terminated(lam)
 
 
@@ -406,7 +381,7 @@ def test_band_width_drops_by_fixed_amount_per_step():
     schedule = PairSelectionSchedule()
     lam = 0.0
     for _ in range(10):
-        nxt = update_lambda(lam, 0.01, schedule)
+        nxt = update_lambda(lam, 0.01)
         drop = schedule.penalty(lam) - schedule.penalty(nxt)
         assert drop == pytest.approx(0.0121, abs=1e-12)
         lam = nxt
@@ -476,17 +451,15 @@ def test_loss_weights_reject_negative():
 
 
 def matrix_pair_loss(E, labels, lam=None):
-    """The pair kernel's result spelled out with the small-matrix functions
-    and the reference cosine matrix and its gradient."""
+    """The pair kernel's result spelled out with the dense reference forms:
+    the cosine matrix, the pair verdicts, the pair cross-entropy and the
+    cosine matrix's gradient."""
     S = cosine_matrix_ref(E)
-    M = supervised_label_matrix(labels)
+    positive, negative = pair_verdicts_ref(*label_codes(labels), S, lam)
+    value, grad_S = pair_bce_ref(S, positive, negative)
     if lam is not None:
-        own = self_label_matrix(S, labels, lam)
-        M = PairLabelMatrix(positive=M.positive | own.positive, negative=M.negative | own.negative)
-        value, grad_S = self_similarity_loss(M, S, lam)
-    else:
-        value, grad_S = similarity_loss(M, S)
-    return value, cosine_grad_ref(E, grad_S), int(M.positive.sum()), int(M.negative.sum())
+        value += PairSelectionSchedule().penalty(lam)
+    return value, cosine_grad_ref(E, grad_S), int(positive.sum()), int(negative.sum())
 
 
 def assert_pair_terms_agree(E, pairs, value, grad, want_value, want_grad):
@@ -833,9 +806,9 @@ def test_pair_kernel_memory_is_tiled():
 
 def test_update_lambda_steps_until_schedule_terminates():
     schedule = PairSelectionSchedule()
-    lam = update_lambda(0.0, 0.01, schedule)
+    lam = update_lambda(0.0, 0.01)
     assert lam == pytest.approx(0.011, abs=1e-15)
     assert not schedule.terminated(lam)
     for _ in range(50):
-        lam = update_lambda(lam, 0.01, schedule)
+        lam = update_lambda(lam, 0.01)
     assert schedule.terminated(lam)

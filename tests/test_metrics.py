@@ -274,6 +274,16 @@ def test_a_ose_only_counts_false_known_detections_of_the_same_image():
     assert absolute_open_set_error(match, [ugt], 0.5) == 0
 
 
+def test_a_ose_at_threshold_zero_needs_overlap():
+    # a same-image false known detection far from the unknown object covers
+    # nothing, even at threshold 0
+    ugt = unknown_gt(0, 5, Box(0, 0, 2, 2))
+    dets = [known_det(0, 0, Box(50, 50, 2, 2), 0.9)]
+    match = match_known_detections(dets, [ugt], 0.0)
+    assert absolute_open_set_error(match, [ugt], 0.0) == 0
+    assert a_ose_ref(dets, [ugt], 0.0) == 0
+
+
 @settings(max_examples=examples(150), deadline=None)
 @given(st.integers(0, 10_000), THRESHOLDS)
 def test_open_set_metrics_match_reference(seed, threshold):
