@@ -37,13 +37,16 @@ from .harness import (
 )
 from .losses import (
     LossWeights,
-    PairSelectionSchedule,
+    band_width,
     classification_loss_from_plan,
     classification_plan,
     l1_regression_loss,
     label_codes,
     pair_plan,
     pair_similarity_loss,
+    schedule_terminated,
+    steps_to_termination,
+    thresholds,
     total_training_loss,
     update_lambda,
 )

@@ -32,14 +32,15 @@ import numpy as np
 
 from .core import Box, ClassLabel, Detection, GroundTruthObject, Proposal, iou, label_for_class_id, pairwise_iou
 from .losses import (
-    DEFAULT_SCHEDULE,
     LossWeights,
+    band_width,
     classification_loss_from_plan,
     classification_plan,
     l1_regression_loss,
     label_codes,
     pair_plan,
     pair_similarity_loss,
+    schedule_terminated,
     softmax,
     total_training_loss,
     update_lambda,
@@ -101,6 +102,8 @@ class RunConfig:
             raise ValueError("need at least one epoch")
         if self.warmup_epochs is not None and not (0 <= self.warmup_epochs <= self.epochs):
             raise ValueError("warmup must lie within the epoch budget")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.eta < 0:
             raise ValueError(f"eta must be non-negative, got {self.eta}")
         if self.learning_rate <= 0:
@@ -223,8 +226,9 @@ def _build_scene(
 def _split_class_sequence(
     rng: np.random.Generator, counts: Sequence[int], n_classes: int
 ) -> list[list[int]]:
-    """Object classes for each scene of a split, shuffled but guaranteed to
-    cover every class at least once."""
+    """Object classes for each scene of a split, shuffled; every class
+    occurs at least once when the split has at least as many objects as
+    there are classes."""
     total = int(sum(counts))
     repeats = -(-total // n_classes)
     sequence = np.tile(np.arange(n_classes), repeats)[:total]
@@ -412,7 +416,10 @@ def build_training_rows(dataset: SyntheticDataset, config: RunConfig) -> Trainin
 @dataclass(frozen=True)
 class EpochStats:
     """One training epoch. ``positive`` and ``negative`` count pair verdicts over
-    all N x N ordered pairs, diagonal included; the rest are undecided."""
+    all N x N ordered pairs, diagonal included; the rest are undecided.
+    ``pair`` is the pair kernel's value and ``penalty`` the band width of
+    lambda, 0 outside the self-supervised phase: ``total`` carries it and
+    ``model_loss`` does not."""
 
     epoch: int
     phase: str
@@ -452,11 +459,14 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
     from ``pair_similarity_loss``: one visit per unordered pair, in strips
     of ``PAIR_TILE_ROWS`` rows sorted by label group; outside the
     self-supervised phase it skips the unknown x unknown pairs, which no
-    label decides, but its counts cover all N x N ordered pairs. The
-    recorded ``model_loss`` excludes the lambda penalty (which carries no
-    parameter gradient); divergence to a non-finite loss raises with the
-    epoch index.
+    label decides, but its counts cover all N x N ordered pairs. In the
+    self-supervised phase ``total`` adds the band width of lambda to the
+    pair term, which ``model_loss`` leaves out (it carries no parameter
+    gradient); divergence to a non-finite ``total`` raises with the epoch
+    index. A training split with no proposals raises before any epoch.
     """
+    if not any(scene.proposals for scene in dataset.train):
+        raise ValueError("the training split holds no proposals")
     rows = build_training_rows(dataset, config)
     cls_plan = classification_plan(rows.codes, rows.unknown, config.known_classes, config.head_width())
     pairs = pair_plan(rows.codes, rows.unknown)
@@ -479,20 +489,14 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
         reg_value, grad_selected = l1_regression_loss(acts.deltas[rows.has_box_target], box_targets)
         grad_deltas[rows.has_box_target] = grad_selected
 
-        self_supervised = epoch >= warmup and not DEFAULT_SCHEDULE.terminated(lam)
-        sim_value, grad_sim, positive, negative = pair_similarity_loss(
+        self_supervised = epoch >= warmup and not schedule_terminated(lam)
+        pair_value, grad_sim, positive, negative = pair_similarity_loss(
             acts.logits, pairs, lam if self_supervised else None
         )
-        if self_supervised:
-            penalty = DEFAULT_SCHEDULE.penalty(lam)
-            phase = "self"
-        else:
-            penalty = 0.0
-            phase = "supervised" if epoch < warmup else "post"
-
-        pair_value = sim_value - penalty
+        penalty = band_width(lam) if self_supervised else 0.0
+        phase = "self" if self_supervised else "supervised" if epoch < warmup else "post"
         model_loss = total_training_loss(cls_value, reg_value, pair_value, config.weights)
-        total = total_training_loss(cls_value, reg_value, sim_value, config.weights)
+        total = total_training_loss(cls_value, reg_value, pair_value + penalty, config.weights)
         if not np.isfinite(total):
             raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}")
         history.append(

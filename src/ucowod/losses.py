@@ -20,6 +20,10 @@ Three loss families live here, each defined once, by the code training runs:
   and unknown x unknown pairs are computed only when thresholds decide them.
 - an elementwise L1 regression penalty and the weighted total.
 
+The self-supervised phase follows a schedule of ``lam``: ``thresholds``,
+``band_width``, ``schedule_terminated``, ``steps_to_termination`` and
+``update_lambda``.
+
 Their oracles, the row-by-row cross-entropy and the dense forms of the pair
 term (the cosine matrix, the pair verdicts and the pair cross-entropy, with
 gradients), are in ``tests/reference.py``.
@@ -155,69 +159,51 @@ def _unit_rows(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return E / norms[:, None], norms
 
 
-class PairSelectionSchedule:
-    """Linear upper/lower similarity thresholds steered by ``lam``:
-    ``upper(lam) = 0.95 - lam`` and ``lower(lam) = 0.455 + 0.1 lam``.
-
-    Unknown-unknown pairs above ``upper(lam)`` are self-labeled positive and
-    pairs below ``lower(lam)`` negative. As ``lam`` grows the band between
-    the thresholds narrows, admitting more pairs, until the thresholds cross
-    and self-supervision terminates.
-    """
-
-    UPPER_INTERCEPT = 0.95
-    UPPER_SLOPE = 1.0
-    LOWER_INTERCEPT = 0.455
-    LOWER_SLOPE = 0.1
-
-    def upper(self, lam: float) -> float:
-        return self.UPPER_INTERCEPT - self.UPPER_SLOPE * lam
-
-    def lower(self, lam: float) -> float:
-        return self.LOWER_INTERCEPT + self.LOWER_SLOPE * lam
-
-    def penalty(self, lam: float) -> float:
-        """Width of the undecided band; added to the self-supervised loss so
-        shrinking the band is rewarded."""
-        return self.upper(lam) - self.lower(lam)
-
-    def penalty_slope(self) -> float:
-        """d penalty / d lam, constant for linear thresholds."""
-        return -(self.UPPER_SLOPE + self.LOWER_SLOPE)
-
-    def terminated(self, lam: float) -> bool:
-        return self.upper(lam) <= self.lower(lam)
-
-    def steps_to_termination(self, lam0: float, eta: float) -> int:
-        """Closed-form number of ``update_lambda`` steps until termination."""
-        if eta <= 0:
-            raise ValueError("eta must be positive to make progress")
-        crossing = (self.UPPER_INTERCEPT - self.LOWER_INTERCEPT) / (
-            self.UPPER_SLOPE + self.LOWER_SLOPE
-        )
-        per_step = eta * (self.UPPER_SLOPE + self.LOWER_SLOPE)
-        remaining = crossing - lam0
-        if remaining <= 0:
-            return 0
-        return int(np.ceil(remaining / per_step))
+# lam's similarity thresholds: upper(lam) = 0.95 - lam, lower(lam) = 0.455 + 0.1 lam
+UPPER_INTERCEPT = 0.95
+UPPER_SLOPE = 1.0
+LOWER_INTERCEPT = 0.455
+LOWER_SLOPE = 0.1
 
 
-DEFAULT_SCHEDULE = PairSelectionSchedule()
+def thresholds(lam: float) -> tuple[float, float]:
+    """The (upper, lower) similarity thresholds at ``lam``. Unknown x unknown
+    pairs above the upper one are self-labeled positive and pairs below the
+    lower one negative. As ``lam`` grows the band between them narrows,
+    admitting more pairs, until they cross and self-supervision terminates."""
+    return UPPER_INTERCEPT - UPPER_SLOPE * lam, LOWER_INTERCEPT + LOWER_SLOPE * lam
 
 
-def _require_active(lam: float) -> None:
-    if DEFAULT_SCHEDULE.terminated(lam):
-        raise RuntimeError(
-            f"self-supervision terminated: upper threshold {DEFAULT_SCHEDULE.upper(lam):.4f} "
-            f"<= lower threshold {DEFAULT_SCHEDULE.lower(lam):.4f} at lam={lam}"
-        )
+def band_width(lam: float) -> float:
+    """Width of the undecided band: the penalty training adds to its total
+    in the self-supervised phase, so that shrinking the band is rewarded. It
+    depends on ``lam`` alone and passes no gradient to the head."""
+    upper, lower = thresholds(lam)
+    return upper - lower
+
+
+def schedule_terminated(lam: float) -> bool:
+    upper, lower = thresholds(lam)
+    return upper <= lower
+
+
+def steps_to_termination(lam0: float, eta: float) -> int:
+    """Closed-form number of ``update_lambda`` steps until termination."""
+    if eta <= 0:
+        raise ValueError("eta must be positive to make progress")
+    crossing = (UPPER_INTERCEPT - LOWER_INTERCEPT) / (UPPER_SLOPE + LOWER_SLOPE)
+    remaining = crossing - lam0
+    if remaining <= 0:
+        return 0
+    return int(np.ceil(remaining / (eta * (UPPER_SLOPE + LOWER_SLOPE))))
 
 
 def update_lambda(lam: float, eta: float) -> float:
-    """One gradient-descent step of ``lam`` against the band-width penalty."""
+    """One gradient-descent step of ``lam`` against the band width, whose
+    slope in ``lam`` is -(UPPER_SLOPE + LOWER_SLOPE)."""
     if eta < 0:
         raise ValueError(f"eta must be non-negative, got {eta}")
-    return lam - eta * DEFAULT_SCHEDULE.penalty_slope()
+    return lam + eta * (UPPER_SLOPE + LOWER_SLOPE)
 
 
 @dataclass(frozen=True)
@@ -295,12 +281,11 @@ def pair_similarity_loss(
     Among the rows ``plan`` was built for, a pair of equal labels, neither
     unknown, is positive (pushed toward S = 1), a pair of differing labels
     negative (toward S = 0), and an unknown x unknown pair has no verdict.
-    Given ``lam``, unknown x unknown pairs above the schedule's upper
-    threshold turn positive and those below its lower threshold negative,
-    and the value gains the band-width penalty, which depends on ``lam``
-    alone; a terminated schedule raises. Pairs pinned at the clamp pass no
-    gradient. With no selected pair it warns and returns the penalty (0
-    without ``lam``) and a zero gradient.
+    Given ``lam``, unknown x unknown pairs above its upper threshold turn
+    positive and those below its lower threshold negative (``thresholds``);
+    a terminated schedule raises. The band width ``train`` adds to its total
+    is not part of the value. Pairs pinned at the clamp pass no gradient.
+    With no selected pair it warns and returns 0 and a zero gradient.
 
     The rows are taken in ``plan.order``, and the gradient is returned in
     the caller's order. S and the verdicts are symmetric, so strip [s, e)
@@ -310,9 +295,13 @@ def pair_similarity_loss(
     x unknown, are decided only by ``lam``'s thresholds, so it runs only with
     ``lam``. Every strip works in ``plan.work``; the value's logs are taken
     of products of the strip's pair terms (``_log_sum``)."""
-    schedule, eps = DEFAULT_SCHEDULE, CLAMP_EPS
+    eps = CLAMP_EPS
     if lam is not None:
-        _require_active(lam)
+        upper, lower = thresholds(lam)
+        if upper <= lower:
+            raise RuntimeError(
+                f"self-supervision terminated: upper threshold {upper:.4f} <= lower threshold {lower:.4f} at lam={lam}"
+            )
     unit, norms = _unit_rows(embeddings)
     n = len(unit)
     if n != len(plan.order):
@@ -337,9 +326,9 @@ def pair_similarity_loss(
         # q is -S on a positive pair and 1 - S on a negative one: the pair costs
         # -log x, x = |q| (1 if undecided: log 1 = 0), and its dS derivative is 1/q
         if unknown:
-            above = np.greater(S, schedule.upper(lam), out=scratch)
+            above = np.greater(S, upper, out=scratch)
             positive += 2 * int(np.count_nonzero(above)) - int(np.count_nonzero(above[:, :r]))
-            np.less(S, schedule.lower(lam), out=below)
+            np.less(S, lower, out=below)
             negative += 2 * int(np.count_nonzero(below)) - int(np.count_nonzero(below[:, :r]))
             decided = np.logical_or(above, below, out=scratch)
             q = np.subtract(below, S, out=S)
@@ -356,10 +345,9 @@ def pair_similarity_loss(
         acc[e:] += upstream[:, r:].T @ unit[s:e]
         # the derivatives are spent: their buffer takes the products of x
         total -= 2.0 * _log_sum(x, upstream) - _log_sum(x[:, :r], upstream)
-    penalty = 0.0 if lam is None else schedule.penalty(lam)
     if positive + negative == 0:
         _warnings.warn("similarity loss saw no selected pairs", RuntimeWarning)
-        return penalty, np.zeros_like(unit), 0, 0
+        return 0.0, np.zeros_like(unit), 0, 0
     # d S_ij / d unit_i is unit_j less its component along unit_i: project acc
     # onto each row's tangent plane. One projection leaves a radial residue of
     # the rounding of |acc|, which can exceed rounding of the result where acc
@@ -371,7 +359,7 @@ def pair_similarity_loss(
     # twice; acc, no longer needed, takes the gradient in the caller's order
     scale = 1.0 / (positive + negative)
     acc[plan.order] = grad * (2.0 * scale)
-    return total * scale + penalty, acc, positive, negative
+    return total * scale, acc, positive, negative
 
 
 def l1_regression_loss(

@@ -187,14 +187,13 @@ def kl_loss(
     ``centroids``; the target is treated as a constant. Returns
     ``(value, gradient wrt embeddings, gradient wrt centroids)``.
     """
-    Q = np.asarray(target, dtype=float)
+    Q, P = np.asarray(target, dtype=float), np.asarray(assignment, dtype=float)
     E = np.asarray(embeddings, dtype=float)
     C = np.asarray(centroids, dtype=float)
-    value = kl_divergence(Q, assignment)
+    value = kl_divergence(Q, P)
 
     diff = E[:, None, :] - C[None, :, :]
     kernel = 1.0 / (1.0 + (diff**2).sum(axis=2))
-    P = kernel / kernel.sum(axis=1, keepdims=True)
     # d KL / d distance^2 collapses to k * (P - Q) per pair
     coeff = kernel * (P - Q)
     grad_centroids = 2.0 * np.einsum("ij,ijd->jd", coeff, diff)
@@ -204,9 +203,7 @@ def kl_loss(
 
 @dataclass(frozen=True)
 class RefineResult:
-    centroids: np.ndarray
     assignments: np.ndarray
-    embeddings: np.ndarray
     kl_history: tuple[float, ...]
     steps_run: int
 
@@ -275,10 +272,4 @@ def refine(
         kl_history.append(trial_kl)
         steps_run = step + 1
 
-    return RefineResult(
-        centroids=centroids,
-        assignments=P.argmax(axis=1),
-        embeddings=E,
-        kl_history=tuple(kl_history),
-        steps_run=steps_run,
-    )
+    return RefineResult(assignments=P.argmax(axis=1), kl_history=tuple(kl_history), steps_run=steps_run)

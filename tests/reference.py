@@ -402,7 +402,8 @@ def pair_kernel_ref(embeddings, codes, unknown, lam=None, tile_rows=64):
     """Oracle of ``losses.pair_similarity_loss``: the tiled kernel as it was
     when it rebuilt its label-only state (group ids, masks and counts) on
     every call and took the rows in the caller's order, verbatim but for the
-    package's constants, spelled out, and the tile size, passed in. Its
+    package's constants, spelled out, the tile size, passed in, and the band
+    width, which the kernel's value no longer adds (``train`` does). Its
     counts must equal the planned kernel's exactly; its value and gradient
     equal them up to the rounding of the kernel's other summation order."""
     eps = 1e-6
@@ -445,14 +446,13 @@ def pair_kernel_ref(embeddings, codes, unknown, lam=None, tile_rows=64):
         total -= 2.0 * log_x.sum() - log_x[:, :r].sum()
         positive += 2 * int(np.count_nonzero(pos)) - int(np.count_nonzero(pos[:, :r]))
         negative += 2 * int(np.count_nonzero(neg)) - int(np.count_nonzero(neg[:, :r]))
-    penalty = 0.0 if lam is None else upper - lower
     if positive + negative == 0:
-        return penalty, np.zeros_like(unit), 0, 0
+        return 0.0, np.zeros_like(unit), 0, 0
     grad = acc - (unit * acc).sum(axis=1)[:, None] * unit
     grad -= (unit * grad).sum(axis=1)[:, None] * unit
     grad /= norms[:, None]
     scale = 1.0 / (positive + negative)
-    return total * scale + penalty, grad * (2.0 * scale), positive, negative
+    return total * scale, grad * (2.0 * scale), positive, negative
 
 
 def l1_loss_ref(pred, target):

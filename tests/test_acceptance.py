@@ -20,10 +20,10 @@ from ucowod import (
     Detection,
     GroundTruthObject,
     LossWeights,
-    PairSelectionSchedule,
     Proposal,
     RunConfig,
     UlpConfig,
+    band_width,
     classification_loss_from_plan,
     classification_plan,
     detect,
@@ -38,9 +38,12 @@ from ucowod import (
     pair_similarity_loss,
     refine,
     refine_pipeline,
+    schedule_terminated,
     select_pseudo_labels,
     soft_assignment,
+    steps_to_termination,
     target_distribution,
+    thresholds,
     train,
     uc_map,
     uc_recall,
@@ -171,21 +174,20 @@ def test_acceptance_3_analytic_gradients_match_finite_differences():
         fd = central_difference(lambda e: pair_similarity_loss(e, plan)[0], E.copy())
         assert relative_error(grad, fd) < 1e-4
 
-    schedule = PairSelectionSchedule()
     for seed in range(100):
         g = np.random.default_rng(2000 + seed)
         n = int(g.integers(3, 7))
         plan = pair_plan(*label_codes([ClassLabel.unknown(2 + int(g.integers(0, 3))) for _ in range(n)]))
         lam = float(g.uniform(0.0, 0.3))
-        thresholds = np.array([schedule.lower(lam), schedule.upper(lam)])
+        upper, lower = thresholds(lam)
         # the pair verdicts are a data-selection step: draw embeddings whose
         # verdicts the probe cannot flip, with at least one pair decided
         while True:
             E = g.uniform(0.0, 1.0, size=(n, 4))
             unit = E / np.linalg.norm(E, axis=1, keepdims=True)
             cosines = (unit @ unit.T)[~np.eye(n, dtype=bool)]
-            clear = np.abs(cosines[:, None] - thresholds).min() > 1e-3
-            if clear and ((cosines < thresholds[0]) | (cosines > thresholds[1])).any():
+            clear = np.abs(cosines[:, None] - np.array([lower, upper])).min() > 1e-3
+            if clear and ((cosines < lower) | (cosines > upper)).any():
                 break
         _, grad, _, _ = pair_similarity_loss(E, plan, lam)
         fd = central_difference(lambda e: pair_similarity_loss(e, plan, lam)[0], E.copy())
@@ -209,13 +211,12 @@ def test_acceptance_3_analytic_gradients_match_finite_differences():
 def test_acceptance_4_threshold_schedule_closed_form():
     """From lambda 0 at rate 0.01, exactly 41 updates close the selection
     band, and the band-width penalty drops by exactly 0.0121 per update."""
-    schedule = PairSelectionSchedule()
-    assert schedule.steps_to_termination(0.0, 0.01) == 41
+    assert steps_to_termination(0.0, 0.01) == 41
 
     lam, steps = 0.0, 0
-    while not schedule.terminated(lam):
+    while not schedule_terminated(lam):
         nxt = update_lambda(lam, 0.01)
-        assert schedule.penalty(lam) - schedule.penalty(nxt) == pytest.approx(
+        assert band_width(lam) - band_width(nxt) == pytest.approx(
             0.0121, abs=1e-12
         )
         lam = nxt

@@ -16,6 +16,7 @@ from ucowod import (
     SyntheticScene,
     ToyHead,
     UlpConfig,
+    band_width,
     build_training_rows,
     class_prototypes,
     classification_loss_from_plan,
@@ -28,6 +29,7 @@ from ucowod import (
     label_codes,
     refine_pipeline,
     select_pseudo_labels,
+    total_training_loss,
     train,
 )
 from ucowod import harness, metrics, pseudo_label
@@ -81,6 +83,8 @@ def test_config_validation():
         RunConfig(warmup_epochs=1000)
     with pytest.raises(ValueError, match="eta must be non-negative"):
         RunConfig(eta=-0.1)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        RunConfig(seed=-1)
     with pytest.raises(ValueError, match="need at least one training scene"):
         RunConfig(train_scenes=0)
     for test_scenes in (0, -3):
@@ -465,6 +469,17 @@ def test_history_pair_counts_match_label_matrices():
             S, lam = cosine_matrix_ref(head.forward(with_ones(rows.features)).logits), stats.lam
         positive, negative = pair_verdicts_ref(rows.codes, rows.unknown, S, lam)
         assert (stats.positive, stats.negative) == (positive.sum(), negative.sum())
+
+
+def test_epoch_total_adds_the_band_width_once():
+    # eta 0.1 closes the band in 5 updates: 3 supervised, 5 self, 2 post epochs
+    config = RunConfig(seed=0, train_scenes=3, test_scenes=1, epochs=10, warmup_epochs=3, eta=0.1)
+    result = train(config, generate_dataset(config))
+    assert [h.phase for h in result.history] == ["supervised"] * 3 + ["self"] * 5 + ["post"] * 2
+    for h in result.history:
+        assert h.penalty == (band_width(h.lam) if h.phase == "self" else 0.0)
+        assert h.model_loss == total_training_loss(h.classification, h.regression, h.pair, config.weights)
+        assert h.total == total_training_loss(h.classification, h.regression, h.pair + h.penalty, config.weights)
 
 
 def test_train_builds_label_codes_once(monkeypatch):

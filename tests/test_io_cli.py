@@ -287,6 +287,7 @@ def test_invalid_config_key_via_cli_exits_two(tmp_path, capsys):
         ({"epochs": 0}, "config: need at least one epoch"),
         ({"ulp": {"delta": 1.5}}, "config.ulp: delta must lie in [0, 1], got 1.5"),
         ({"eta": -0.1}, "config: eta must be non-negative, got -0.1"),
+        ({"seed": -1}, "config: seed must be non-negative, got -1"),
         ({"feature_noise": -0.05}, "config: feature_noise must be non-negative, got -0.05"),
         ({"train_scenes": 0}, "config: need at least one training scene"),
         ({"test_scenes": 0}, "config: need at least one test scene"),
@@ -335,6 +336,18 @@ def test_invalid_config_key_via_cli_exits_two(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"{dataset_path}: unknown config keys" in err and named in err
 
+    # a negative seed in dataset.json is a schema violation naming the file; on
+    # the command line it is a runtime failure with the same text
+    payload = json.loads(json.dumps(original))
+    payload["config"]["seed"] = -1
+    dataset_path.write_text(json.dumps(payload))
+    assert run_cli("train", "--dataset", dataset_path, "--out-dir", out_dir) == 2
+    assert f"{dataset_path}: config: seed must be non-negative, got -1" in capsys.readouterr().err
+    dataset_path.write_text(json.dumps(original))
+    for stage in (["train"], ["refine", "--model", out_dir / "model.json"]):
+        assert run_cli(*stage, "--dataset", dataset_path, "--out-dir", out_dir, "--seed", -3) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -3\n"
+
 
 def small_run(tmp_path):
     """simulate + train on a tiny dataset; returns the run directory."""
@@ -355,6 +368,23 @@ def test_train_on_scene_without_proposals_exits_two(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("train", "--dataset", dataset_path, "--out-dir", out_dir) == 2
     assert "train[1]: missing key 'proposals'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("emptied", ["scenes", "proposals"])
+def test_train_on_a_split_without_proposals_says_so(tmp_path, capsys, emptied):
+    # no training row: neither an empty split nor scenes without proposals
+    # reach an epoch, whose mean over no rows would read as divergence
+    out_dir = small_run(tmp_path)
+    dataset_path = out_dir / "dataset.json"
+    payload = json.loads(dataset_path.read_text())
+    if emptied == "scenes":
+        payload["train"] = []
+    for scene in payload["train"]:
+        scene.update(proposals=[], features=[])
+    dataset_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli("train", "--dataset", dataset_path, "--out-dir", out_dir) == 1
+    assert capsys.readouterr().err == "error: the training split holds no proposals\n"
 
 
 def test_train_on_non_finite_or_boolean_dataset_box_exits_two(tmp_path, capsys):

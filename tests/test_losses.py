@@ -10,13 +10,15 @@ from hypothesis import example, given, settings, strategies as st
 from ucowod import (
     ClassLabel,
     LossWeights,
-    PairSelectionSchedule,
+    band_width,
     classification_loss_from_plan,
     classification_plan,
     l1_regression_loss,
     label_codes,
     pair_plan,
     pair_similarity_loss,
+    schedule_terminated,
+    steps_to_termination,
     total_training_loss,
     update_lambda,
 )
@@ -282,6 +284,11 @@ def test_similarity_loss_no_pairs_warns_and_returns_zero():
         loss, grad, _, _ = kernel(at_cosine(0.5), [U(3), U(4)])
     assert loss == 0.0
     assert not grad.any()
+    # with lam every row's diagonal self-pair is decided, so only an empty
+    # batch selects no pair; the band width is not part of the value
+    with pytest.warns(RuntimeWarning, match="no selected pairs"):
+        loss, _, _, _ = kernel(np.zeros((0, 2)), [], lam=0.0)
+    assert loss == 0.0
 
 
 @settings(max_examples=examples(100), deadline=None)
@@ -329,30 +336,23 @@ def test_full_chain_gradient_through_embeddings():
     assert relative_error(gE, fd) < 1e-4
 
 
-def test_self_similarity_loss_no_pairs_is_band_width():
-    # with lam every row's diagonal self-pair is decided, so only an empty
-    # batch selects no pair
-    with pytest.warns(RuntimeWarning, match="no selected pairs"):
-        loss, _, _, _ = kernel(np.zeros((0, 2)), [], lam=0.0)
-    assert loss == pytest.approx(0.495, abs=1e-12)
-
-
 def test_band_width_penalty_vanishes_at_crossing():
-    schedule = PairSelectionSchedule()
-    assert schedule.penalty(0.45) == pytest.approx(0.0, abs=1e-12)
-    assert schedule.terminated(0.45)
-    assert not schedule.terminated(0.449)
+    assert band_width(0.0) == pytest.approx(0.495, abs=1e-12)
+    assert band_width(0.45) == pytest.approx(0.0, abs=1e-12)
+    assert schedule_terminated(0.45)
+    assert not schedule_terminated(0.449)
 
 
 def test_penalty_leaves_similarity_gradient_untouched():
-    # no unknown rows: lam decides no pair, and only adds the band width
+    # no unknown rows: lam decides no pair, and the kernel's value carries
+    # no band width, so value, gradient and counts equal those without lam
     g = np.random.default_rng(3)
     E = g.normal(0, 1, size=(6, 4))
     labels = [K(0), K(1), BG, K(0), BG, K(1)]
-    base, g_base, _, _ = kernel(E, labels)
-    with_penalty, g_pen, _, _ = kernel(E, labels, lam=0.1)
-    assert np.array_equal(g_base, g_pen)
-    assert with_penalty == pytest.approx(base + PairSelectionSchedule().penalty(0.1), abs=1e-12)
+    base, g_base, *base_counts = kernel(E, labels)
+    with_lam, g_lam, *lam_counts = kernel(E, labels, lam=0.1)
+    assert with_lam == base and np.array_equal(g_base, g_lam)
+    assert lam_counts == base_counts
 
 
 # ---------------------------------------------------------------------------
@@ -368,21 +368,19 @@ def test_update_lambda_zero_rate_is_identity():
 
 
 def test_schedule_terminates_in_exactly_41_steps():
-    schedule = PairSelectionSchedule()
-    assert schedule.steps_to_termination(0.0, 0.01) == 41
+    assert steps_to_termination(0.0, 0.01) == 41
     lam = 0.0
     for step in range(41):
-        assert not schedule.terminated(lam)
+        assert not schedule_terminated(lam)
         lam = update_lambda(lam, 0.01)
-    assert schedule.terminated(lam)
+    assert schedule_terminated(lam)
 
 
 def test_band_width_drops_by_fixed_amount_per_step():
-    schedule = PairSelectionSchedule()
     lam = 0.0
     for _ in range(10):
         nxt = update_lambda(lam, 0.01)
-        drop = schedule.penalty(lam) - schedule.penalty(nxt)
+        drop = band_width(lam) - band_width(nxt)
         assert drop == pytest.approx(0.0121, abs=1e-12)
         lam = nxt
 
@@ -457,8 +455,6 @@ def matrix_pair_loss(E, labels, lam=None):
     S = cosine_matrix_ref(E)
     positive, negative = pair_verdicts_ref(*label_codes(labels), S, lam)
     value, grad_S = pair_bce_ref(S, positive, negative)
-    if lam is not None:
-        value += PairSelectionSchedule().penalty(lam)
     return value, cosine_grad_ref(E, grad_S), int(positive.sum()), int(negative.sum())
 
 
@@ -727,9 +723,8 @@ def test_pair_kernel_log_products_stay_above_underflow(lam):
         + floor_negative * math.log(1.0 - (1.0 - eps))
         + (positive + negative - floor_positive - floor_negative) * math.log(1.0 - eps)
     )
-    penalty = 0.0 if lam is None else PairSelectionSchedule().penalty(lam)
     assert math.isfinite(value)
-    assert value - penalty == pytest.approx(-log_sum / (positive + negative), rel=1e-12)
+    assert value == pytest.approx(-log_sum / (positive + negative), rel=1e-12)
     assert not grad.any()
 
 
@@ -774,10 +769,10 @@ def test_pair_kernel_without_selected_pairs_warns():
         value, grad, positive, negative = pair_similarity_loss(E, plan)
     assert value == 0.0 and not grad.any() and (positive, negative) == (0, 0)
     # self-supervised: diagonal pairs are pinned positives, so the loss is
-    # the clamp cost plus the band width
+    # the clamp cost
     value, grad, positive, negative = pair_similarity_loss(E, plan, lam=0.0)
     assert (positive, negative) == (2, 0)
-    assert value == pytest.approx(-math.log(1.0 - CLAMP_EPS) + 0.495, abs=1e-12)
+    assert value == pytest.approx(-math.log(1.0 - CLAMP_EPS), abs=1e-12)
     assert not grad.any()
 
 
@@ -805,10 +800,9 @@ def test_pair_kernel_memory_is_tiled():
 
 
 def test_update_lambda_steps_until_schedule_terminates():
-    schedule = PairSelectionSchedule()
     lam = update_lambda(0.0, 0.01)
     assert lam == pytest.approx(0.011, abs=1e-15)
-    assert not schedule.terminated(lam)
+    assert not schedule_terminated(lam)
     for _ in range(50):
         lam = update_lambda(lam, 0.01)
-    assert schedule.terminated(lam)
+    assert schedule_terminated(lam)
