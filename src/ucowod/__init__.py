@@ -59,7 +59,7 @@ from .metrics import (
     evaluate,
     hungarian_assign,
     match_known_detections,
-    nms,
+    suppress,
     uc_map,
     uc_recall,
     wilderness_impact,

@@ -45,7 +45,7 @@ from .losses import (
     total_training_loss,
     update_lambda,
 )
-from .metrics import EvalReport, evaluate, nms
+from .metrics import EvalReport, evaluate, suppress
 from .pseudo_label import UlpConfig, select_pseudo_labels
 from .refinement import RefineResult, refine, select_cluster_count
 
@@ -533,20 +533,15 @@ def detect_with_embeddings(
         acts = head.forward(with_ones(scene.features))
         probs = softmax(acts.logits, axis=1)
         predicted, scores = probs.argmax(axis=1), probs.max(axis=1)
-        rows = sorted(
-            (row for row, slot in enumerate(predicted) if slot != background),
-            key=lambda row: (predicted[row], -scores[row], row),
-        )
         boxes = Box.array([proposal.box for proposal in scene.proposals]) + acts.deltas
         boxes[:, 2:] = np.maximum(boxes[:, 2:], 1e-3)
-        candidates = []
-        for row in rows:
+        rows = np.flatnonzero(predicted != background)
+        kept = rows[suppress(predicted[rows], scores[rows], boxes[rows], NMS_THRESHOLD)]
+        for row in kept:
             label = label_for_class_id(int(predicted[row]), config.known_classes)
-            candidates.append(Detection(scene.image_id, label, Box(*boxes[row]), float(scores[row])))
-        for kept in _suppress_per_class(candidates):
-            detections.append(candidates[kept])
-            embeddings.append(acts.logits[rows[kept]])
-    return detections, (np.array(embeddings) if embeddings else np.empty((0, head.n_logits)))
+            detections.append(Detection(scene.image_id, label, Box(*boxes[row]), float(scores[row])))
+        embeddings.append(acts.logits[kept])
+    return detections, (np.concatenate(embeddings) if embeddings else np.empty((0, head.n_logits)))
 
 
 def detect(head: ToyHead, scenes: Sequence[SyntheticScene], config: RunConfig) -> list[Detection]:
@@ -572,20 +567,6 @@ class RefineOutcome:
     refined_indices: list[int]
     result: RefineResult
     n_clusters: int
-
-
-def _suppress_per_class(detections: list[Detection]) -> list[int]:
-    """Indices surviving per-image, per-class greedy NMS, in input order."""
-    groups: dict[tuple, list[int]] = {}
-    for i, det in enumerate(detections):
-        key = (det.image_id, det.label.kind.value, det.label.class_id)
-        groups.setdefault(key, []).append(i)
-    keep: list[int] = []
-    for key in sorted(groups):
-        indices = groups[key]
-        scored = [(detections[i].box, detections[i].score) for i in indices]
-        keep.extend(indices[k] for k in nms(scored, NMS_THRESHOLD))
-    return sorted(keep)
 
 
 def refine_pipeline(head: ToyHead, dataset: SyntheticDataset, config: RunConfig) -> RefineOutcome:
@@ -627,7 +608,12 @@ def refine_pipeline(head: ToyHead, dataset: SyntheticDataset, config: RunConfig)
         relabeled[det_index] = dataclasses.replace(
             det, label=ClassLabel.unknown(config.known_classes + cluster)
         )
-    surviving = _suppress_per_class(relabeled)
+    # one group per image and class; image ids are unbounded JSON integers, so each gets a small code
+    codes: dict[int, int] = {}
+    width = config.head_width()
+    groups = [codes.setdefault(det.image_id, len(codes)) * width + det.label.class_id for det in relabeled]
+    boxes = Box.array([det.box for det in relabeled])
+    surviving = np.sort(suppress(groups, [det.score for det in relabeled], boxes, NMS_THRESHOLD))
     final = [relabeled[i] for i in surviving]
     return RefineOutcome(
         detections=final,

@@ -6,12 +6,13 @@ greedily claims the highest-IoU still-unmatched ground-truth object of its
 class in its image, the lowest index among equal IoUs, provided the IoU
 reaches the threshold and is above 0. Every ground truth is matched at most
 once. Each matching reads its IoUs from one ``pairwise_iou`` call, each
-detection against its own image's ground truth; only ``nms`` calls ``iou``.
+detection against its own image's ground truth; nothing here calls the
+scalar ``iou``.
 
 Metrics:
 
-- ``nms``: greedy non-maximum suppression over scored boxes, each against
-  the boxes kept so far.
+- ``suppress``: greedy non-maximum suppression of scored boxes within
+  each group, every group at once from one ``pairwise_iou`` band.
 - ``average_precision``: all-point interpolated AP for one class.
 - ``match_known_detections``: matches each known class once; its
   ``MatchResult`` carries the TP flags and per-class AP that ``map_known``,
@@ -38,23 +39,29 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Box, Detection, GroundTruthObject, iou, pairwise_iou
+from .core import Box, Detection, GroundTruthObject, pairwise_iou
 
-def nms(scored_boxes: Sequence[tuple[Box, float]], iou_threshold: float) -> list[int]:
-    """Greedy non-maximum suppression.
-
-    Returns indices of kept boxes in processing (descending score) order. A
-    box is kept iff its IoU with every already-kept box is <= the threshold,
-    so no two survivors overlap more than the threshold. Score ties are
-    broken by ascending insertion index.
+def suppress(groups: Sequence[int], scores: Sequence[float], boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """Greedy non-maximum suppression of scored ``Box.array`` rows within
+    each group (non-negative ints). A group ranks its boxes by descending
+    score, ties by ascending index, and keeps a box iff its IoU with every
+    box it already kept is <= the threshold. Returns the kept indices by
+    ascending group, then rank. Groups are padded to the widest and share
+    one IoU band; step k lets every group's k-th ranked box, if kept, drop
+    the later boxes of its group that it overlaps.
     """
-    order = sorted(range(len(scored_boxes)), key=lambda i: (-scored_boxes[i][1], i))
-    kept: list[int] = []
-    for i in order:
-        box = scored_boxes[i][0]
-        if all(iou(box, scored_boxes[j][0]) <= iou_threshold for j in kept):
-            kept.append(i)
-    return kept
+    groups, scores = np.asarray(groups, dtype=int), np.asarray(scores, dtype=float)
+    order = np.lexsort((np.arange(len(groups)), -scores, groups))
+    starts = np.flatnonzero(np.diff(groups[order], prepend=-1))
+    sizes = np.diff(starts, append=len(order))
+    # row g holds group g's indices in rank order, then -1 padding
+    index = np.full((len(sizes), sizes.max(initial=0)), -1)
+    index[np.repeat(np.arange(len(sizes)), sizes), np.arange(len(order)) - np.repeat(starts, sizes)] = order
+    alive = index >= 0
+    overlap = pairwise_iou(boxes[index], boxes[index]) > iou_threshold
+    for k in range(index.shape[1]):
+        alive[:, k + 1 :] &= ~(overlap[:, k, k + 1 :] & alive[:, k, None])
+    return index[alive]
 
 
 def _by_class(items: Sequence, known: bool) -> dict[int, list]:

@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import Box, ClassLabel, GroundTruthObject, Proposal, pairwise_iou
-from .metrics import nms
+from .metrics import suppress
 
 
 @dataclass(frozen=True)
@@ -63,12 +65,13 @@ def select_pseudo_labels(
         if not gt.label.is_known:
             raise ValueError("known_gts must be known-labeled")
 
-    kept = nms([(p.box, p.objectness) for p in proposals], config.nms_threshold)
-    overlap = pairwise_iou(Box.array([proposals[i].box for i in kept]), Box.array([g.box for g in known_gts]))
-    clear = (overlap < config.known_overlap_threshold).all(axis=1)
-    background = [i for i, ok in zip(kept, clear) if ok]
-    top = sorted(background, key=lambda i: (-proposals[i].objectness, i))[: config.top_k]
-    selected = [i for i in top if proposals[i].objectness > config.delta]
+    boxes = Box.array([p.box for p in proposals])
+    objectness = np.array([p.objectness for p in proposals])
+    kept = suppress(np.zeros(len(proposals), dtype=int), objectness, boxes, config.nms_threshold)
+    overlap = pairwise_iou(boxes[kept], Box.array([g.box for g in known_gts]))
+    # survivors come in rank order, so the top-k are the first clear ones
+    top = kept[(overlap < config.known_overlap_threshold).all(axis=1)][: config.top_k]
+    selected = top[objectness[top] > config.delta]
     return [
         GroundTruthObject(
             image_id=proposals[i].image_id,

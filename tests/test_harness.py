@@ -399,23 +399,28 @@ def test_training_target_at_exactly_the_iou_threshold():
 
 
 def test_scoring_and_target_assignment_make_no_scalar_iou_call(default_run, monkeypatch):
-    """``evaluate``, ``build_training_rows`` and its known-overlap filter
-    compare boxes through ``pairwise_iou`` only. Suppression, which compares
-    one box with the boxes kept so far, is the scalar caller left; the
-    suppression oracle stands in for it here."""
+    """``evaluate``, ``build_training_rows`` with its pseudo-label
+    suppression and known-overlap filter, ``detect_with_embeddings`` and
+    ``refine_pipeline`` with its second suppression compare boxes through
+    ``pairwise_iou`` only: the scalar ``iou`` is left to data generation."""
     config, dataset, result = default_run
-    gts, detections = dataset.test_ground_truth(), detect(result.head, dataset.test, config)
+    gts, (detections, embeddings) = dataset.test_ground_truth(), detect_with_embeddings(result.head, dataset.test, config)
     report, rows = evaluate(gts, detections), build_training_rows(dataset, config)
+    refined = refine_pipeline(result.head, dataset, config)
 
     def refuse(a, b):
         raise AssertionError("scalar iou called")
 
     for module in (harness, metrics, pseudo_label):
         monkeypatch.setattr(module, "iou", refuse, raising=False)
-    monkeypatch.setattr(pseudo_label, "nms", nms_ref)
     assert evaluate(gts, detections) == report
     again = build_training_rows(dataset, config)
     assert again.labels == rows.labels and again.delta_targets.tobytes() == rows.delta_targets.tobytes()
+    again_detections, again_embeddings = detect_with_embeddings(result.head, dataset.test, config)
+    assert again_detections == detections and again_embeddings.tobytes() == embeddings.tobytes()
+    again_refined = refine_pipeline(result.head, dataset, config)
+    assert again_refined.detections == refined.detections
+    assert again_refined.refined_indices == refined.refined_indices
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +621,33 @@ def test_refine_single_cluster_collapses_ids_and_keeps_recall():
     assert ids == {config.known_classes}
     after = evaluate(gts, outcome.detections)
     assert after.uc_recall == pytest.approx(before.uc_recall, abs=1e-12)
+
+
+def test_image_ids_beyond_int64_change_nothing_but_the_ids(default_run):
+    config, dataset, result = default_run
+    shift = 2**70
+
+    def shifted(scene):
+        return SyntheticScene(
+            scene.image_id + shift,
+            [dataclasses.replace(p, image_id=p.image_id + shift) for p in scene.proposals],
+            [dataclasses.replace(g, image_id=g.image_id + shift) for g in scene.gts],
+            scene.features,
+        )
+
+    def unshifted(detections):
+        return [dataclasses.replace(d, image_id=d.image_id - shift) for d in detections]
+
+    moved = SyntheticDataset([shifted(s) for s in dataset.train], [shifted(s) for s in dataset.test], config)
+    detections, embeddings = detect_with_embeddings(result.head, dataset.test, config)
+    moved_detections, moved_embeddings = detect_with_embeddings(result.head, moved.test, config)
+    assert unshifted(moved_detections) == detections
+    assert moved_embeddings.tobytes() == embeddings.tobytes()
+    refined, moved_refined = refine_pipeline(result.head, dataset, config), refine_pipeline(result.head, moved, config)
+    assert unshifted(moved_refined.detections) == refined.detections
+    assert moved_refined.refined_indices == refined.refined_indices
+    report = evaluate(dataset.test_ground_truth(), refined.detections)
+    assert evaluate(moved.test_ground_truth(), moved_refined.detections) == report
 
 
 def test_refine_pipeline_requires_unknown_detections():

@@ -14,7 +14,7 @@ from ucowod import (
     hungarian_assign,
     iou,
     match_known_detections,
-    nms,
+    suppress,
     uc_map,
     uc_recall,
     wilderness_impact,
@@ -99,25 +99,49 @@ def random_scene(seed, n_known=2, n_unknown=2):
 # NMS
 
 
+def suppress_scored(groups, scored_boxes, threshold):
+    """``suppress`` over (box, score) pairs, as a list."""
+    scores = [score for _, score in scored_boxes]
+    boxes = Box.array([box for box, _ in scored_boxes])
+    return suppress(groups, scores, boxes, threshold).tolist()
+
+
+def suppress_one(scored_boxes, threshold):
+    return suppress_scored([0] * len(scored_boxes), scored_boxes, threshold)
+
+
+def suppress_by_group_ref(groups, scored_boxes, threshold):
+    """The suppression oracle run on each group alone, groups ascending,
+    survivors in rank order, as global indices."""
+    want = []
+    for group in sorted(set(groups)):
+        members = [i for i, g in enumerate(groups) if g == group]
+        kept = [members[k] for k in nms_ref([scored_boxes[i] for i in members], threshold)]
+        want += sorted(kept, key=lambda i: (-scored_boxes[i][1], i))
+    return want
+
+
 def test_nms_single_box_kept():
-    assert nms([(Box(0, 0, 2, 2), 0.5)], 0.5) == [0]
+    assert suppress_one([(Box(0, 0, 2, 2), 0.5)], 0.5) == [0]
 
 
 def test_nms_identical_boxes_keep_highest():
     boxes = [(Box(0, 0, 2, 2), 0.9), (Box(0, 0, 2, 2), 0.8)]
-    assert nms(boxes, 0.5) == [0]
+    assert suppress_one(boxes, 0.5) == [0]
 
 
 def test_nms_threshold_is_strict():
     # pairwise IoU exactly 1/3: suppressed at 0.3, kept at 0.5 and at 1/3
     a, b = Box(1, 1, 2, 2), Box(2, 1, 2, 2)
     assert iou(a, b) == pytest.approx(1 / 3, abs=1e-12)
-    assert nms([(a, 0.9), (b, 0.8)], 0.3) == [0]
-    assert sorted(nms([(a, 0.9), (b, 0.8)], 0.5)) == [0, 1]
+    assert suppress_one([(a, 0.9), (b, 0.8)], 0.3) == [0]
+    assert suppress_one([(a, 0.9), (b, 0.8)], 0.5) == [0, 1]
+    assert suppress_one([(a, 0.9), (b, 0.8)], iou(a, b)) == [0, 1]
 
 
 def test_nms_empty():
-    assert nms([], 0.5) == []
+    assert suppress_one([], 0.5) == []
+    assert suppress([], [], np.empty((0, 4)), 0.5).tolist() == []
 
 
 @settings(max_examples=examples(200))
@@ -126,12 +150,41 @@ def test_nms_matches_reference_and_is_antichain(seed):
     g = np.random.default_rng(seed)
     boxes = [(random_box(g, span=20.0), float(g.uniform(0, 1))) for _ in range(g.integers(0, 12))]
     threshold = float(g.uniform(0.1, 0.9))
-    kept = nms(boxes, threshold)
-    assert sorted(kept) == nms_ref(boxes, threshold)
+    kept = suppress_one(boxes, threshold)
+    assert kept == suppress_by_group_ref([0] * len(boxes), boxes, threshold)
     for i in kept:
         for j in kept:
             if i != j:
                 assert iou(boxes[i][0], boxes[j][0]) <= threshold
+
+
+def test_nms_groups_stay_apart_with_ties_and_at_threshold():
+    # b overlaps a by exactly the threshold, and c is a copy of a
+    a, b, c = Box(1, 1, 2, 2), Box(2, 1, 2, 2), Box(1, 1, 2, 2)
+    scored = [(b, 0.5), (a, 0.5), (a, 0.9), (c, 0.5), (b, 0.9)]
+    groups = [4, 1, 4, 1, 1]
+    threshold = iou(a, b)
+    # group 1: b first, then a, which ties c and has the lower index, kept at
+    # the threshold; c then falls to a. Group 4: a first, then b kept.
+    assert suppress_scored(groups, scored, threshold) == [4, 1, 2, 0]
+    assert suppress_by_group_ref(groups, scored, threshold) == [4, 1, 2, 0]
+
+
+@settings(max_examples=examples(200))
+@given(st.integers(0, 10_000))
+def test_nms_interleaved_groups_match_reference_group_by_group(seed):
+    # boxes on a half-unit grid with sides 1 or 2 meet at IoU exactly 1/3, 1/2
+    # and 1/4, scores from three values tie often, and group codes interleave
+    g = np.random.default_rng(seed)
+    n = int(g.integers(0, 24))
+    boxes = [
+        Box(float(g.integers(0, 12)) / 2, float(g.integers(0, 12)) / 2, float(g.integers(1, 3)), float(g.integers(1, 3)))
+        for _ in range(n)
+    ]
+    scored = [(box, float(g.choice([0.25, 0.5, 0.75]))) for box in boxes]
+    groups = [int(x) for x in g.choice([0, 3, 7, 8], size=n)]
+    threshold = float(g.choice([1 / 4, iou(Box(1, 1, 2, 2), Box(2, 1, 2, 2)), 1 / 2, float(g.uniform(0, 1))]))
+    assert suppress_scored(groups, scored, threshold) == suppress_by_group_ref(groups, scored, threshold)
 
 
 # ---------------------------------------------------------------------------
