@@ -141,7 +141,6 @@ def test_nms_threshold_is_strict():
 
 def test_nms_empty():
     assert suppress_one([], 0.5) == []
-    assert suppress([], [], np.empty((0, 4)), 0.5).tolist() == []
 
 
 @settings(max_examples=examples(200))
