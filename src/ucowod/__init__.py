@@ -14,7 +14,6 @@ from .core import (
     Detection,
     GroundTruthObject,
     LabelKind,
-    Proposal,
     iou,
     label_for_class_id,
     pairwise_iou,

@@ -7,7 +7,8 @@ scores any detection file against any ground-truth file. Only ``simulate``
 takes ``--config``; ``train`` and ``refine`` run with the config stored in
 ``dataset.json``, overridden only by ``--seed``. Exit codes: 0 on success,
 1 for missing or unreadable files and runtime failures, 2 for schema
-violations, input that is not UTF-8 JSON among them.
+violations, input that is not UTF-8 JSON among them, and for usage errors,
+an ``eval`` threshold outside its range among them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import io
 from .harness import RunConfig, detect, generate_dataset, refine_pipeline, train
@@ -25,6 +26,18 @@ from .metrics import EvalConfig, evaluate
 
 def _with_seed(config: RunConfig, seed: Optional[int]) -> RunConfig:
     return config if seed is None else dataclasses.replace(config, seed=seed)
+
+
+def _eval_threshold(field: str) -> Callable[[str], float]:
+    """An argparse type: a number that ``EvalConfig`` accepts as ``field``."""
+
+    def threshold(text: str) -> float:
+        try:
+            return getattr(EvalConfig(**{field: float(text)}), field)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return threshold
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -114,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--gt", required=True, help="ground-truth JSON file")
     p_eval.add_argument("--det", required=True, help="detections JSONL file")
     p_eval.add_argument("--out", required=True, help="report JSON to write")
-    p_eval.add_argument("--iou-thresh", type=float, default=EvalConfig.iou_threshold)
-    p_eval.add_argument("--score-thresh", type=float, default=EvalConfig.score_threshold)
+    p_eval.add_argument("--iou-thresh", type=_eval_threshold("iou_threshold"), default=EvalConfig.iou_threshold)
+    p_eval.add_argument("--score-thresh", type=_eval_threshold("score_threshold"), default=EvalConfig.score_threshold)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic dataset")

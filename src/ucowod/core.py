@@ -129,8 +129,7 @@ def label_for_class_id(class_id: int, known_count: int) -> ClassLabel:
 
 @dataclass(frozen=True)
 class GroundTruthObject:
-    """One annotated object. Objects minted by the pseudo-label selector
-    carry an unknown label, which is how training tells them apart."""
+    """One annotated object."""
 
     image_id: int
     label: ClassLabel
@@ -155,16 +154,3 @@ class Detection:
             raise ValueError(f"detection score must lie in [0, 1], got {self.score}")
         if self.label.is_background:
             raise ValueError("detections never carry the background label")
-
-
-@dataclass(frozen=True)
-class Proposal:
-    """Class-agnostic region proposal with an objectness score."""
-
-    image_id: int
-    box: Box
-    objectness: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.objectness <= 1.0):
-            raise ValueError(f"objectness must lie in [0, 1], got {self.objectness}")

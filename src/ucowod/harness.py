@@ -3,7 +3,9 @@
 Scenes live in feature space: each class owns a prototype vector, every
 object is a box plus a noisy copy of its class prototype, and proposals are
 the object boxes, jittered copies, and off-object background boxes with
-objectness tracking their overlap. Known objects are annotated everywhere;
+objectness tracking their overlap. A scene holds its proposals as
+row-aligned arrays: row i of its boxes, objectness and features is proposal
+i. Known objects are annotated everywhere;
 unknown objects are annotated only in test scenes, so training must discover
 them through pseudo-labeling.
 
@@ -26,11 +28,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from math import inf
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Box, ClassLabel, Detection, GroundTruthObject, Proposal, iou, label_for_class_id, pairwise_iou
+from .core import Box, ClassLabel, Detection, GroundTruthObject, iou, label_for_class_id, pairwise_iou
 from .losses import (
     LossWeights,
     band_width,
@@ -112,6 +115,10 @@ class RunConfig:
             raise ValueError(
                 f"refine_clusters must be null or lie in [1, {self.unknown_slots}], got {self.refine_clusters}"
             )
+        # no comparison holds for NaN, so none above rejects it, and +inf meets every lower bound
+        for name in ("feature_noise", "eta", "learning_rate"):
+            if not -inf < getattr(self, name) < inf:
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def resolved_warmup(self) -> int:
         """Supervised warm-up length; defaults to half the epochs."""
@@ -123,17 +130,18 @@ class RunConfig:
 
 @dataclass
 class SyntheticScene:
-    """One image worth of synthetic data; ``features`` has one row per
-    proposal."""
+    """One image worth of synthetic data: row i of ``boxes`` ((n, 4)
+    ``Box.array`` rows), ``objectness`` (in [0, 1]) and ``features`` is proposal i."""
 
     image_id: int
-    proposals: list[Proposal]
+    boxes: np.ndarray
+    objectness: np.ndarray
     gts: list[GroundTruthObject]
     features: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.features) != len(self.proposals):
-            raise ValueError("each proposal needs exactly one feature row")
+        if not len(self.boxes) == len(self.objectness) == len(self.features):
+            raise ValueError("each proposal needs exactly one box, objectness and feature row")
 
 
 @dataclass
@@ -196,11 +204,11 @@ def _build_scene(
         elif labeled_unknowns:
             gts.append(GroundTruthObject(image_id, ClassLabel.unknown(class_id), box))
 
-    proposals: list[Proposal] = []
-    features: list[np.ndarray] = []
+    rows, objectness, features = [], [], []  # each proposal's (cx, cy, w, h), objectness and feature row
 
-    def add(box: Box, objectness: float, prototype: np.ndarray) -> None:
-        proposals.append(Proposal(image_id, box, min(max(objectness, 0.0), 1.0)))
+    def add(box: Box, score: float, prototype: np.ndarray) -> None:
+        rows.append((box.cx, box.cy, box.w, box.h))
+        objectness.append(min(max(score, 0.0), 1.0))
         features.append(prototype + config.feature_noise * rng.standard_normal(config.feature_dim))
 
     for class_id, box in zip(object_classes, boxes):
@@ -220,7 +228,7 @@ def _build_scene(
         box = _sample_box(rng, boxes)
         add(box, 0.02 + 0.18 * rng.random(), background_prototype)
 
-    return SyntheticScene(image_id, proposals, gts, np.array(features))
+    return SyntheticScene(image_id, np.array(rows), np.array(objectness), gts, np.array(features))
 
 
 def _split_class_sequence(
@@ -378,27 +386,27 @@ class TrainingRows:
 
 
 def build_training_rows(dataset: SyntheticDataset, config: RunConfig) -> TrainingRows:
-    """Assign every training proposal a target: the best-overlapping known or
-    pseudo ground truth at IoU ``TARGET_IOU``, else background."""
+    """Assign every training proposal a target: the best-overlapping known
+    box or pseudo-labelled proposal at IoU ``TARGET_IOU``, else background.
+    Pseudo-labelled proposals carry the first unknown slot's label."""
     labels: list[ClassLabel] = []
     deltas = []
     n_pseudo = 0
     for scene in dataset.train:
         known = [g for g in scene.gts if g.label.is_known]
-        pseudo: list[GroundTruthObject] = []
+        known_boxes, boxes = Box.array([g.box for g in known]), scene.boxes
+        pseudo = np.empty(0, dtype=int)
         if config.unknown_slots > 0:
-            pseudo = select_pseudo_labels(
-                scene.proposals, known, config.ulp, unknown_id=config.known_classes
-            )
+            pseudo = select_pseudo_labels(boxes, scene.objectness, known_boxes, config.ulp)
         n_pseudo += len(pseudo)
-        candidates = known + pseudo
-        boxes, targets = Box.array([p.box for p in scene.proposals]), Box.array([g.box for g in candidates])
+        candidates = [g.label for g in known] + [ClassLabel.unknown(config.known_classes)] * len(pseudo)
+        targets = np.concatenate((known_boxes, boxes[pseudo]))
         overlap = pairwise_iou(boxes, targets)
         # argmax takes the first best candidate, as a loop keeping only a strictly better one would
         best = overlap.argmax(axis=1) if candidates else np.zeros(len(boxes), dtype=int)
         hit = overlap.max(axis=1, initial=0.0) >= TARGET_IOU
-        labels += [candidates[j].label if h else ClassLabel.background() for j, h in zip(best, hit)]
-        scene_deltas = np.zeros_like(boxes)
+        labels += [candidates[j] if h else ClassLabel.background() for j, h in zip(best, hit)]
+        scene_deltas = np.zeros(boxes.shape)
         scene_deltas[hit] = targets[best[hit]] - boxes[hit]
         deltas.append(scene_deltas)
     codes, unknown = label_codes(labels)
@@ -465,7 +473,7 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
     gradient); divergence to a non-finite ``total`` raises with the epoch
     index. A training split with no proposals raises before any epoch.
     """
-    if not any(scene.proposals for scene in dataset.train):
+    if not any(len(scene.boxes) for scene in dataset.train):
         raise ValueError("the training split holds no proposals")
     rows = build_training_rows(dataset, config)
     cls_plan = classification_plan(rows.codes, rows.unknown, config.known_classes, config.head_width())
@@ -528,12 +536,12 @@ def detect_with_embeddings(
     embeddings: list[np.ndarray] = []
     background = head.n_logits - 1
     for scene in scenes:
-        if not scene.proposals:
+        if not len(scene.boxes):
             continue
         acts = head.forward(with_ones(scene.features))
         probs = softmax(acts.logits, axis=1)
         predicted, scores = probs.argmax(axis=1), probs.max(axis=1)
-        boxes = Box.array([proposal.box for proposal in scene.proposals]) + acts.deltas
+        boxes = scene.boxes + acts.deltas
         boxes[:, 2:] = np.maximum(boxes[:, 2:], 1e-3)
         rows = np.flatnonzero(predicted != background)
         kept = rows[suppress(predicted[rows], scores[rows], boxes[rows], NMS_THRESHOLD)]

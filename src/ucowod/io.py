@@ -25,7 +25,8 @@ types of ``RunConfig`` through ``_KINDS``) are the one statement of each
 input format's keys, kinds and ranges. Every reader goes through ``_read``,
 which checks each field over all records in one step and walks the records
 in table order only when a check fails, to name the first offender. Input
-that is not UTF-8 JSON is a schema violation too.
+that is not UTF-8 JSON is a schema violation too. A scene's proposals load
+as row-aligned arrays; ground truth and detections as ``Box`` objects.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Box, Detection, GroundTruthObject, Proposal, label_for_class_id
+from .core import Box, Detection, GroundTruthObject, label_for_class_id
 from .harness import RunConfig, SyntheticDataset, SyntheticScene, ToyHead
 from .losses import LossWeights
 from .metrics import EvalReport
@@ -136,7 +137,7 @@ def _scalar(values: list, name: str, kind: str, low: float = -inf, high: float =
     return values
 
 
-def _bbox(values: list, name: str) -> list[Box]:
+def _bbox(values: list, name: str) -> np.ndarray:
     if not (set(map(type, values)) <= {list} and set(map(len, values)) <= {4}):
         raise ValueError(f"{name} must be a list of 4 numbers, got {values[0]!r}")
     boxes = _number_array(list(chain.from_iterable(values)))
@@ -146,7 +147,11 @@ def _bbox(values: list, name: str) -> list[Box]:
     if not (boxes[:, 2:] > 0).all():
         w, h = boxes[0, 2:].tolist()
         raise ValueError(f"{name} sides must be positive, got w={w}, h={h}")
-    return list(map(Box, *boxes.T.tolist()))
+    return boxes
+
+
+def _boxes(rows: np.ndarray) -> list[Box]:
+    return list(map(Box, *rows.T.tolist()))
 
 
 def _features(scenes: list, name: str, width: int) -> list[np.ndarray]:
@@ -288,8 +293,8 @@ def load_ground_truth(path: PathLike) -> tuple[list[GroundTruthObject], int, int
     columns = _read([_read_json_object(path)], _GROUND_TRUTH, lambda _: str(path))
     (known_count,), (unknown_slots,) = columns["known_count"], columns["unknown_slots"]
     records = columns["annotations"][1]
-    labels = _labels(records["class_id"], known_count)
-    return list(map(GroundTruthObject, records["image_id"], labels, records["bbox"])), known_count, unknown_slots
+    labels, boxes = _labels(records["class_id"], known_count), _boxes(records["bbox"])
+    return list(map(GroundTruthObject, records["image_id"], labels, boxes)), known_count, unknown_slots
 
 
 def save_ground_truth(
@@ -337,7 +342,8 @@ def load_detections(path: PathLike, known_count: int, unknown_slots: int) -> lis
     def add_records() -> None:
         columns = _read(records, table, lambda i: f"{path}: line {line_numbers[i]}")
         labels = _labels(columns["class_id"], known_count)
-        detections.extend(map(Detection, columns["image_id"], labels, columns["bbox"], map(float, columns["score"])))
+        boxes, scores = _boxes(columns["bbox"]), map(float, columns["score"])
+        detections.extend(map(Detection, columns["image_id"], labels, boxes, scores))
         records.clear()
         line_numbers.clear()
 
@@ -439,13 +445,7 @@ def load_config(path: PathLike) -> RunConfig:
 def _scene_to_dict(scene: SyntheticScene) -> dict:
     return {
         "image_id": scene.image_id,
-        "proposals": [
-            {
-                "bbox": [p.box.cx, p.box.cy, p.box.w, p.box.h],
-                "objectness": p.objectness,
-            }
-            for p in scene.proposals
-        ],
+        "proposals": [{"bbox": b, "objectness": o} for b, o in zip(scene.boxes.tolist(), scene.objectness.tolist())],
         "gts": [
             {"class_id": g.label.class_id, "bbox": [g.box.cx, g.box.cy, g.box.w, g.box.h]}
             for g in scene.gts
@@ -489,19 +489,17 @@ def _dataset_table(feature_dim: int) -> tuple:
 
 
 def _scenes(columns: dict, known_classes: int) -> list[SyntheticScene]:
-    """The scenes of one split, from its checked columns."""
+    """The scenes of one split, from its checked columns; the proposal
+    columns are split by scene, row for row."""
     n_proposals, proposals = columns["proposals"]
     n_gts, gts = columns["gts"]
-    proposals = iter(zip(proposals["bbox"], proposals["objectness"]))
-    gts = iter(zip(gts["bbox"], _labels(gts["class_id"], known_classes)))
+    ends = np.cumsum(n_proposals, dtype=int)[:-1]
+    objectness = np.split(np.array(proposals["objectness"], dtype=float), ends)
+    gts = iter(zip(_boxes(gts["bbox"]), _labels(gts["class_id"], known_classes)))
+    scenes = zip(columns["image_id"], np.split(proposals["bbox"], ends), objectness, n_gts, columns[None])
     return [
-        SyntheticScene(
-            image_id,
-            [Proposal(image_id, box, objectness) for box, objectness in islice(proposals, n)],
-            [GroundTruthObject(image_id, label, box) for box, label in islice(gts, m)],
-            features,
-        )
-        for image_id, n, m, features in zip(columns["image_id"], n_proposals, n_gts, columns[None])
+        SyntheticScene(image_id, b, o, [GroundTruthObject(image_id, label, box) for box, label in islice(gts, m)], f)
+        for image_id, b, o, m, f in scenes
     ]
 
 

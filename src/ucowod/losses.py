@@ -46,6 +46,7 @@ import warnings as _warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from math import inf
 from typing import Optional, Sequence
 
 import numpy as np
@@ -387,6 +388,8 @@ class LossWeights:
     def __post_init__(self) -> None:
         if self.alpha_sim < 0:
             raise ValueError("alpha_sim must be non-negative")
+        if not -inf < self.alpha_sim < inf:
+            raise ValueError(f"alpha_sim must be finite, got {self.alpha_sim}")
 
 
 def total_training_loss(

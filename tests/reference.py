@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 from hypothesis import settings
 
-from ucowod.core import Box, ClassLabel, Detection, GroundTruthObject, Proposal, iou, label_for_class_id
+from ucowod.core import Box, ClassLabel, Detection, GroundTruthObject, iou, label_for_class_id
 from ucowod.harness import RunConfig, SyntheticDataset, SyntheticScene, ToyHead
 from ucowod.io import SchemaError
 from ucowod.losses import LossWeights
@@ -622,20 +622,16 @@ def sample_box_ref(rng, placed, image_size=100.0):
     return best
 
 
-def pseudo_labels_ref(proposals, known_gts, config, unknown_id):
+def pseudo_labels_ref(boxes, objectness, known_boxes, config):
     """Pseudo-label selection with the suppression oracle and one IoU per
-    proposal and known box: kept proposals clear of every known box, the
-    ``top_k`` by objectness (ties by index), those above the floor."""
-    kept = nms_ref([(p.box, p.objectness) for p in proposals], config.nms_threshold)
-    clear = [
-        i for i in kept if all(iou_ref(proposals[i].box, g.box) < config.known_overlap_threshold for g in known_gts)
-    ]
-    top = sorted(clear, key=lambda i: (-proposals[i].objectness, i))[: config.top_k]
-    return [
-        GroundTruthObject(proposals[i].image_id, ClassLabel.unknown(unknown_id), proposals[i].box)
-        for i in top
-        if proposals[i].objectness > config.delta
-    ]
+    proposal and known box: the rows of kept proposals clear of every known
+    box, the ``top_k`` by objectness (ties by index), those above the floor."""
+    proposals = [Box(*row) for row in boxes.tolist()]
+    known = [Box(*row) for row in known_boxes.tolist()]
+    kept = nms_ref(list(zip(proposals, objectness)), config.nms_threshold)
+    clear = [i for i in kept if all(iou_ref(proposals[i], g) < config.known_overlap_threshold for g in known)]
+    top = sorted(clear, key=lambda i: (-objectness[i], i))[: config.top_k]
+    return np.array([i for i in top if objectness[i] > config.delta], dtype=int)
 
 
 def training_rows_ref(dataset, config, target_iou=0.5):
@@ -647,24 +643,27 @@ def training_rows_ref(dataset, config, target_iou=0.5):
     features, labels, deltas, mask, n_pseudo = [], [], [], [], 0
     for scene in dataset.train:
         known = [g for g in scene.gts if g.label.is_known]
+        proposals = [Box(*row) for row in scene.boxes.tolist()]
         pseudo = []
         if config.unknown_slots > 0:
-            pseudo = pseudo_labels_ref(scene.proposals, known, config.ulp, config.known_classes)
+            known_boxes = np.array([[g.box.cx, g.box.cy, g.box.w, g.box.h] for g in known]).reshape(-1, 4)
+            rows = pseudo_labels_ref(scene.boxes, scene.objectness, known_boxes, config.ulp)
+            pseudo = [(ClassLabel.unknown(config.known_classes), proposals[i]) for i in rows]
         n_pseudo += len(pseudo)
-        for row, proposal in enumerate(scene.proposals):
+        for row, proposal in enumerate(proposals):
             best, best_overlap = None, 0.0
-            for gt in known + pseudo:
-                overlap = iou(proposal.box, gt.box)
+            for label, box in [(g.label, g.box) for g in known] + pseudo:
+                overlap = iou(proposal, box)
                 if overlap >= target_iou and overlap > best_overlap:
-                    best, best_overlap = gt, overlap
+                    best, best_overlap = (label, box), overlap
             features.append(scene.features[row])
             mask.append(best is not None)
             if best is None:
                 labels.append(ClassLabel.background())
                 deltas.append(np.zeros(4))
             else:
-                labels.append(best.label)
-                b, p = best.box, proposal.box
+                labels.append(best[0])
+                b, p = best[1], proposal
                 deltas.append(np.array([b.cx - p.cx, b.cy - p.cy, b.w - p.w, b.h - p.h]))
     return np.array(features), tuple(labels), np.array(deltas), np.array(mask, dtype=bool), n_pseudo
 
@@ -820,12 +819,15 @@ def load_config_ref(path):
 
 def _ref_check_scene_records(payload, config, where):
     image_id = _ref_parse_int(payload, "image_id", where)
-    proposals = []
+    boxes, objectness = [], []
     _ref_require(isinstance(payload["proposals"], list), where, "proposals must be a list")
     for record in payload["proposals"]:
-        objectness = record["objectness"]
-        _ref_require(_ref_is_number(objectness), where, "objectness must be a finite number, got {!r}", objectness)
-        proposals.append(Proposal(image_id, _ref_parse_bbox(record["bbox"], where), objectness))
+        score = record["objectness"]
+        _ref_require(_ref_is_number(score), where, "objectness must be a finite number, got {!r}", score)
+        box = _ref_parse_bbox(record["bbox"], where)
+        _ref_require(0.0 <= score <= 1.0, where, "objectness must lie in [0, 1], got {}", score)
+        boxes.append([box.cx, box.cy, box.w, box.h])
+        objectness.append(score)
     gts = []
     _ref_require(isinstance(payload["gts"], list), where, "gts must be a list")
     for record in payload["gts"]:
@@ -835,10 +837,11 @@ def _ref_check_scene_records(payload, config, where):
     features = np.array(raw, dtype=float)
     if features.size == 0:
         features = features.reshape(0, config.feature_dim)
-    shape = (len(proposals), config.feature_dim)
+    shape = (len(boxes), config.feature_dim)
     _ref_require(features.shape == shape, where, "features must have shape {}, got {}", shape, features.shape)
     _ref_require(all(_ref_is_number(v) for row in raw for v in row), where, "features must be finite numbers")
-    return SyntheticScene(image_id, proposals, gts, features)
+    boxes, objectness = np.array(boxes, dtype=float).reshape(-1, 4), np.array(objectness, dtype=float)
+    return SyntheticScene(image_id, boxes, objectness, gts, features)
 
 
 def load_dataset_ref(path):

@@ -20,7 +20,6 @@ from ucowod import (
     Detection,
     GroundTruthObject,
     LossWeights,
-    Proposal,
     RunConfig,
     UlpConfig,
     band_width,
@@ -317,35 +316,29 @@ def test_acceptance_8_pseudo_label_monotonicity():
     g = np.random.default_rng(99)
     for _ in range(300):
         proposals = [
-            Proposal(
-                0,
-                Box(g.uniform(0, 40), g.uniform(0, 40), g.uniform(1, 8), g.uniform(1, 8)),
-                float(g.uniform(0, 1)),
-            )
+            (g.uniform(0, 40), g.uniform(0, 40), g.uniform(1, 8), g.uniform(1, 8), float(g.uniform(0, 1)))
             for _ in range(int(g.integers(0, 14)))
         ]
-        known = [
-            GroundTruthObject(
-                0,
-                ClassLabel.known(0),
-                Box(g.uniform(0, 40), g.uniform(0, 40), g.uniform(1, 8), g.uniform(1, 8)),
-            )
+        rows = np.array(proposals).reshape(-1, 5)
+        boxes, objectness = rows[:, :4], rows[:, 4]
+        known = np.array([
+            (g.uniform(0, 40), g.uniform(0, 40), g.uniform(1, 8), g.uniform(1, 8))
             for _ in range(int(g.integers(0, 3)))
-        ]
+        ]).reshape(-1, 4)
         top_k = int(g.integers(1, 6))
         nms_threshold = float(g.uniform(0.2, 0.6))
         low = select_pseudo_labels(
-            proposals, known, UlpConfig(nms_threshold=nms_threshold, top_k=top_k, delta=0.3)
+            boxes, objectness, known, UlpConfig(nms_threshold=nms_threshold, top_k=top_k, delta=0.3)
         )
         high = select_pseudo_labels(
-            proposals, known, UlpConfig(nms_threshold=nms_threshold, top_k=top_k, delta=0.7)
+            boxes, objectness, known, UlpConfig(nms_threshold=nms_threshold, top_k=top_k, delta=0.7)
         )
         assert len(high) <= len(low)
         assert len(low) <= top_k and len(high) <= top_k
         for a in low:
             for b in low:
-                if a is not b:
-                    assert iou(a.box, b.box) <= nms_threshold
+                if a != b:
+                    assert iou(Box(*boxes[a].tolist()), Box(*boxes[b].tolist())) <= nms_threshold
     assert time.monotonic() - start < 5.0
 
 

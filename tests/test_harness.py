@@ -10,7 +10,6 @@ from ucowod import (
     ClassLabel,
     GroundTruthObject,
     LossWeights,
-    Proposal,
     RunConfig,
     SyntheticDataset,
     SyntheticScene,
@@ -83,6 +82,22 @@ def test_config_validation():
         RunConfig(warmup_epochs=1000)
     with pytest.raises(ValueError, match="eta must be non-negative"):
         RunConfig(eta=-0.1)
+    # NaN passes every range check, and +inf every lower bound; -inf keeps the range message
+    for value in (float("nan"), float("inf")):
+        for field in ("eta", "learning_rate", "feature_noise"):
+            with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+                RunConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"alpha_sim must be finite, got {value}"):
+            LossWeights(alpha_sim=value)
+    for value in (-0.1, -float("inf")):
+        with pytest.raises(ValueError, match=f"eta must be non-negative, got {value}"):
+            RunConfig(eta=value)
+        with pytest.raises(ValueError, match=f"learning_rate must be positive, got {value}"):
+            RunConfig(learning_rate=value)
+        with pytest.raises(ValueError, match=f"feature_noise must be non-negative, got {value}"):
+            RunConfig(feature_noise=value)
+        with pytest.raises(ValueError, match="alpha_sim must be non-negative"):
+            LossWeights(alpha_sim=value)
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         RunConfig(seed=-1)
     with pytest.raises(ValueError, match="need at least one training scene"):
@@ -107,7 +122,8 @@ def test_dataset_generation_is_deterministic():
     config = RunConfig(seed=3, train_scenes=4, test_scenes=2)
     a, b = generate_dataset(config), generate_dataset(config)
     for scene_a, scene_b in zip(a.train + a.test, b.train + b.test):
-        assert scene_a.proposals == scene_b.proposals
+        assert np.array_equal(scene_a.boxes, scene_b.boxes)
+        assert np.array_equal(scene_a.objectness, scene_b.objectness)
         assert scene_a.gts == scene_b.gts
         assert np.array_equal(scene_a.features, scene_b.features)
 
@@ -144,11 +160,12 @@ def test_nearest_prototype_accuracy_on_default_noise(default_run):
     hits, total = 0, 0
     for scene in dataset.test:
         box_to_class = {g.box: g.label.class_id for g in scene.gts}
-        for proposal, feature in zip(scene.proposals, scene.features):
-            if proposal.box not in box_to_class:
+        for row, feature in zip(scene.boxes.tolist(), scene.features):
+            box = Box(*row)
+            if box not in box_to_class:
                 continue  # jittered or background proposal
             nearest = int(((prototypes - feature) ** 2).sum(axis=1).argmin())
-            hits += nearest == box_to_class[proposal.box]
+            hits += nearest == box_to_class[box]
             total += 1
     assert total > 0
     assert hits / total >= 0.99
@@ -164,8 +181,16 @@ def test_training_scenes_hide_unknown_annotations(default_run):
 def test_every_scene_pairs_features_with_proposals(default_run):
     _, dataset, _ = default_run
     for scene in dataset.train + dataset.test:
-        assert len(scene.features) == len(scene.proposals)
-        assert all(p.image_id == scene.image_id for p in scene.proposals)
+        assert len(scene.features) == len(scene.boxes) == len(scene.objectness)
+
+
+def test_scene_arrays_of_different_lengths_are_rejected():
+    boxes, objectness, features = np.zeros((2, 4)), np.zeros(2), np.zeros((2, 16))
+    for rows, scores, feature_rows in ((boxes[:1], objectness, features), (boxes, objectness[:1], features),
+                                       (boxes, objectness, features[:1])):
+        with pytest.raises(ValueError, match="each proposal needs exactly one box, objectness and feature row"):
+            SyntheticScene(0, rows, scores, [], feature_rows)
+    assert len(SyntheticScene(0, boxes, objectness, [], features).boxes) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +334,7 @@ def test_weight_decay_shrinks_weight_matrices_only():
 def test_training_rows_cover_every_proposal(default_run):
     config, dataset, result = default_run
     rows = result.rows
-    n_proposals = sum(len(s.proposals) for s in dataset.train)
+    n_proposals = sum(len(s.boxes) for s in dataset.train)
     assert len(rows.features) == n_proposals
     assert len(rows.labels) == n_proposals
     assert rows.delta_targets.shape == (n_proposals, 4)
@@ -328,17 +353,13 @@ def test_training_row_targets_point_at_candidate_boxes(default_run):
     cursor = 0
     for scene in dataset.train:
         known = [g for g in scene.gts if g.label.is_known]
-        pseudo = select_pseudo_labels(
-            scene.proposals, known, config.ulp, unknown_id=config.known_classes
-        )
-        boxes = {g.box for g in known} | {g.box for g in pseudo}
-        for proposal in scene.proposals:
+        pseudo = select_pseudo_labels(scene.boxes, scene.objectness, Box.array([g.box for g in known]), config.ulp)
+        proposals = [Box(*row) for row in scene.boxes.tolist()]
+        boxes = {g.box for g in known} | {proposals[i] for i in pseudo}
+        for proposal in proposals:
             if rows.has_box_target[cursor]:
                 d = rows.delta_targets[cursor]
-                from ucowod import Box
-
-                target = Box(proposal.box.cx + d[0], proposal.box.cy + d[1],
-                             proposal.box.w + d[2], proposal.box.h + d[3])
+                target = Box(proposal.cx + d[0], proposal.cy + d[1], proposal.w + d[2], proposal.h + d[3])
                 assert target in boxes
             cursor += 1
     assert cursor == len(rows.labels)
@@ -390,8 +411,8 @@ def test_training_target_at_exactly_the_iou_threshold():
     # a 1 x 2 proposal inside a 2 x 2 object overlaps it by exactly 1/2
     config = RunConfig(unknown_slots=0)
     gts = [GroundTruthObject(0, ClassLabel.known(1), Box(0.0, 0.0, 2.0, 2.0))]
-    proposals = [Proposal(0, Box(0.5, 0.0, 1.0, 2.0), 0.9), Proposal(0, Box(5.0, 5.0, 1.0, 1.0), 0.9)]
-    scene = SyntheticScene(0, proposals, gts, np.zeros((2, config.feature_dim)))
+    boxes = np.array([[0.5, 0.0, 1.0, 2.0], [5.0, 5.0, 1.0, 1.0]])
+    scene = SyntheticScene(0, boxes, np.array([0.9, 0.9]), gts, np.zeros((2, config.feature_dim)))
     rows = build_training_rows(SyntheticDataset([scene], [], config), config)
     assert rows.labels == (ClassLabel.known(1), ClassLabel.background())
     assert rows.delta_targets.tolist() == [[-0.5, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
@@ -630,7 +651,8 @@ def test_image_ids_beyond_int64_change_nothing_but_the_ids(default_run):
     def shifted(scene):
         return SyntheticScene(
             scene.image_id + shift,
-            [dataclasses.replace(p, image_id=p.image_id + shift) for p in scene.proposals],
+            scene.boxes,
+            scene.objectness,
             [dataclasses.replace(g, image_id=g.image_id + shift) for g in scene.gts],
             scene.features,
         )
@@ -679,7 +701,7 @@ def test_detect_with_embeddings_matches_slot_by_slot_reference(default_run):
             candidates += len(rows)
             scored = []
             for row in rows:
-                p, d = scene.proposals[row].box, acts.deltas[row]
+                p, d = Box(*scene.boxes[row].tolist()), acts.deltas[row]
                 box = Box(p.cx + d[0], p.cy + d[1], max(p.w + d[2], 1e-3), max(p.h + d[3], 1e-3))
                 scored.append((box, float(probs[row, slot])))
             kept = sorted(nms_ref(scored, NMS_THRESHOLD), key=lambda i: (-scored[i][1], rows[i]))

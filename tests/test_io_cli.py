@@ -36,6 +36,8 @@ from ucowod.io import (
     save_head,
 )
 
+from reference import load_dataset_ref
+
 
 def sample_gts():
     return [
@@ -136,7 +138,8 @@ def test_dataset_round_trip(tmp_path):
     assert loaded.config == config
     for a, b in zip(loaded.train + loaded.test, dataset.train + dataset.test):
         assert a.image_id == b.image_id
-        assert a.proposals == b.proposals
+        for got, want in ((a.boxes, b.boxes), (a.objectness, b.objectness)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         assert a.gts == b.gts
         assert np.array_equal(a.features, b.features)
     text = path.read_text()
@@ -195,6 +198,20 @@ def test_eval_missing_file_exits_one(tmp_path, capsys):
                    "--out", tmp_path / "report.json")
     assert code == 1
     assert "missing file" in capsys.readouterr().err
+
+
+def test_eval_threshold_out_of_range_is_a_usage_error(tmp_path, capsys):
+    # checked while parsing: exit 2 naming the flag, before the missing --gt is read
+    for flag, value in (("--iou-thresh", "1.5"), ("--iou-thresh", "nan"), ("--iou-thresh", "inf"),
+                        ("--iou-thresh", "-0.1"), ("--iou-thresh", "0"), ("--score-thresh", "nan"),
+                        ("--score-thresh", "2"), ("--score-thresh", "-1"), ("--iou-thresh", "abc")):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("eval", "--gt", tmp_path / "no.json", "--det", tmp_path / "no.jsonl",
+                    "--out", tmp_path / "report.json", flag, value)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err and "missing file" not in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_eval_schema_violation_exits_two(tmp_path, capsys):
@@ -385,6 +402,19 @@ def test_train_on_a_split_without_proposals_says_so(tmp_path, capsys, emptied):
     capsys.readouterr()
     assert run_cli("train", "--dataset", dataset_path, "--out-dir", out_dir) == 1
     assert capsys.readouterr().err == "error: the training split holds no proposals\n"
+
+
+def test_integer_objectness_loads_as_a_float_array(tmp_path):
+    path = tmp_path / "dataset.json"
+    save_dataset(path, generate_dataset(RunConfig(seed=1, train_scenes=2, test_scenes=1)))
+    payload = json.loads(path.read_text())
+    payload["train"][0]["proposals"][0]["objectness"] = 1
+    payload["train"][0]["proposals"][1]["objectness"] = 0
+    path.write_text(json.dumps(payload))
+    scene, want = load_dataset(path).train[0], load_dataset_ref(path).train[0]
+    assert scene.objectness.dtype == want.objectness.dtype == np.float64
+    assert scene.objectness[:2].tolist() == [1.0, 0.0]
+    assert np.array_equal(scene.objectness, want.objectness) and np.array_equal(scene.boxes, want.boxes)
 
 
 def test_train_on_non_finite_or_boolean_dataset_box_exits_two(tmp_path, capsys):

@@ -109,8 +109,11 @@ def write(path, kind, doc):
 def summary(kind, loaded):
     """What a loader returned, in a form that compares types as well as values."""
     if kind == "dataset":
-        scenes = [(s.image_id, repr(s.proposals), repr(s.gts), s.features.shape, s.features.tolist())
-                  for s in loaded.train + loaded.test]
+        scenes = [
+            (s.image_id, [(str(a.dtype), a.shape, a.tolist()) for a in (s.boxes, s.objectness)], repr(s.gts),
+             s.features.shape, s.features.tolist())
+            for s in loaded.train + loaded.test
+        ]
         return repr(loaded.config), scenes
     if kind == "model":
         return {name: (a.shape, a.tolist()) for name, a in vars(loaded).items()}
