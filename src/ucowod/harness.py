@@ -26,10 +26,14 @@ at IoU ``NMS_THRESHOLD``, and scoring at the ``EvalConfig`` defaults.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from math import inf
-from typing import Optional, Sequence
+from pathlib import Path
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -52,7 +56,13 @@ from .metrics import EvalReport, evaluate, suppress
 from .pseudo_label import UlpConfig, select_pseudo_labels
 from .refinement import RefineResult, refine, select_cluster_count
 
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
+
 HIDDEN_DIM = 128
+# rows from which train runs the pair kernel on two lanes: below it the
+# lanes' hand-offs cost more than the second core gives back
+LANE_ROWS = 1200
 IMAGE_SIZE = 100.0
 JITTER_PER_OBJECT = 2
 BACKGROUND_PER_SCENE = 3
@@ -450,6 +460,50 @@ class TrainResult:
     final_lambda: float
 
 
+@functools.cache
+def openblas_threads() -> Optional[tuple]:
+    """The thread-count getter and setter of the OpenBLAS that numpy bundles
+    (``numpy.libs/libscipy_openblas64_*.so``, already loaded with numpy), or
+    None where numpy runs another BLAS build."""
+    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        get_threads, set_threads = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
+
+
+@contextlib.contextmanager
+def pair_lane(rows: int) -> Iterator[Optional[Executor]]:
+    """Pin numpy's OpenBLAS to one thread for the block, and yield the pair
+    kernel's second lane for a batch of ``rows`` rows: an executor of one
+    worker thread from ``LANE_ROWS`` rows on, None below. On exit, also by
+    an exception, join the worker and restore the thread count. Where
+    numpy's OpenBLAS is not found, pin nothing and yield None."""
+    threads = openblas_threads()
+    if threads is None:
+        yield None
+        return
+    get_threads, set_threads = threads
+    previous = get_threads()
+    set_threads(1)
+    try:
+        if rows < LANE_ROWS:
+            yield None
+        else:
+            # imported here, not at the top, to keep it out of the stages
+            # and the batches that run no lane: it costs 3 ms and 0.5 MB
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(1, thread_name_prefix="pair-lane") as lane:
+                yield lane
+    finally:
+        set_threads(previous)
+
+
 def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
     """Full-batch gradient descent on the combined objective.
 
@@ -472,51 +526,64 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
     pair term, which ``model_loss`` leaves out (it carries no parameter
     gradient); divergence to a non-finite ``total`` raises with the epoch
     index. A training split with no proposals raises before any epoch.
+
+    All of training runs under ``pair_lane``: numpy's OpenBLAS on one
+    thread, and from ``LANE_ROWS`` rows on its second core given to the pair
+    kernel's second lane, which takes strips from the back while the caller
+    takes them from the front. Every GEMM then sums in one order whatever
+    ``OPENBLAS_NUM_THREADS`` says, and the lanes give the one-lane kernel's
+    bits, so the trained head is the same with or without them. The thread
+    count is restored and the worker joined when ``train`` returns or
+    raises; a BLAS build other than numpy's bundled OpenBLAS is left as it
+    is and trains on one lane.
     """
-    if not any(len(scene.boxes) for scene in dataset.train):
-        raise ValueError("the training split holds no proposals")
-    rows = build_training_rows(dataset, config)
-    cls_plan = classification_plan(rows.codes, rows.unknown, config.known_classes, config.head_width())
-    pairs = pair_plan(rows.codes, rows.unknown)
-    box_targets = rows.delta_targets[rows.has_box_target]
-    head = ToyHead.create(config.feature_dim, HIDDEN_DIM, config.head_width(), seed=config.seed)
-    n, inputs = len(rows.labels), with_ones(rows.features)
-    acts, work = HeadActivations.empty(n, HIDDEN_DIM, head.n_logits), HiddenGradients.empty(n, HIDDEN_DIM)
-    # the gradient of the head's outputs; rows without a box target keep a
-    # zero delta gradient in every epoch
-    grad_outputs = np.zeros_like(acts.outputs)
-    grad_logits, grad_deltas = grad_outputs[:, :-4], grad_outputs[:, -4:]
-    lam = 0.0
-    warmup = config.resolved_warmup()
-    history: list[EpochStats] = []
+    # every proposal of the training split is a training row
+    proposals = sum(len(scene.boxes) for scene in dataset.train)
+    with pair_lane(proposals) as lane:
+        if not proposals:
+            raise ValueError("the training split holds no proposals")
+        rows = build_training_rows(dataset, config)
+        cls_plan = classification_plan(rows.codes, rows.unknown, config.known_classes, config.head_width())
+        pairs = pair_plan(rows.codes, rows.unknown)
+        box_targets = rows.delta_targets[rows.has_box_target]
+        head = ToyHead.create(config.feature_dim, HIDDEN_DIM, config.head_width(), seed=config.seed)
+        n, inputs = len(rows.labels), with_ones(rows.features)
+        acts, work = HeadActivations.empty(n, HIDDEN_DIM, head.n_logits), HiddenGradients.empty(n, HIDDEN_DIM)
+        # the gradient of the head's outputs; rows without a box target keep a
+        # zero delta gradient in every epoch
+        grad_outputs = np.zeros_like(acts.outputs)
+        grad_logits, grad_deltas = grad_outputs[:, :-4], grad_outputs[:, -4:]
+        lam = 0.0
+        warmup = config.resolved_warmup()
+        history: list[EpochStats] = []
 
-    for epoch in range(config.epochs):
-        head.forward(inputs, acts)
-        cls_value, grad_cls = classification_loss_from_plan(acts.logits, cls_plan)
+        for epoch in range(config.epochs):
+            head.forward(inputs, acts)
+            cls_value, grad_cls = classification_loss_from_plan(acts.logits, cls_plan)
 
-        reg_value, grad_selected = l1_regression_loss(acts.deltas[rows.has_box_target], box_targets)
-        grad_deltas[rows.has_box_target] = grad_selected
+            reg_value, grad_selected = l1_regression_loss(acts.deltas[rows.has_box_target], box_targets)
+            grad_deltas[rows.has_box_target] = grad_selected
 
-        self_supervised = epoch >= warmup and not schedule_terminated(lam)
-        pair_value, grad_sim, positive, negative = pair_similarity_loss(
-            acts.logits, pairs, lam if self_supervised else None
-        )
-        penalty = band_width(lam) if self_supervised else 0.0
-        phase = "self" if self_supervised else "supervised" if epoch < warmup else "post"
-        model_loss = total_training_loss(cls_value, reg_value, pair_value, config.weights)
-        total = total_training_loss(cls_value, reg_value, pair_value + penalty, config.weights)
-        if not np.isfinite(total):
-            raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}")
-        history.append(
-            EpochStats(
-                epoch, phase, cls_value, reg_value, pair_value, penalty, model_loss, total, lam, positive, negative
+            self_supervised = epoch >= warmup and not schedule_terminated(lam)
+            pair_value, grad_sim, positive, negative = pair_similarity_loss(
+                acts.logits, pairs, lam if self_supervised else None, lane
             )
-        )
+            penalty = band_width(lam) if self_supervised else 0.0
+            phase = "self" if self_supervised else "supervised" if epoch < warmup else "post"
+            model_loss = total_training_loss(cls_value, reg_value, pair_value, config.weights)
+            total = total_training_loss(cls_value, reg_value, pair_value + penalty, config.weights)
+            if not np.isfinite(total):
+                raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}")
+            history.append(
+                EpochStats(
+                    epoch, phase, cls_value, reg_value, pair_value, penalty, model_loss, total, lam, positive, negative
+                )
+            )
 
-        np.add(grad_cls, np.multiply(grad_sim, config.weights.alpha_sim, out=grad_logits), out=grad_logits)
-        head.apply_gradients(head.gradients(inputs, acts, grad_outputs, work), config.learning_rate, WEIGHT_DECAY)
-        if self_supervised:
-            lam = update_lambda(lam, config.eta)
+            np.add(grad_cls, np.multiply(grad_sim, config.weights.alpha_sim, out=grad_logits), out=grad_logits)
+            head.apply_gradients(head.gradients(inputs, acts, grad_outputs, work), config.learning_rate, WEIGHT_DECAY)
+            if self_supervised:
+                lam = update_lambda(lam, config.eta)
 
     return TrainResult(head=head, history=tuple(history), rows=rows, final_lambda=lam)
 

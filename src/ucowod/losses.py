@@ -37,21 +37,31 @@ strip-sized work buffers from its first call on, so a training epoch
 allocates none. The pair value, which the gradient does not read, is a sum
 of logs of products of up to 32 pair terms, one log per 32 pairs.
 
+The pair kernel can run on two lanes: given an executor with one worker
+thread, it takes strips from the front while the worker takes them from the
+back, in buffers of its own, and adds what the worker's strips leave after
+its own, in strip order, so the result is the one-lane kernel's to the bit.
+``harness.train`` gives it that lane, from ``harness.LANE_ROWS`` rows on,
+with numpy's OpenBLAS pinned to one thread.
+
 Every loss returns ``(value, gradient)`` with analytic gradients.
 """
 
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass
-from functools import cached_property
+from collections import deque
+from dataclasses import dataclass, field
 from itertools import accumulate
 from math import inf
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
 from .core import ClassLabel, LabelKind
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 CLAMP_EPS = 1e-6
 MASK_LOGIT = -1e4
@@ -218,21 +228,34 @@ class PairPlan:
     ``PAIR_TILE_ROWS`` rows of that order, as ``(start, end, group_end,
     unknown)``. ``positive`` and ``negative`` count the label-supervised
     verdicts over all N x N ordered pairs. ``work_size`` is the entry count
-    of the largest strip of any phase, and ``work`` the kernel's buffers of
-    that size, O(N * PAIR_TILE_ROWS), made on first use and reused by every
-    later call, so a plan serves one call at a time."""
+    of the largest strip of any phase, and ``lane_rows`` the gradient rows
+    that all strips leave together (strip [s, e) leaves N - s).
+
+    ``buffers`` holds the kernel's buffers, made on first use and reused by
+    every later call, so a plan serves one call at a time."""
 
     order: np.ndarray
     strips: tuple[tuple[int, int, int, bool], ...]
     positive: int
     negative: int
     work_size: int
+    lane_rows: int
+    _buffers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @cached_property
-    def work(self) -> tuple[np.ndarray, np.ndarray]:
-        """Two float rows, the strip's similarities and its pair terms, and
-        three bool rows, the clamp mask and two verdict masks."""
-        return np.empty((2, self.work_size)), np.empty((3, self.work_size), dtype=bool)
+    def buffers(self, width: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]:
+        """The kernel's buffers for embeddings ``width`` wide, made on the
+        first call with that width. Per lane, two float rows of
+        ``work_size``, the strip's similarities and its pair terms, and three
+        bool rows, the clamp mask and two verdict masks: O(N *
+        PAIR_TILE_ROWS). And the strips' gradient blocks, (N +
+        ``lane_rows``) x ``width``: the first N rows take the calling lane's,
+        one strip at a time, and the rest the second lane's, each strip in
+        rows of its own. Pages that no strip reaches are never touched."""
+        if width not in self._buffers:
+            floats, masks = np.empty((2, 2, self.work_size)), np.empty((2, 3, self.work_size), dtype=bool)
+            blocks = np.empty((len(self.order) + self.lane_rows, width))
+            self._buffers[width] = tuple(zip(floats, masks)), blocks
+        return self._buffers[width]
 
 
 def pair_plan(codes: np.ndarray, unknown: np.ndarray) -> PairPlan:
@@ -253,7 +276,8 @@ def pair_plan(codes: np.ndarray, unknown: np.ndarray) -> PairPlan:
     # the row index makes every sort key distinct, so the default sort is stable
     order = np.argsort(group * n + np.arange(n))
     work_size = max(((e - s) * (n - s) for s, e, _, _ in strips), default=0)
-    return PairPlan(order, strips, positive, n * n - positive - sizes[-1] ** 2, work_size)
+    lane_rows = sum(n - s for s, _, _, _ in strips)
+    return PairPlan(order, strips, positive, n * n - positive - sizes[-1] ** 2, work_size, lane_rows)
 
 
 def _log_sum(x: np.ndarray, work: np.ndarray) -> float:
@@ -269,10 +293,78 @@ def _log_sum(x: np.ndarray, work: np.ndarray) -> float:
     return float(np.log(products, out=products).sum())
 
 
+def _run_strips(
+    unit: np.ndarray,
+    take: Callable[[], tuple[int, int, int, bool]],
+    bounds: Optional[tuple[float, float]],
+    work: tuple[np.ndarray, np.ndarray],
+    blocks: np.ndarray,
+    acc: Optional[np.ndarray] = None,
+) -> list[tuple[int, float, int, int]]:
+    """The strips of ``pair_similarity_loss`` that ``take`` hands out, one
+    after another until it raises ``IndexError``, in the buffers ``work``,
+    under the thresholds ``bounds`` (the upper and lower one, None without
+    lam): each strip's start, its value term, which the caller subtracts,
+    and its positive and negative count additions, in the order taken.
+    Strip [s, e) leaves the gradient block of ``unit[s:]``: with ``acc`` it
+    is added to ``acc[s:]`` at once, through the first rows of ``blocks``;
+    without, it stays in the next N - s rows of ``blocks`` for the caller to
+    add. It allocates no array, numpy's own iteration buffers aside, so
+    that a worker thread running it grows no heap of its own."""
+    eps, n = CLAMP_EPS, len(unit)
+    floats, masks = work
+    terms, offset = [], 0
+    while True:
+        try:
+            s, e, group_end, unknown = take()
+        except IndexError:
+            return terms
+        r, p, size = e - s, group_end - s, (e - s) * (n - s)
+        raw, other = floats[:, :size].reshape(2, r, n - s)
+        active, scratch, below = masks[:, :size].reshape(3, r, n - s)
+        # the strip [s, e) x [s, n): its r x r diagonal block holds both
+        # orders of its pairs, every other entry stands for two ordered pairs
+        np.matmul(unit[s:e], unit[s:].T, out=raw)
+        # pinned at the clamp: no gradient
+        np.logical_and(np.greater(raw, eps, out=active), np.less(raw, 1.0 - eps, out=scratch), out=active)
+        S = np.clip(raw, eps, 1.0 - eps, out=raw)
+        # q is -S on a positive pair and 1 - S on a negative one: the pair costs
+        # -log x, x = |q| (1 if undecided: log 1 = 0), and its dS derivative is 1/q
+        positive = negative = 0
+        if unknown:
+            upper, lower = bounds
+            above = np.greater(S, upper, out=scratch)
+            positive = 2 * int(np.count_nonzero(above)) - int(np.count_nonzero(above[:, :r]))
+            np.less(S, lower, out=below)
+            negative = 2 * int(np.count_nonzero(below)) - int(np.count_nonzero(below[:, :r]))
+            decided = np.logical_or(above, below, out=scratch)
+            q = np.subtract(below, S, out=S)
+            upstream = np.divide(np.logical_and(active, decided, out=active), q, out=other)
+            # |q| < 1, so the maximum with the undecided mask sets x = 1 there
+            x = np.maximum(np.abs(q, out=q), np.logical_not(decided, out=below), out=q)
+        else:
+            # column slices are strided: subtract on the whole strip, then copy the positive ones
+            x = np.subtract(1.0, S, out=other)
+            x[:, :p] = S[:, :p]
+            upstream = np.divide(active, x, out=S)
+            np.negative(upstream[:, :p], out=upstream[:, :p])
+        # the block's rows [0, r) are unit[s:e]'s, the rest unit[e:]'s
+        block = blocks[offset : offset + n - s]
+        np.matmul(upstream, unit[s:], out=block[:r])
+        np.matmul(upstream[:, r:].T, unit[s:e], out=block[r:])
+        if acc is None:
+            offset += n - s
+        else:
+            acc[s:] += block
+        # the derivatives are spent: their buffer takes the products of x
+        terms.append((s, 2.0 * _log_sum(x, upstream) - _log_sum(x[:, :r], upstream), positive, negative))
+
+
 def pair_similarity_loss(
     embeddings: np.ndarray,
     plan: PairPlan,
     lam: Optional[float] = None,
+    lane: Optional[Executor] = None,
 ) -> tuple[float, np.ndarray, int, int]:
     """Training's pair term: binary cross-entropy over the selected ordered
     pairs of the clamped cosine similarities S of ``embeddings``, averaged
@@ -294,9 +386,17 @@ def pair_similarity_loss(
     known or background strip's verdicts are two column ranges: positive up
     to its group's end, negative after it. An unknown strip's pairs, unknown
     x unknown, are decided only by ``lam``'s thresholds, so it runs only with
-    ``lam``. Every strip works in ``plan.work``; the value's logs are taken
-    of products of the strip's pair terms (``_log_sum``)."""
-    eps = CLAMP_EPS
+    ``lam``. Every strip works in the plan's buffers; the value's logs are
+    taken of products of the strip's pair terms (``_log_sum``).
+
+    Given ``lane``, an executor with one worker thread, the calling thread
+    takes strips from the front and the worker from the back, each the next
+    one as it finishes the last, so the slower lane runs fewer. The worker's
+    strips, the last ones, have their gradient blocks and value terms added
+    after the caller's, in strip order: the value, the gradient and the
+    counts are those of the one-lane kernel, to the bit. Both lanes call
+    BLAS at once, so a lane is worth giving only where BLAS runs each call
+    on one thread and the batch is large (``harness.pair_lane``)."""
     if lam is not None:
         upper, lower = thresholds(lam)
         if upper <= lower:
@@ -311,41 +411,28 @@ def pair_similarity_loss(
     # unknown strips run only with lam
     strips = [strip for strip in plan.strips if lam is not None or not strip[3]]
     acc = np.zeros_like(unit)
+    terms = []
     # a call that runs no strip makes no buffers
-    floats, masks = plan.work if strips else (None, None)
+    if strips:
+        bounds = None if lam is None else (upper, lower)
+        (work, lane_work), blocks = plan.buffers(unit.shape[1])
+        pending = deque(strips)
+        if lane is not None:
+            late = lane.submit(_run_strips, unit, pending.pop, bounds, lane_work, blocks[n:])
+        terms = _run_strips(unit, pending.popleft, bounds, work, blocks, acc)
+        if lane is not None:
+            # the worker's strips follow the caller's, in the reverse of the
+            # order it took them and left their blocks in
+            late_terms = late.result()
+            offsets = accumulate((n - s for s, _, _, _ in late_terms), initial=n)
+            for (s, _, _, _), offset in reversed(list(zip(late_terms, offsets))):
+                acc[s:] += blocks[offset : offset + n - s]
+            terms += reversed(late_terms)
     total, positive, negative = 0.0, plan.positive, plan.negative
-    for s, e, group_end, unknown in strips:
-        r, p, size = e - s, group_end - s, (e - s) * (n - s)
-        raw, other = floats[:, :size].reshape(2, r, n - s)
-        active, scratch, below = masks[:, :size].reshape(3, r, n - s)
-        # the strip [s, e) x [s, n): its r x r diagonal block holds both
-        # orders of its pairs, every other entry stands for two ordered pairs
-        np.matmul(unit[s:e], unit[s:].T, out=raw)
-        # pinned at the clamp: no gradient
-        np.logical_and(np.greater(raw, eps, out=active), np.less(raw, 1.0 - eps, out=scratch), out=active)
-        S = np.clip(raw, eps, 1.0 - eps, out=raw)
-        # q is -S on a positive pair and 1 - S on a negative one: the pair costs
-        # -log x, x = |q| (1 if undecided: log 1 = 0), and its dS derivative is 1/q
-        if unknown:
-            above = np.greater(S, upper, out=scratch)
-            positive += 2 * int(np.count_nonzero(above)) - int(np.count_nonzero(above[:, :r]))
-            np.less(S, lower, out=below)
-            negative += 2 * int(np.count_nonzero(below)) - int(np.count_nonzero(below[:, :r]))
-            decided = np.logical_or(above, below, out=scratch)
-            q = np.subtract(below, S, out=S)
-            upstream = np.divide(np.logical_and(active, decided, out=active), q, out=other)
-            # |q| < 1, so the maximum with the undecided mask sets x = 1 there
-            x = np.maximum(np.abs(q, out=q), np.logical_not(decided, out=below), out=q)
-        else:
-            # column slices are strided: subtract on the whole strip, then copy the positive ones
-            x = np.subtract(1.0, S, out=other)
-            x[:, :p] = S[:, :p]
-            upstream = np.divide(active, x, out=S)
-            np.negative(upstream[:, :p], out=upstream[:, :p])
-        acc[s:e] += upstream @ unit[s:]
-        acc[e:] += upstream[:, r:].T @ unit[s:e]
-        # the derivatives are spent: their buffer takes the products of x
-        total -= 2.0 * _log_sum(x, upstream) - _log_sum(x[:, :r], upstream)
+    for _, term, strip_positive, strip_negative in terms:
+        total -= term
+        positive += strip_positive
+        negative += strip_negative
     if positive + negative == 0:
         _warnings.warn("similarity loss saw no selected pairs", RuntimeWarning)
         return 0.0, np.zeros_like(unit), 0, 0

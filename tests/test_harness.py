@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -524,6 +525,46 @@ def test_train_builds_label_codes_once(monkeypatch):
     config = RunConfig(seed=0, train_scenes=3, test_scenes=1, epochs=10)
     result = train(config, generate_dataset(config))
     assert calls == [len(result.rows.labels)]
+
+
+def test_train_pins_blas_and_restores_it_when_it_returns_or_raises(monkeypatch):
+    # inside train numpy's OpenBLAS runs one thread and the pair kernel gets
+    # its second lane, whose worker runs at 1260 rows; after train, returned
+    # or raised, the thread count and the live threads are as before
+    threads = harness.openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's bundled OpenBLAS not found: train pins nothing")
+    get_threads, set_threads = threads
+    original, kernel, seen = get_threads(), harness.pair_similarity_loss, []
+
+    def observed(*args):
+        result = kernel(*args)
+        seen.append((get_threads(), args[3] is not None, threading.active_count()))
+        return result
+
+    monkeypatch.setattr(harness, "pair_similarity_loss", observed)
+    config = RunConfig(seed=0, train_scenes=70, test_scenes=1, min_objects=5, max_objects=5, epochs=3, warmup_epochs=1)
+    dataset = generate_dataset(config)
+    empty = SyntheticDataset(
+        [dataclasses.replace(scene, boxes=scene.boxes[:0], objectness=scene.objectness[:0], features=scene.features[:0])
+         for scene in dataset.train],
+        dataset.test,
+        config,
+    )
+    assert len(build_training_rows(dataset, config).labels) == 1260 >= harness.LANE_ROWS
+    try:
+        for before in (2, 1):
+            set_threads(before)
+            live = threading.active_count()
+            train(config, dataset)
+            assert (get_threads(), threading.active_count()) == (before, live)
+            with pytest.raises(ValueError, match="holds no proposals"):
+                train(config, empty)
+            assert (get_threads(), threading.active_count()) == (before, live)
+    finally:
+        set_threads(original)
+    # one BLAS thread and the worker alive in every epoch
+    assert seen == [(1, True, live + 1)] * 6
 
 
 def test_train_builds_pair_state_once(monkeypatch):

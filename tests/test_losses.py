@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -23,6 +25,7 @@ from ucowod import (
     update_lambda,
 )
 from ucowod import losses
+from ucowod.harness import LANE_ROWS, pair_lane
 from ucowod.losses import CLAMP_EPS, PAIR_TILE_ROWS
 
 from reference import (
@@ -782,6 +785,84 @@ def test_pair_kernel_rejects_zero_norm_rows_and_terminated_schedule():
         pair_similarity_loss(np.array([[1.0, 0.0], [0.0, 0.0]]), plan)
     with pytest.raises(RuntimeError, match="terminated"):
         pair_similarity_loss(np.eye(2), plan, lam=0.45)
+
+
+@pytest.fixture
+def second_lane():
+    # numpy's OpenBLAS pinned to one thread and the kernel's second lane, as
+    # train runs them, for one test
+    with pair_lane(LANE_ROWS) as lane:
+        if lane is None:
+            pytest.skip("numpy's bundled OpenBLAS not found: training runs the kernel on one lane")
+        yield lane
+
+
+class HeadStart:
+    """A lane whose worker has taken its first strip before ``submit``
+    returns, so that a call runs strips on both lanes; keeps the futures."""
+
+    def __init__(self, lane):
+        self.lane, self.futures = lane, []
+
+    def submit(self, run, unit, take, *args):
+        taken = threading.Event()
+
+        def take_and_tell():
+            try:
+                return take()
+            finally:
+                taken.set()
+
+        self.futures.append(self.lane.submit(run, unit, take_and_tell, *args))
+        assert taken.wait(timeout=30)
+        return self.futures[-1]
+
+
+@pytest.mark.parametrize("lam", [None, 0.2])
+def test_two_lane_pair_kernel_gives_the_one_lane_bits(second_lane, lam):
+    # rows with pinned pairs, known, background and unknown labels: the
+    # worker takes strips from the back, and their blocks and terms are
+    # merged after the caller's, in strip order; the threads switch hands at
+    # every chance
+    g = np.random.default_rng(11)
+    n = LANE_ROWS + 3 * PAIR_TILE_ROWS + 17
+    E, _ = pinned_kernel_input(g, n)
+    codes, unknown = label_codes(random_labels(g, n, 3, 8))
+    assert unknown.any()
+    plan = pair_plan(codes, unknown)
+    lane = HeadStart(second_lane)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        lanes = [pair_similarity_loss(E, plan, lam, lane) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(lane.futures) == 3 and all(future.result() for future in lane.futures)
+    serial = pair_similarity_loss(E, plan, lam)
+    for value, grad, positive, negative in lanes:
+        assert (value, positive, negative) == (serial[0], serial[2], serial[3])
+        assert np.array_equal(grad, serial[1]) and grad.tobytes() == serial[1].tobytes()
+
+
+def test_two_lane_pair_kernel_keeps_its_errors_and_warning(second_lane):
+    n = LANE_ROWS + PAIR_TILE_ROWS
+    g = np.random.default_rng(12)
+    E = g.normal(0, 1, size=(n, 12))
+    plan = pair_plan(*label_codes(random_labels(g, n, 3, 8)))
+    with mock.patch.object(second_lane, "submit", wraps=second_lane.submit) as submit:
+        with pytest.raises(RuntimeError, match="terminated"):
+            pair_similarity_loss(E, plan, 0.45, second_lane)
+        with pytest.raises(ValueError, match=f"{n - 1} embedding rows but a pair plan for {n}"):
+            pair_similarity_loss(E[1:], plan, None, second_lane)
+        # every row unknown: without lam no strip runs, so nothing reaches the lane
+        unknown_plan = pair_plan(np.full(n, 3), np.ones(n, dtype=bool))
+        with pytest.warns(RuntimeWarning, match="no selected pairs"):
+            value, grad, positive, negative = pair_similarity_loss(E, unknown_plan, None, second_lane)
+        assert value == 0.0 and not grad.any() and (positive, negative) == (0, 0)
+        assert submit.call_count == 0
+        # with lam the same rows do run on both lanes
+        assert pair_similarity_loss(E, unknown_plan, 0.2, second_lane)[2:] == pair_similarity_loss(E, unknown_plan, 0.2)[2:]
+        assert submit.call_count == 1
 
 
 def test_pair_kernel_memory_is_tiled():
