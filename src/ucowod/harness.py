@@ -44,7 +44,6 @@ from .losses import (
     classification_loss_from_plan,
     classification_plan,
     l1_regression_loss,
-    label_codes,
     pair_plan,
     pair_similarity_loss,
     schedule_terminated,
@@ -382,25 +381,23 @@ class ToyHead:
 
 @dataclass(frozen=True)
 class TrainingRows:
-    """Flattened training batch: proposal features with assigned labels and
-    box-delta targets (valid only where ``has_box_target``). ``codes`` and
-    ``unknown`` are the labels as ``losses.label_codes`` arrays."""
+    """Flattened training batch: proposal features, their label codes and
+    box-delta targets. ``labels`` holds each row's class id, the first
+    unknown slot (``known_classes``) for a pseudo-labelled row and -1 for a
+    background row, whose delta target is zero and unused: the codes of
+    ``losses.label_codes``."""
 
     features: np.ndarray
-    labels: tuple[ClassLabel, ...]
+    labels: np.ndarray
     delta_targets: np.ndarray
-    has_box_target: np.ndarray
     n_pseudo: int
-    codes: np.ndarray
-    unknown: np.ndarray
 
 
 def build_training_rows(dataset: SyntheticDataset, config: RunConfig) -> TrainingRows:
     """Assign every training proposal a target: the best-overlapping known
     box or pseudo-labelled proposal at IoU ``TARGET_IOU``, else background.
-    Pseudo-labelled proposals carry the first unknown slot's label."""
-    labels: list[ClassLabel] = []
-    deltas = []
+    Pseudo-labelled proposals carry the first unknown slot's code."""
+    labels, deltas = [], []
     n_pseudo = 0
     for scene in dataset.train:
         known = [g for g in scene.gts if g.label.is_known]
@@ -409,25 +406,26 @@ def build_training_rows(dataset: SyntheticDataset, config: RunConfig) -> Trainin
         if config.unknown_slots > 0:
             pseudo = select_pseudo_labels(boxes, scene.objectness, known_boxes, config.ulp)
         n_pseudo += len(pseudo)
-        candidates = [g.label for g in known] + [ClassLabel.unknown(config.known_classes)] * len(pseudo)
+        # a code from known_classes on is an unknown row's, so a known id there would pass for one
+        known_ids = [g.label.class_id for g in known]
+        if max(known_ids, default=-1) >= config.known_classes:
+            raise ValueError(f"known id {max(known_ids)} out of range [0, {config.known_classes})")
+        # one code per target box, then background's, which a miss takes
+        candidates = np.array(known_ids + [config.known_classes] * len(pseudo) + [-1])
         targets = np.concatenate((known_boxes, boxes[pseudo]))
         overlap = pairwise_iou(boxes, targets)
         # argmax takes the first best candidate, as a loop keeping only a strictly better one would
-        best = overlap.argmax(axis=1) if candidates else np.zeros(len(boxes), dtype=int)
+        best = overlap.argmax(axis=1) if len(targets) else np.zeros(len(boxes), dtype=int)
         hit = overlap.max(axis=1, initial=0.0) >= TARGET_IOU
-        labels += [candidates[j] if h else ClassLabel.background() for j, h in zip(best, hit)]
+        labels.append(candidates[np.where(hit, best, -1)])
         scene_deltas = np.zeros(boxes.shape)
         scene_deltas[hit] = targets[best[hit]] - boxes[hit]
         deltas.append(scene_deltas)
-    codes, unknown = label_codes(labels)
     return TrainingRows(
         features=np.concatenate([scene.features for scene in dataset.train]),
-        labels=tuple(labels),
+        labels=np.concatenate(labels),
         delta_targets=np.concatenate(deltas),
-        has_box_target=np.array([not label.is_background for label in labels], dtype=bool),
         n_pseudo=n_pseudo,
-        codes=codes,
-        unknown=unknown,
     )
 
 
@@ -511,13 +509,14 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
     then self-supervised with one lambda update per epoch until the
     threshold schedule terminates, after which it falls back to the
     label-supervised pairs. What depends on the labels alone is built once,
-    before the first epoch, in O(N) memory: the ``classification_plan``, the
-    ``pair_plan`` and the box targets of the rows that have one. So are the
-    head's input rows, activations and gradient work arrays, and the
-    gradient of its outputs, into whose columns each epoch writes the
-    classification gradient plus the weighted pair gradient, and the box
-    rows' L1 gradient. With the pair plan's strip buffers, no epoch
-    allocates an N x ``HIDDEN_DIM`` or strip-sized array. The pair term comes
+    before the first epoch, in O(N) memory, from the rows' label codes: the
+    unknown rows (codes from ``known_classes`` on), the rows with a box
+    target (codes from 0 on) and their targets, the ``classification_plan``
+    and the ``pair_plan``. So are the head's input rows, activations and
+    gradient work arrays, and the gradient of its outputs, into whose columns
+    each epoch writes the classification gradient plus the weighted pair
+    gradient, and the box rows' L1 gradient. With the pair plan's buffers,
+    no epoch allocates an N x ``HIDDEN_DIM`` or strip-sized array. The pair term comes
     from ``pair_similarity_loss``: one visit per unordered pair, in strips
     of ``PAIR_TILE_ROWS`` rows sorted by label group; outside the
     self-supervised phase it skips the unknown x unknown pairs, which no
@@ -543,9 +542,10 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
         if not proposals:
             raise ValueError("the training split holds no proposals")
         rows = build_training_rows(dataset, config)
-        cls_plan = classification_plan(rows.codes, rows.unknown, config.known_classes, config.head_width())
-        pairs = pair_plan(rows.codes, rows.unknown)
-        box_targets = rows.delta_targets[rows.has_box_target]
+        unknown, has_box_target = rows.labels >= config.known_classes, rows.labels >= 0
+        cls_plan = classification_plan(rows.labels, unknown, config.known_classes, config.head_width())
+        pairs = pair_plan(rows.labels, unknown)
+        box_targets = rows.delta_targets[has_box_target]
         head = ToyHead.create(config.feature_dim, HIDDEN_DIM, config.head_width(), seed=config.seed)
         n, inputs = len(rows.labels), with_ones(rows.features)
         acts, work = HeadActivations.empty(n, HIDDEN_DIM, head.n_logits), HiddenGradients.empty(n, HIDDEN_DIM)
@@ -561,8 +561,8 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
             head.forward(inputs, acts)
             cls_value, grad_cls = classification_loss_from_plan(acts.logits, cls_plan)
 
-            reg_value, grad_selected = l1_regression_loss(acts.deltas[rows.has_box_target], box_targets)
-            grad_deltas[rows.has_box_target] = grad_selected
+            reg_value, grad_selected = l1_regression_loss(acts.deltas[has_box_target], box_targets)
+            grad_deltas[has_box_target] = grad_selected
 
             self_supervised = epoch >= warmup and not schedule_terminated(lam)
             pair_value, grad_sim, positive, negative = pair_similarity_loss(

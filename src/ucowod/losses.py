@@ -39,8 +39,9 @@ of logs of products of up to 32 pair terms, one log per 32 pairs.
 
 The pair kernel can run on two lanes: given an executor with one worker
 thread, it takes strips from the front while the worker takes them from the
-back, in buffers of its own, and adds what the worker's strips leave after
-its own, in strip order, so the result is the one-lane kernel's to the bit.
+back, in buffers of its own. Every strip leaves its gradient block and value
+term in a place of its own, and the caller adds them in strip order on one
+lane or two, so the result is the one-lane kernel's to the bit.
 ``harness.train`` gives it that lane, from ``harness.LANE_ROWS`` rows on,
 with numpy's OpenBLAS pinned to one thread.
 
@@ -228,8 +229,9 @@ class PairPlan:
     ``PAIR_TILE_ROWS`` rows of that order, as ``(start, end, group_end,
     unknown)``. ``positive`` and ``negative`` count the label-supervised
     verdicts over all N x N ordered pairs. ``work_size`` is the entry count
-    of the largest strip of any phase, and ``lane_rows`` the gradient rows
-    that all strips leave together (strip [s, e) leaves N - s).
+    of the largest strip of any phase. Strip k, [s, e), leaves its gradient
+    block in the N - s rows from ``offsets[k]``; ``offsets[-1]``, one past
+    the last strip's, counts the rows of all blocks.
 
     ``buffers`` holds the kernel's buffers, made on first use and reused by
     every later call, so a plan serves one call at a time."""
@@ -239,7 +241,7 @@ class PairPlan:
     positive: int
     negative: int
     work_size: int
-    lane_rows: int
+    offsets: tuple[int, ...]
     _buffers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def buffers(self, width: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]:
@@ -247,14 +249,12 @@ class PairPlan:
         first call with that width. Per lane, two float rows of
         ``work_size``, the strip's similarities and its pair terms, and three
         bool rows, the clamp mask and two verdict masks: O(N *
-        PAIR_TILE_ROWS). And the strips' gradient blocks, (N +
-        ``lane_rows``) x ``width``: the first N rows take the calling lane's,
-        one strip at a time, and the rest the second lane's, each strip in
-        rows of its own. Pages that no strip reaches are never touched."""
+        PAIR_TILE_ROWS). And the strips' gradient blocks, ``offsets[-1]`` x
+        ``width``, each strip's in rows of its own, whichever lane runs it.
+        Pages that no strip reaches are never touched."""
         if width not in self._buffers:
             floats, masks = np.empty((2, 2, self.work_size)), np.empty((2, 3, self.work_size), dtype=bool)
-            blocks = np.empty((len(self.order) + self.lane_rows, width))
-            self._buffers[width] = tuple(zip(floats, masks)), blocks
+            self._buffers[width] = tuple(zip(floats, masks)), np.empty((self.offsets[-1], width))
         return self._buffers[width]
 
 
@@ -276,49 +276,50 @@ def pair_plan(codes: np.ndarray, unknown: np.ndarray) -> PairPlan:
     # the row index makes every sort key distinct, so the default sort is stable
     order = np.argsort(group * n + np.arange(n))
     work_size = max(((e - s) * (n - s) for s, e, _, _ in strips), default=0)
-    lane_rows = sum(n - s for s, _, _, _ in strips)
-    return PairPlan(order, strips, positive, n * n - positive - sizes[-1] ** 2, work_size, lane_rows)
+    offsets = tuple(accumulate((n - s for s, _, _, _ in strips), initial=0))
+    return PairPlan(order, strips, positive, n * n - positive - sizes[-1] ** 2, work_size, offsets)
 
 
 def _log_sum(x: np.ndarray, work: np.ndarray) -> float:
-    """The sum of log x over a 2-d array whose entries lie in about
-    [CLAMP_EPS, 1]: the product of each block of 32 rows goes into a row of
-    ``work``, which needs a row per block and ``x``'s width, and only those
-    rows are logged. A product of 32 entries of at least about 1e-6 is at
-    least about 1e-192, so none underflows."""
+    """The sum of log |x| over a 2-d array whose entries' magnitudes lie in
+    about [CLAMP_EPS, 1]: the product of each block of 32 rows goes into a
+    row of ``work``, which needs a row per block and ``x``'s width, and only
+    those rows' magnitudes are logged; a product's magnitude is that of the
+    entries' magnitudes, to the bit. A product of 32 entries of at least
+    about 1e-6 is at least about 1e-192, so none underflows."""
     blocks = -(-len(x) // 32)
     products = work[:blocks, : x.shape[1]]
     for block in range(blocks):
         np.multiply.reduce(x[32 * block : 32 * block + 32], axis=0, out=products[block])
-    return float(np.log(products, out=products).sum())
+    return float(np.log(np.abs(products, out=products), out=products).sum())
 
 
 def _run_strips(
     unit: np.ndarray,
-    take: Callable[[], tuple[int, int, int, bool]],
+    plan: PairPlan,
+    take: Callable[[], int],
     bounds: Optional[tuple[float, float]],
     work: tuple[np.ndarray, np.ndarray],
     blocks: np.ndarray,
-    acc: Optional[np.ndarray] = None,
-) -> list[tuple[int, float, int, int]]:
-    """The strips of ``pair_similarity_loss`` that ``take`` hands out, one
-    after another until it raises ``IndexError``, in the buffers ``work``,
-    under the thresholds ``bounds`` (the upper and lower one, None without
-    lam): each strip's start, its value term, which the caller subtracts,
-    and its positive and negative count additions, in the order taken.
-    Strip [s, e) leaves the gradient block of ``unit[s:]``: with ``acc`` it
-    is added to ``acc[s:]`` at once, through the first rows of ``blocks``;
-    without, it stays in the next N - s rows of ``blocks`` for the caller to
-    add. It allocates no array, numpy's own iteration buffers aside, so
-    that a worker thread running it grows no heap of its own."""
+    terms: list,
+) -> None:
+    """The strips of ``pair_similarity_loss`` whose indexes into
+    ``plan.strips`` ``take`` hands out, one after another until it raises
+    ``IndexError``, in the buffers ``work``, under the thresholds ``bounds``
+    (the upper and lower one, None without lam). Strip k, [s, e), leaves the
+    gradient block of ``unit[s:]`` in the rows of ``blocks`` from
+    ``plan.offsets[k]``, and its value term, which the caller subtracts,
+    and its positive and negative count additions at ``terms[k]``. It
+    allocates no array, numpy's own iteration buffers aside, so that a
+    worker thread running it grows no heap of its own."""
     eps, n = CLAMP_EPS, len(unit)
     floats, masks = work
-    terms, offset = [], 0
     while True:
         try:
-            s, e, group_end, unknown = take()
+            k = take()
         except IndexError:
-            return terms
+            return
+        (s, e, group_end, unknown), offset = plan.strips[k], plan.offsets[k]
         r, p, size = e - s, group_end - s, (e - s) * (n - s)
         raw, other = floats[:, :size].reshape(2, r, n - s)
         active, scratch, below = masks[:, :size].reshape(3, r, n - s)
@@ -343,21 +344,18 @@ def _run_strips(
             # |q| < 1, so the maximum with the undecided mask sets x = 1 there
             x = np.maximum(np.abs(q, out=q), np.logical_not(decided, out=below), out=q)
         else:
-            # column slices are strided: subtract on the whole strip, then copy the positive ones
-            x = np.subtract(1.0, S, out=other)
-            x[:, :p] = S[:, :p]
-            upstream = np.divide(active, x, out=S)
-            np.negative(upstream[:, :p], out=upstream[:, :p])
+            # column slices are strided: subtract on the whole strip, then
+            # write -S into the positive columns; x = q is negative there,
+            # and _log_sum logs magnitudes
+            x = q = np.subtract(1.0, S, out=other)
+            np.negative(S[:, :p], out=q[:, :p])
+            upstream = np.divide(active, q, out=S)
         # the block's rows [0, r) are unit[s:e]'s, the rest unit[e:]'s
         block = blocks[offset : offset + n - s]
         np.matmul(upstream, unit[s:], out=block[:r])
         np.matmul(upstream[:, r:].T, unit[s:e], out=block[r:])
-        if acc is None:
-            offset += n - s
-        else:
-            acc[s:] += block
         # the derivatives are spent: their buffer takes the products of x
-        terms.append((s, 2.0 * _log_sum(x, upstream) - _log_sum(x[:, :r], upstream), positive, negative))
+        terms[k] = (2.0 * _log_sum(x, upstream) - _log_sum(x[:, :r], upstream), positive, negative)
 
 
 def pair_similarity_loss(
@@ -391,12 +389,13 @@ def pair_similarity_loss(
 
     Given ``lane``, an executor with one worker thread, the calling thread
     takes strips from the front and the worker from the back, each the next
-    one as it finishes the last, so the slower lane runs fewer. The worker's
-    strips, the last ones, have their gradient blocks and value terms added
-    after the caller's, in strip order: the value, the gradient and the
-    counts are those of the one-lane kernel, to the bit. Both lanes call
-    BLAS at once, so a lane is worth giving only where BLAS runs each call
-    on one thread and the batch is large (``harness.pair_lane``)."""
+    one as it finishes the last, so the slower lane runs fewer. Every strip
+    leaves its gradient block and value term in a place of its own, and
+    once both lanes are done the caller adds them in strip order, as it does
+    without a lane: the value, the gradient and the counts are those of the
+    one-lane kernel, to the bit. Both lanes call BLAS at once, so a lane is
+    worth giving only where BLAS runs each call on one thread and the batch
+    is large (``harness.pair_lane``)."""
     if lam is not None:
         upper, lower = thresholds(lam)
         if upper <= lower:
@@ -409,30 +408,26 @@ def pair_similarity_loss(
         raise ValueError(f"{n} embedding rows but a pair plan for {len(plan.order)}")
     unit, norms = unit[plan.order], norms[plan.order]
     # unknown strips run only with lam
-    strips = [strip for strip in plan.strips if lam is not None or not strip[3]]
+    strips = [k for k, strip in enumerate(plan.strips) if lam is not None or not strip[3]]
     acc = np.zeros_like(unit)
-    terms = []
+    total, positive, negative = 0.0, plan.positive, plan.negative
     # a call that runs no strip makes no buffers
     if strips:
         bounds = None if lam is None else (upper, lower)
         (work, lane_work), blocks = plan.buffers(unit.shape[1])
-        pending = deque(strips)
+        pending, terms = deque(strips), [None] * len(plan.strips)
         if lane is not None:
-            late = lane.submit(_run_strips, unit, pending.pop, bounds, lane_work, blocks[n:])
-        terms = _run_strips(unit, pending.popleft, bounds, work, blocks, acc)
+            late = lane.submit(_run_strips, unit, plan, pending.pop, bounds, lane_work, blocks, terms)
+        _run_strips(unit, plan, pending.popleft, bounds, work, blocks, terms)
         if lane is not None:
-            # the worker's strips follow the caller's, in the reverse of the
-            # order it took them and left their blocks in
-            late_terms = late.result()
-            offsets = accumulate((n - s for s, _, _, _ in late_terms), initial=n)
-            for (s, _, _, _), offset in reversed(list(zip(late_terms, offsets))):
-                acc[s:] += blocks[offset : offset + n - s]
-            terms += reversed(late_terms)
-    total, positive, negative = 0.0, plan.positive, plan.negative
-    for _, term, strip_positive, strip_negative in terms:
-        total -= term
-        positive += strip_positive
-        negative += strip_negative
+            late.result()
+        for k in strips:
+            s, offset = plan.strips[k][0], plan.offsets[k]
+            acc[s:] += blocks[offset : offset + n - s]
+            term, strip_positive, strip_negative = terms[k]
+            total -= term
+            positive += strip_positive
+            negative += strip_negative
     if positive + negative == 0:
         _warnings.warn("similarity loss saw no selected pairs", RuntimeWarning)
         return 0.0, np.zeros_like(unit), 0, 0

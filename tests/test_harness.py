@@ -27,6 +27,7 @@ from ucowod import (
     generate_dataset,
     l1_regression_loss,
     label_codes,
+    label_for_class_id,
     refine_pipeline,
     select_pseudo_labels,
     total_training_loss,
@@ -337,15 +338,10 @@ def test_training_rows_cover_every_proposal(default_run):
     rows = result.rows
     n_proposals = sum(len(s.boxes) for s in dataset.train)
     assert len(rows.features) == n_proposals
-    assert len(rows.labels) == n_proposals
+    assert rows.labels.shape == (n_proposals,)
     assert rows.delta_targets.shape == (n_proposals, 4)
-    # background rows carry no box target and zero deltas
-    for label, masked, delta in zip(rows.labels, rows.has_box_target, rows.delta_targets):
-        if label.is_background:
-            assert not masked
-            assert not delta.any()
-        else:
-            assert masked
+    # background rows (code -1) carry zero deltas
+    assert (rows.labels < 0).any() and not rows.delta_targets[rows.labels < 0].any()
 
 
 def test_training_row_targets_point_at_candidate_boxes(default_run):
@@ -358,7 +354,7 @@ def test_training_row_targets_point_at_candidate_boxes(default_run):
         proposals = [Box(*row) for row in scene.boxes.tolist()]
         boxes = {g.box for g in known} | {proposals[i] for i in pseudo}
         for proposal in proposals:
-            if rows.has_box_target[cursor]:
+            if rows.labels[cursor] >= 0:
                 d = rows.delta_targets[cursor]
                 target = Box(proposal.cx + d[0], proposal.cy + d[1], proposal.w + d[2], proposal.h + d[3])
                 assert target in boxes
@@ -368,11 +364,11 @@ def test_training_row_targets_point_at_candidate_boxes(default_run):
 
 def test_pseudo_rows_use_first_unknown_slot(default_run):
     config, _, result = default_run
-    unknown_ids = {l.class_id for l in result.rows.labels if l.is_unknown}
-    assert unknown_ids == {config.known_classes}
+    unknown_codes = result.rows.labels[result.rows.labels >= config.known_classes]
+    assert set(unknown_codes.tolist()) == {config.known_classes}
     # every pseudo object labels at least its own source proposal; jittered
     # proposals matching it add more rows
-    unknown_rows = sum(1 for l in result.rows.labels if l.is_unknown)
+    unknown_rows = len(unknown_codes)
     assert 0 < result.rows.n_pseudo <= unknown_rows
 
 
@@ -382,7 +378,7 @@ def test_no_unknown_slots_means_no_pseudo_labels():
     dataset = generate_dataset(config)
     rows = build_training_rows(dataset, config)
     assert rows.n_pseudo == 0
-    assert not any(l.is_unknown for l in rows.labels)
+    assert not (rows.labels >= config.known_classes).any()
 
 
 @pytest.mark.parametrize(
@@ -401,9 +397,10 @@ def test_training_rows_equal_the_per_pair_loop(overrides):
     dataset = generate_dataset(config)
     rows = build_training_rows(dataset, config)
     features, labels, deltas, mask, n_pseudo = training_rows_ref(dataset, config)
-    assert rows.labels == labels
     assert rows.n_pseudo == n_pseudo
-    for got, want in ((rows.features, features), (rows.delta_targets, deltas), (rows.has_box_target, mask)):
+    pairs = ((rows.features, features), (rows.labels, label_codes(labels)[0]), (rows.delta_targets, deltas),
+             (rows.labels >= 0, mask))
+    for got, want in pairs:
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -415,9 +412,18 @@ def test_training_target_at_exactly_the_iou_threshold():
     boxes = np.array([[0.5, 0.0, 1.0, 2.0], [5.0, 5.0, 1.0, 1.0]])
     scene = SyntheticScene(0, boxes, np.array([0.9, 0.9]), gts, np.zeros((2, config.feature_dim)))
     rows = build_training_rows(SyntheticDataset([scene], [], config), config)
-    assert rows.labels == (ClassLabel.known(1), ClassLabel.background())
+    assert rows.labels.tolist() == [1, -1]
     assert rows.delta_targets.tolist() == [[-0.5, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
-    assert rows.has_box_target.tolist() == [True, False]
+
+
+def test_train_rejects_a_known_id_past_the_known_classes():
+    # a hand-built scene can hold one; as a row code it would pass for a pseudo label
+    config = RunConfig(epochs=2)
+    gts = [GroundTruthObject(0, ClassLabel.known(config.known_classes), Box(0.0, 0.0, 2.0, 2.0))]
+    boxes = np.array([[0.0, 0.0, 2.0, 2.0], [5.0, 5.0, 1.0, 1.0]])
+    scene = SyntheticScene(0, boxes, np.array([0.9, 0.1]), gts, np.zeros((2, config.feature_dim)))
+    with pytest.raises(ValueError, match=r"known id 3 out of range \[0, 3\)"):
+        train(config, SyntheticDataset([scene], [], config))
 
 
 def test_scoring_and_target_assignment_make_no_scalar_iou_call(default_run, monkeypatch):
@@ -437,7 +443,7 @@ def test_scoring_and_target_assignment_make_no_scalar_iou_call(default_run, monk
         monkeypatch.setattr(module, "iou", refuse, raising=False)
     assert evaluate(gts, detections) == report
     again = build_training_rows(dataset, config)
-    assert again.labels == rows.labels and again.delta_targets.tobytes() == rows.delta_targets.tobytes()
+    assert again.labels.tobytes() == rows.labels.tobytes() and again.delta_targets.tobytes() == rows.delta_targets.tobytes()
     again_detections, again_embeddings = detect_with_embeddings(result.head, dataset.test, config)
     assert again_detections == detections and again_embeddings.tobytes() == embeddings.tobytes()
     again_refined = refine_pipeline(result.head, dataset, config)
@@ -458,9 +464,8 @@ def test_known_only_config_reduces_to_accurate_classifier():
     logits = result.head.forward(with_ones(result.rows.features)).logits
     predicted = logits.argmax(axis=1)
     background = config.head_width() - 1
-    wanted = np.array(
-        [l.class_id if l.is_known else background for l in result.rows.labels]
-    )
+    codes = result.rows.labels
+    wanted = np.where((codes >= 0) & (codes < config.known_classes), codes, background)
     assert (predicted == wanted).mean() >= 0.99
 
 
@@ -494,7 +499,7 @@ def test_history_pair_counts_match_label_matrices():
             # the same run stopped before this epoch holds the epoch's head
             head = train(dataclasses.replace(config, epochs=stats.epoch), dataset).head
             S, lam = cosine_matrix_ref(head.forward(with_ones(rows.features)).logits), stats.lam
-        positive, negative = pair_verdicts_ref(rows.codes, rows.unknown, S, lam)
+        positive, negative = pair_verdicts_ref(rows.labels, rows.labels >= config.known_classes, S, lam)
         assert (stats.positive, stats.negative) == (positive.sum(), negative.sum())
 
 
@@ -510,21 +515,27 @@ def test_epoch_total_adds_the_band_width_once():
 
 
 def test_train_builds_label_codes_once(monkeypatch):
-    # build_training_rows makes the codes; no epoch rebuilds them
-    import ucowod.harness
-    import ucowod.losses
+    # build_training_rows makes the codes and both plans are built from them
+    # once per train; no epoch rebuilds a plan
+    calls = []
 
-    calls, original = [], ucowod.losses.label_codes
+    def counted(name):
+        original = getattr(harness, name)
 
-    def counted(labels):
-        calls.append(len(labels))
-        return original(labels)
+        def wrapper(codes, *args):
+            calls.append((name, codes))
+            return original(codes, *args)
 
-    monkeypatch.setattr(ucowod.losses, "label_codes", counted)
-    monkeypatch.setattr(ucowod.harness, "label_codes", counted)
+        return wrapper
+
+    for name in ("classification_plan", "pair_plan"):
+        monkeypatch.setattr(harness, name, counted(name))
     config = RunConfig(seed=0, train_scenes=3, test_scenes=1, epochs=10)
-    result = train(config, generate_dataset(config))
-    assert calls == [len(result.rows.labels)]
+    dataset = generate_dataset(config)
+    for runs in (1, 2):
+        result = train(config, dataset)
+        assert [name for name, _ in calls] == ["classification_plan", "pair_plan"] * runs
+        assert all(codes is result.rows.labels for _, codes in calls[-2:])
 
 
 def test_train_pins_blas_and_restores_it_when_it_returns_or_raises(monkeypatch):
@@ -599,9 +610,11 @@ def test_classification_loss_from_plan_is_classification_loss(default_run):
     config, _, result = default_run
     rows = result.rows
     logits = result.head.forward(with_ones(rows.features)).logits
-    plan = classification_plan(rows.codes, rows.unknown, config.known_classes, config.head_width())
+    plan = classification_plan(rows.labels, rows.labels >= config.known_classes, config.known_classes, config.head_width())
     value, grad = classification_loss_from_plan(logits, plan)
-    assert value == pytest.approx(classification_loss_ref(logits, rows.labels, config.known_classes), abs=1e-10)
+    labels = [ClassLabel.background() if code < 0 else label_for_class_id(code, config.known_classes)
+              for code in rows.labels.tolist()]
+    assert value == pytest.approx(classification_loss_ref(logits, labels, config.known_classes), abs=1e-10)
     # the plan is not changed by a call: a second call gives the same result
     again_value, again_grad = classification_loss_from_plan(logits, plan)
     assert again_value == value and np.array_equal(again_grad, grad)

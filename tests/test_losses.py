@@ -799,31 +799,34 @@ def second_lane():
 
 class HeadStart:
     """A lane whose worker has taken its first strip before ``submit``
-    returns, so that a call runs strips on both lanes; keeps the futures."""
+    returns, so that a call runs strips on both lanes; keeps, per call, the
+    strips the worker took."""
 
     def __init__(self, lane):
-        self.lane, self.futures = lane, []
+        self.lane, self.taken = lane, []
 
-    def submit(self, run, unit, take, *args):
-        taken = threading.Event()
+    def submit(self, run, unit, plan, take, *args):
+        told, taken = threading.Event(), []
 
         def take_and_tell():
             try:
-                return take()
+                taken.append(take())
+                return taken[-1]
             finally:
-                taken.set()
+                told.set()
 
-        self.futures.append(self.lane.submit(run, unit, take_and_tell, *args))
-        assert taken.wait(timeout=30)
-        return self.futures[-1]
+        self.taken.append(taken)
+        future = self.lane.submit(run, unit, plan, take_and_tell, *args)
+        assert told.wait(timeout=30)
+        return future
 
 
 @pytest.mark.parametrize("lam", [None, 0.2])
 def test_two_lane_pair_kernel_gives_the_one_lane_bits(second_lane, lam):
     # rows with pinned pairs, known, background and unknown labels: the
-    # worker takes strips from the back, and their blocks and terms are
-    # merged after the caller's, in strip order; the threads switch hands at
-    # every chance
+    # worker takes strips from the back, and every strip's block and terms
+    # are added in strip order, whichever lane ran it; the threads switch
+    # hands at every chance
     g = np.random.default_rng(11)
     n = LANE_ROWS + 3 * PAIR_TILE_ROWS + 17
     E, _ = pinned_kernel_input(g, n)
@@ -837,7 +840,7 @@ def test_two_lane_pair_kernel_gives_the_one_lane_bits(second_lane, lam):
         lanes = [pair_similarity_loss(E, plan, lam, lane) for _ in range(3)]
     finally:
         sys.setswitchinterval(interval)
-    assert len(lane.futures) == 3 and all(future.result() for future in lane.futures)
+    assert len(lane.taken) == 3 and all(lane.taken)
     serial = pair_similarity_loss(E, plan, lam)
     for value, grad, positive, negative in lanes:
         assert (value, positive, negative) == (serial[0], serial[2], serial[3])
