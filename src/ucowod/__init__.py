@@ -12,6 +12,7 @@ from .core import (
     Box,
     ClassLabel,
     Detection,
+    DetectionTable,
     GroundTruthObject,
     LabelKind,
     iou,

@@ -4,15 +4,18 @@ Boxes are axis-aligned and stored in center/width/height form. Class labels
 are a tagged union of three variants: a known class id, an unknown class id,
 or background. Known ids occupy ``[0, known_count)`` and unknown ids occupy
 ``[known_count, known_count + unknown_slots)`` so the two ranges never
-collide; background carries no integer id at all.
+collide; background carries no integer id at all. Detections pass through
+the pipeline as one ``DetectionTable`` of row-aligned columns, whose
+iterator is the one place that builds ``Detection`` objects from rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from math import isfinite
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -127,6 +130,12 @@ def label_for_class_id(class_id: int, known_count: int) -> ClassLabel:
     return ClassLabel.unknown(class_id)
 
 
+def class_labels(class_ids: list[int], known_count: int) -> list[ClassLabel]:
+    """One label per class id; equal ids share the label."""
+    labels = {class_id: label_for_class_id(class_id, known_count) for class_id in set(class_ids)}
+    return [labels[class_id] for class_id in class_ids]
+
+
 @dataclass(frozen=True)
 class GroundTruthObject:
     """One annotated object."""
@@ -154,3 +163,38 @@ class Detection:
             raise ValueError(f"detection score must lie in [0, 1], got {self.score}")
         if self.label.is_background:
             raise ValueError("detections never carry the background label")
+
+
+@dataclass(eq=False)
+class DetectionTable:
+    """Detections as row-aligned columns: row i of ``image_ids`` (Python ints,
+    unbounded as in JSON), ``class_ids``, ``boxes`` ((n, 4) ``Box.array`` rows)
+    and ``scores`` is detection i. Iterating gives each row's ``Detection``,
+    and a table equals any list of the same detections. A row that no
+    ``Detection`` can hold raises that row's message on construction."""
+
+    known_count: int
+    image_ids: list[int]
+    class_ids: np.ndarray
+    boxes: np.ndarray
+    scores: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.class_ids, self.scores = np.asarray(self.class_ids, dtype=int), np.asarray(self.scores, dtype=float)
+        self.boxes = boxes = np.asarray(self.boxes, dtype=float).reshape(-1, 4)
+        if not len(self.image_ids) == len(self.class_ids) == len(boxes) == len(self.scores):
+            raise ValueError("each detection needs exactly one image id, class id, box and score")
+        valid = np.isfinite(boxes).all(axis=1) & (boxes[:, 2:] > 0).all(axis=1) & (self.class_ids >= 0)
+        valid &= (self.scores >= 0) & (self.scores <= 1)
+        if not valid.all():  # build the rows up to the first invalid one, which raises
+            next(islice(self, int(valid.argmin()), None))
+
+    def __len__(self) -> int:
+        return len(self.image_ids)
+
+    def __iter__(self) -> Iterator[Detection]:
+        labels, boxes = class_labels(self.class_ids.tolist(), self.known_count), map(Box, *self.boxes.T.tolist())
+        return map(Detection, self.image_ids, labels, boxes, self.scores.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == list(other) if isinstance(other, (DetectionTable, list, tuple)) else NotImplemented

@@ -11,10 +11,11 @@ them through pseudo-labeling.
 
 ``train`` fits a small two-layer head with plain full-batch gradient
 descent on the combined objective, switching from label-supervised to
-self-supervised pair similarity after a warm-up. ``refine_pipeline`` then
-clusters the embeddings of unknown-slot detections and relabels them by
-cluster. ``train_and_score`` is the generate, train, detect and evaluate
-chain in one call.
+self-supervised pair similarity after a warm-up. ``detect`` returns one
+``DetectionTable`` for all scenes; ``refine_pipeline`` then clusters the
+embeddings of its unknown-slot rows and sets their class ids by cluster.
+``train_and_score`` is the generate, train, detect and evaluate chain in one
+call.
 
 Fixed for every run, so kept out of ``RunConfig``: ``IMAGE_SIZE``-pixel
 scenes, ``JITTER_PER_OBJECT`` jittered proposals per object and
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import dataclasses
 import functools
 from dataclasses import dataclass, field
 from math import inf
@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import Box, ClassLabel, Detection, GroundTruthObject, iou, label_for_class_id, pairwise_iou
+from .core import Box, ClassLabel, DetectionTable, GroundTruthObject, iou, pairwise_iou
 from .losses import (
     LossWeights,
     band_width,
@@ -590,17 +590,20 @@ def train(config: RunConfig, dataset: SyntheticDataset) -> TrainResult:
 
 def detect_with_embeddings(
     head: ToyHead, scenes: Sequence[SyntheticScene], config: RunConfig
-) -> tuple[list[Detection], np.ndarray]:
+) -> tuple[DetectionTable, np.ndarray]:
     """Run the head over scenes and emit per-class suppressed detections.
 
     Each proposal is classified by its argmax slot (background rows are
     dropped), scored by the softmax probability, and its box is shifted by
     the predicted deltas. A scene's detections come out by slot, then by
     descending score, then by proposal row. Returns the detections plus
-    their embedding rows, aligned index for index.
+    their embedding rows, aligned index for index. The head runs and
+    suppression groups once per scene: one forward over all scenes moves
+    the logits in their last bits.
     """
-    detections: list[Detection] = []
-    embeddings: list[np.ndarray] = []
+    image_ids: list[int] = []
+    # each scene's kept class ids, boxes, scores and logits, after an empty first block
+    columns = [(np.empty(0, dtype=int), np.empty((0, 4)), np.empty(0), np.empty((0, head.n_logits)))]
     background = head.n_logits - 1
     for scene in scenes:
         if not len(scene.boxes):
@@ -612,14 +615,13 @@ def detect_with_embeddings(
         boxes[:, 2:] = np.maximum(boxes[:, 2:], 1e-3)
         rows = np.flatnonzero(predicted != background)
         kept = rows[suppress(predicted[rows], scores[rows], boxes[rows], NMS_THRESHOLD)]
-        for row in kept:
-            label = label_for_class_id(int(predicted[row]), config.known_classes)
-            detections.append(Detection(scene.image_id, label, Box(*boxes[row]), float(scores[row])))
-        embeddings.append(acts.logits[kept])
-    return detections, (np.concatenate(embeddings) if embeddings else np.empty((0, head.n_logits)))
+        image_ids += [scene.image_id] * len(kept)
+        columns.append((predicted[kept], boxes[kept], scores[kept], acts.logits[kept]))
+    class_ids, boxes, scores, embeddings = map(np.concatenate, zip(*columns))
+    return DetectionTable(config.known_classes, image_ids, class_ids, boxes, scores), embeddings
 
 
-def detect(head: ToyHead, scenes: Sequence[SyntheticScene], config: RunConfig) -> list[Detection]:
+def detect(head: ToyHead, scenes: Sequence[SyntheticScene], config: RunConfig) -> DetectionTable:
     return detect_with_embeddings(head, scenes, config)[0]
 
 
@@ -636,9 +638,9 @@ def train_and_score(config: RunConfig) -> tuple[SyntheticDataset, TrainResult, E
 class RefineOutcome:
     """Detections after cluster refinement, alongside the clustering
     itself. ``detections`` is the post-refinement output (relabeled and
-    re-suppressed); ``refined_indices`` points at its unknown entries."""
+    re-suppressed); ``refined_indices`` lists its unknown rows."""
 
-    detections: list[Detection]
+    detections: DetectionTable
     refined_indices: list[int]
     result: RefineResult
     n_clusters: int
@@ -653,19 +655,20 @@ def refine_pipeline(head: ToyHead, dataset: SyntheticDataset, config: RunConfig)
     mean silhouette over 2..unknown_slots, so a class split across slots
     can be consolidated and a merged slot pulled apart. Relabeling can
     land duplicate boxes in one class, so per-class suppression runs
-    again afterwards. Refinement runs ``refine``'s defaults: 200 steps at
+    again afterwards, once over the table with one group per image and
+    class. Refinement runs ``refine``'s defaults: 200 steps at
     step size 0.1, a target update every 10 steps, embeddings and
     centroids both moving. Raises when nothing was classified as unknown
     (lower the pseudo-label objectness floor or add unknown slots).
     """
     detections, embeddings = detect_with_embeddings(head, dataset.test, config)
-    unknown_indices = [i for i, det in enumerate(detections) if det.label.is_unknown]
-    if not unknown_indices:
+    unknown = np.flatnonzero(detections.class_ids >= config.known_classes)
+    if not len(unknown):
         raise RuntimeError(
             "refinement found no detections in unknown slots; lower the "
             "pseudo-label objectness floor (ulp.delta) or add unknown slots"
         )
-    points = embeddings[unknown_indices]
+    points = embeddings[unknown]
     norms = np.linalg.norm(points, axis=1, keepdims=True)
     points = points / np.maximum(norms, 1e-12)
 
@@ -673,26 +676,16 @@ def refine_pipeline(head: ToyHead, dataset: SyntheticDataset, config: RunConfig)
     if n_clusters is None:
         # the sweep's k-means fit of the chosen count is where refine starts
         n_clusters, centroids = select_cluster_count(points, config.unknown_slots, seed=config.seed)
-    n_clusters = min(n_clusters, len(unknown_indices))
+    n_clusters = min(n_clusters, len(unknown))
 
     result = refine(points, n_clusters, seed=config.seed, centroids=centroids)
-    relabeled = list(detections)
-    for position, det_index in enumerate(unknown_indices):
-        det = detections[det_index]
-        cluster = int(result.assignments[position])
-        relabeled[det_index] = dataclasses.replace(
-            det, label=ClassLabel.unknown(config.known_classes + cluster)
-        )
-    # one group per image and class; image ids are unbounded JSON integers, so each gets a small code
+    class_ids = detections.class_ids.copy()
+    class_ids[unknown] = config.known_classes + result.assignments
+    # image ids are unbounded JSON integers, so each gets a small code for its group
     codes: dict[int, int] = {}
-    width = config.head_width()
-    groups = [codes.setdefault(det.image_id, len(codes)) * width + det.label.class_id for det in relabeled]
-    boxes = Box.array([det.box for det in relabeled])
-    surviving = np.sort(suppress(groups, [det.score for det in relabeled], boxes, NMS_THRESHOLD))
-    final = [relabeled[i] for i in surviving]
-    return RefineOutcome(
-        detections=final,
-        refined_indices=[i for i, det in enumerate(final) if det.label.is_unknown],
-        result=result,
-        n_clusters=n_clusters,
-    )
+    scene_codes = np.array([codes.setdefault(image_id, len(codes)) for image_id in detections.image_ids], dtype=int)
+    groups = scene_codes * config.head_width() + class_ids
+    kept = np.sort(suppress(groups, detections.scores, detections.boxes, NMS_THRESHOLD))
+    image_ids, class_ids = [detections.image_ids[row] for row in kept.tolist()], class_ids[kept]
+    final = DetectionTable(config.known_classes, image_ids, class_ids, detections.boxes[kept], detections.scores[kept])
+    return RefineOutcome(final, np.flatnonzero(class_ids >= config.known_classes).tolist(), result, n_clusters)

@@ -26,7 +26,9 @@ input format's keys, kinds and ranges. Every reader goes through ``_read``,
 which checks each field over all records in one step and walks the records
 in table order only when a check fails, to name the first offender. Input
 that is not UTF-8 JSON is a schema violation too. A scene's proposals load
-as row-aligned arrays; ground truth and detections as ``Box`` objects.
+as row-aligned arrays and detections as a ``DetectionTable``, whose columns
+are also what ``save_detections`` writes; ground truth loads as ``Box``
+objects.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Box, Detection, GroundTruthObject, label_for_class_id
+from .core import Box, DetectionTable, GroundTruthObject, class_labels
 from .harness import RunConfig, SyntheticDataset, SyntheticScene, ToyHead
 from .losses import LossWeights
 from .metrics import EvalReport
@@ -268,12 +270,6 @@ def _read(records: list, table: tuple, where: Callable[[int], str], prefix: str 
     raise SchemaError(f"{where(0)}: the records fail a column check that each passes alone")
 
 
-def _labels(class_ids: list, known_count: int) -> list:
-    """One label per class id; equal ids share the label."""
-    labels = {class_id: label_for_class_id(class_id, known_count) for class_id in set(class_ids)}
-    return [labels[class_id] for class_id in class_ids]
-
-
 _COUNT_RANGE = (_INT, 0, inf, "class counts must be non-negative")
 _ANNOTATION = (
     _Field(None, _scalar, ("an object",)),
@@ -293,7 +289,7 @@ def load_ground_truth(path: PathLike) -> tuple[list[GroundTruthObject], int, int
     columns = _read([_read_json_object(path)], _GROUND_TRUTH, lambda _: str(path))
     (known_count,), (unknown_slots,) = columns["known_count"], columns["unknown_slots"]
     records = columns["annotations"][1]
-    labels, boxes = _labels(records["class_id"], known_count), _boxes(records["bbox"])
+    labels, boxes = class_labels(records["class_id"], known_count), _boxes(records["bbox"])
     return list(map(GroundTruthObject, records["image_id"], labels, boxes)), known_count, unknown_slots
 
 
@@ -330,20 +326,23 @@ def _detection_table(n_classes: int) -> tuple:
 _CHUNK_RECORDS = 4096
 
 
-def load_detections(path: PathLike, known_count: int, unknown_slots: int) -> list[Detection]:
+def load_detections(path: PathLike, known_count: int, unknown_slots: int) -> DetectionTable:
     """Read a JSON Lines detection file. Predicted class ids must fit inside
     the known range plus the unknown slots. Each line is parsed on its own, so
     a line holding more or less than one JSON value is an error, reported
     after any schema error on an earlier line."""
     path = Path(path)
     table = _detection_table(known_count + unknown_slots)
-    detections, records, line_numbers, failure = [], [], [], None
+    # the checked columns of every chunk so far; boxes hold one array per chunk
+    image_ids, class_ids, boxes, scores = [], [], [np.empty((0, 4))], []
+    records, line_numbers, failure = [], [], None
 
     def add_records() -> None:
         columns = _read(records, table, lambda i: f"{path}: line {line_numbers[i]}")
-        labels = _labels(columns["class_id"], known_count)
-        boxes, scores = _boxes(columns["bbox"]), map(float, columns["score"])
-        detections.extend(map(Detection, columns["image_id"], labels, boxes, scores))
+        image_ids.extend(columns["image_id"])
+        class_ids.extend(columns["class_id"])
+        boxes.append(columns["bbox"])
+        scores.extend(columns["score"])
         records.clear()
         line_numbers.clear()
 
@@ -365,18 +364,18 @@ def load_detections(path: PathLike, known_count: int, unknown_slots: int) -> lis
     add_records()
     if failure:
         raise SchemaError(failure[0]) from failure[1]
-    return detections
+    return DetectionTable(known_count, image_ids, class_ids, np.concatenate(boxes), scores)
 
 
-def save_detections(path: PathLike, detections: Sequence[Detection]) -> None:
+def save_detections(path: PathLike, detections: DetectionTable) -> None:
+    """Write one record per row. Numbers go through Python's ``round``, which
+    rounds the exact value: ``np.round`` scales first, so it can differ next
+    to a half (2.5e-06) and overflows near the float limit."""
+    boxes = [[round(v, 6) for v in box] for box in detections.boxes.tolist()]
+    scores = [round(score, 6) for score in detections.scores.tolist()]
     with open(path, "w") as handle:
-        for det in detections:
-            record = {
-                "image_id": det.image_id,
-                "class_id": det.label.class_id,
-                "bbox": [round(v, 6) for v in (det.box.cx, det.box.cy, det.box.w, det.box.h)],
-                "score": round(det.score, 6),
-            }
+        for image_id, class_id, box, score in zip(detections.image_ids, detections.class_ids.tolist(), boxes, scores):
+            record = {"image_id": image_id, "class_id": class_id, "bbox": box, "score": score}
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
@@ -495,7 +494,7 @@ def _scenes(columns: dict, known_classes: int) -> list[SyntheticScene]:
     n_gts, gts = columns["gts"]
     ends = np.cumsum(n_proposals, dtype=int)[:-1]
     objectness = np.split(np.array(proposals["objectness"], dtype=float), ends)
-    gts = iter(zip(_boxes(gts["bbox"]), _labels(gts["class_id"], known_classes)))
+    gts = iter(zip(_boxes(gts["bbox"]), class_labels(gts["class_id"], known_classes)))
     scenes = zip(columns["image_id"], np.split(proposals["bbox"], ends), objectness, n_gts, columns[None])
     return [
         SyntheticScene(image_id, b, o, [GroundTruthObject(image_id, label, box) for box, label in islice(gts, m)], f)

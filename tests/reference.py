@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 from hypothesis import settings
 
-from ucowod.core import Box, ClassLabel, Detection, GroundTruthObject, iou, label_for_class_id
+from ucowod.core import Box, ClassLabel, Detection, DetectionTable, GroundTruthObject, iou, label_for_class_id
 from ucowod.harness import RunConfig, SyntheticDataset, SyntheticScene, ToyHead
 from ucowod.io import SchemaError
 from ucowod.losses import LossWeights
@@ -746,6 +746,17 @@ def load_ground_truth_ref(path):
         box = _ref_parse_bbox(record.get("bbox"), record_where)
         objects.append(GroundTruthObject(image_id, label_for_class_id(class_id, known_count), box))
     return objects, known_count, unknown_slots
+
+
+def detection_table(detections, known_count):
+    """The ``DetectionTable`` of a list of ``Detection``s, field by field."""
+    return DetectionTable(
+        known_count,
+        [d.image_id for d in detections],
+        [d.label.class_id for d in detections],
+        Box.array([d.box for d in detections]),
+        [d.score for d in detections],
+    )
 
 
 def load_detections_ref(path, known_count, unknown_slots):

@@ -5,6 +5,8 @@ from hypothesis import example, given, strategies as st
 from ucowod import (
     Box,
     ClassLabel,
+    Detection,
+    DetectionTable,
     GroundTruthObject,
     LabelKind,
     iou,
@@ -139,3 +141,49 @@ def test_label_for_class_id_splits_on_known_count():
 def test_ground_truth_rejects_background():
     with pytest.raises(ValueError):
         GroundTruthObject(image_id=0, label=ClassLabel.background(), box=Box(0, 0, 1, 1))
+
+
+def raised(build):
+    """The type and message of what ``build()`` raises."""
+    with pytest.raises(Exception) as caught:
+        build()
+    return type(caught.value), str(caught.value)
+
+
+def test_detection_table_rejects_what_box_rejects_with_its_message():
+    nan, inf = float("nan"), float("inf")
+    good = [10.0, 20.0, 4.0, 6.0]
+    for bad in ([inf, 20.0, 4.0, 6.0], [10.0, -inf, 4.0, 6.0], [10.0, 20.0, nan, 6.0], [nan, nan, nan, nan],
+                [10.0, 20.0, 0.0, 6.0], [10.0, 20.0, 4.0, -1.0], [10.0, 20.0, inf, 6.0]):
+        # the second row is the bad one: the rows before it pass
+        table = lambda: DetectionTable(3, [0, 1], [1, 4], [good, bad], [0.5, 0.5])  # noqa: E731
+        assert raised(table) == raised(lambda: Box(*bad)), bad
+
+
+def test_detection_table_rejects_what_a_detection_or_label_rejects_with_its_message():
+    box = Box(10.0, 20.0, 4.0, 6.0)
+    for score in (float("nan"), 1.5, -0.25):
+        table = lambda: DetectionTable(3, [0], [1], [[10.0, 20.0, 4.0, 6.0]], [score])  # noqa: E731
+        assert raised(table) == raised(lambda: Detection(0, ClassLabel.known(1), box, score))
+    negative_id = lambda: DetectionTable(3, [0], [-1], [[10.0, 20.0, 4.0, 6.0]], [0.5])  # noqa: E731
+    assert raised(negative_id) == raised(lambda: label_for_class_id(-1, 3))
+    with pytest.raises(ValueError, match="exactly one image id, class id, box and score"):
+        DetectionTable(3, [0, 1], [1], [[10.0, 20.0, 4.0, 6.0]], [0.5])
+
+
+def test_detection_table_iterates_as_detections():
+    rows = [[10.0, 20.0, 4.0, 6.0], [1.5, 2.5, 0.5, 0.25], [7.0, 7.0, 1.0, 1.0]]
+    table = DetectionTable(3, [0, 2**70, 5], np.array([4, 1, 4]), np.array(rows), np.array([0.5, 1.0, 0.0]))
+    want = [
+        Detection(0, ClassLabel.unknown(4), Box(*rows[0]), 0.5),
+        Detection(2**70, ClassLabel.known(1), Box(*rows[1]), 1.0),
+        Detection(5, ClassLabel.unknown(4), Box(*rows[2]), 0.0),
+    ]
+    assert len(table) == 3 and table == want and want == table and table == tuple(want)
+    # plain Python numbers throughout, as a reader that built each Detection by hand would give
+    assert repr(list(table)) == repr(want)
+    first, _, last = table
+    assert first.label is last.label  # one label per distinct class id
+    assert table != want[:2] and table != [*want[:2], Detection(5, ClassLabel.unknown(4), Box(*rows[2]), 0.5)]
+    assert table != "not detections"
+    assert DetectionTable(3, [], [], np.empty((0, 4)), []) == []

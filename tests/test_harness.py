@@ -658,7 +658,8 @@ def test_refine_pipeline_outputs_are_consistent(default_run):
     assert outcome.refined_indices == [
         i for i, d in enumerate(outcome.detections) if d.label.is_unknown
     ]
-    ids = {outcome.detections[i].label.class_id for i in outcome.refined_indices}
+    detections = list(outcome.detections)
+    ids = {detections[i].label.class_id for i in outcome.refined_indices}
     assert ids <= set(range(config.known_classes, config.known_classes + outcome.n_clusters))
 
 

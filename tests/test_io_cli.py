@@ -37,7 +37,7 @@ from ucowod.io import (
     save_head,
 )
 
-from reference import load_dataset_ref
+from reference import detection_table, load_dataset_ref, load_detections_ref
 
 
 def sample_gts():
@@ -69,7 +69,7 @@ def test_ground_truth_round_trip(tmp_path):
 def test_detections_round_trip(tmp_path):
     path = tmp_path / "det.jsonl"
     dets = oracle_detections(sample_gts())
-    save_detections(path, dets)
+    save_detections(path, detection_table(dets, 3))
     assert load_detections(path, known_count=3, unknown_slots=8) == dets
 
 
@@ -229,7 +229,7 @@ def test_eval_oracle_detections_report(tmp_path, capsys):
     gts = sample_gts()
     gt_path, det_path, out_path = tmp_path / "gt.json", tmp_path / "det.jsonl", tmp_path / "r.json"
     save_ground_truth(gt_path, gts, 3, 8)
-    save_detections(det_path, oracle_detections(gts))
+    save_detections(det_path, detection_table(oracle_detections(gts), 3))
     assert run_cli("eval", "--gt", gt_path, "--det", det_path, "--out", out_path) == 0
     report = json.loads(out_path.read_text())
     assert report["uc_map"] == 1.0
@@ -254,7 +254,7 @@ def test_eval_report_matches_library_evaluate(tmp_path):
                 dets.append(Detection(image_id, label, jitter, float(g.uniform(0.1, 1.0))))
     gt_path, det_path, out_path = tmp_path / "gt.json", tmp_path / "det.jsonl", tmp_path / "r.json"
     save_ground_truth(gt_path, gts, 3, 8)
-    save_detections(det_path, dets)
+    save_detections(det_path, detection_table(dets, 3))
     assert run_cli("eval", "--gt", gt_path, "--det", det_path, "--out", out_path) == 0
 
     report = json.loads(out_path.read_text())
@@ -689,6 +689,54 @@ def test_refine_with_malformed_model_exits_two(tmp_path, capsys):
         assert f"{model_path}: {named}" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_refine_with_a_model_that_overflows_exits_one(tmp_path, capsys):
+    # finite weights of 1e308 overflow the head's outputs: infinite deltas give boxes
+    # that no Box holds, and infinite logits alone give NaN scores that no Detection holds
+    out_dir = small_run(tmp_path)
+    model_path = out_dir / "model.json"
+    original = json.loads(model_path.read_text())
+    for names, message in (
+        (("w_cls", "w_reg"), "error: box values must be finite, got Box("),
+        (("w_cls",), "error: detection score must lie in [0, 1], got nan\n"),
+    ):
+        payload = json.loads(json.dumps(original))
+        for name in names:
+            payload["arrays"][name] = [[1e308] * len(row) for row in payload["arrays"][name]]
+        model_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run_cli("refine", "--dataset", out_dir / "dataset.json", "--model", model_path, "--out-dir", out_dir)
+        assert code == 1, names
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.endswith("\n") and err.count("\n") == 1, err
+        assert not (out_dir / "detections_refined.jsonl").exists()
+
+
+def test_detection_files_round_trip_through_the_table_byte_for_byte(chain_dir, tmp_path):
+    big = detection_table(
+        [
+            Detection(2**70, ClassLabel.known(0), Box(10.123456, 20.5, 4.0, 6.25), 0.987654),
+            Detection(2**70 + 1, ClassLabel.unknown(5), Box(1.0, 2.0, 3.0, 4.0), 1.0),
+            Detection(10**40, ClassLabel.unknown(10), Box(1e303, 2.5e-06, 0.001, 1e12 + 0.1), 0.0),
+        ],
+        known_count=3,
+    )
+    save_detections(tmp_path / "big.jsonl", big)
+    # each number as Python's round gives it: np.round makes 2.5e-06 2e-06 and 1e303 inf
+    last = json.loads((tmp_path / "big.jsonl").read_text().splitlines()[-1])
+    assert last["bbox"] == [1e303, round(2.5e-06, 6), 0.001, 1e12 + 0.1] and round(2.5e-06, 6) == 3e-06
+    (tmp_path / "empty.jsonl").write_text("")
+    files = [chain_dir / "detections.jsonl", tmp_path / "big.jsonl", tmp_path / "empty.jsonl"]
+    assert len(load_detections(files[0], 3, 8)) > 0
+    for path in files:
+        loaded = load_detections(path, known_count=3, unknown_slots=8)
+        # iterating the table gives what the record-by-record reader builds, types included
+        assert repr(list(loaded)) == repr(load_detections_ref(path, 3, 8))
+        save_detections(tmp_path / "again.jsonl", loaded)
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes(), path.name
+    assert load_detections(files[1], 3, 8).image_ids == [2**70, 2**70 + 1, 10**40]
+
+
 def test_load_head_checks_shapes_against_each_other_only_without_config(tmp_path):
     path = tmp_path / "model.json"
     save_head(path, ToyHead.create(feature_dim=4, hidden_dim=6, n_logits=7, seed=3))
@@ -700,7 +748,7 @@ def test_load_head_checks_shapes_against_each_other_only_without_config(tmp_path
 def test_eval_out_creates_missing_parent_directories(tmp_path):
     gt_path, det_path = tmp_path / "gt.json", tmp_path / "det.jsonl"
     save_ground_truth(gt_path, sample_gts(), 3, 8)
-    save_detections(det_path, oracle_detections(sample_gts()))
+    save_detections(det_path, detection_table(oracle_detections(sample_gts()), 3))
     out_path = tmp_path / "nodir" / "sub" / "report.json"
     assert run_cli("eval", "--gt", gt_path, "--det", det_path, "--out", out_path) == 0
     assert json.loads(out_path.read_text())["uc_map"] == 1.0

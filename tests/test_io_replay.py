@@ -15,6 +15,7 @@ import pytest
 import ucowod.io
 from reference import (
     config_from_dict_ref,
+    detection_table,
     load_config_ref,
     load_dataset_ref,
     load_detections_ref,
@@ -48,7 +49,7 @@ def documents(tmp_path):
     save_dataset(tmp_path / "dataset.json", dataset)
     save_head(tmp_path / "model.json", head)
     save_ground_truth(tmp_path / "gt.json", dataset.test_ground_truth(), KNOWN, SLOTS)
-    save_detections(tmp_path / "det.jsonl", detect(head, dataset.test, CONFIG)[:4])
+    save_detections(tmp_path / "det.jsonl", detection_table(list(detect(head, dataset.test, CONFIG))[:4], KNOWN))
     docs = {name: json.loads((tmp_path / f"{name}.json").read_text()) for name in ("dataset", "model", "gt")}
     docs["det"] = [json.loads(line) for line in (tmp_path / "det.jsonl").read_text().splitlines()]
     docs["config"] = {"train_scenes": 2, "test_scenes": 1, "epochs": 3, "warmup_epochs": 1,
@@ -117,6 +118,8 @@ def summary(kind, loaded):
         return repr(loaded.config), scenes
     if kind == "model":
         return {name: (a.shape, a.tolist()) for name, a in vars(loaded).items()}
+    if kind == "det":
+        return repr(list(loaded))
     return repr(loaded)
 
 
